@@ -73,19 +73,12 @@ def dist_equiv(mu, nu, partition: Partition, tol: float = CLASS_TOL) -> bool:
     return worst <= tol
 
 
-@dataclass
-class WeakReachQuery:
-    source: int
-    label: object  # TAU_HAT, TAU_STRICT, or a visible Action
-    target: tuple  # per-block mass
-    partition: Partition
-
-
-def weak_reach_feasible(lts, query: WeakReachQuery, tol: float = CLASS_TOL):
-    """Flow witness for `source ==label==> some nu with class vector target`,
-    or None when no adversary can realise it."""
-    group_of = list(query.partition.block_of)
-    return _flow_feasible(lts, query.source, query.label, group_of, list(query.target), tol)
+def weak_reach_feasible(lts, source: int, label, target, partition: Partition,
+                        tol: float = CLASS_TOL):
+    """Flow witness for `source ==label==> some nu with class vector target`
+    (per-block mass), or None when no adversary can realise it.  `label` is
+    TAU_HAT, TAU_STRICT or a visible Action."""
+    return _flow_feasible(lts, source, label, list(partition.block_of), list(target), tol)
 
 
 def _reachable(lts, source: int) -> list:
@@ -235,9 +228,9 @@ def _weak_match(lts, node: int, action: Action, vec: tuple, partition: Partition
         label = TAU_STRICT if strict else TAU_HAT
     else:
         label = action
-    query = WeakReachQuery(node, label, vec, partition)
-    result = weak_reach_feasible(lts, query, tol)
-    if result is None and weak_reach_feasible(lts, query, _NEAR_TIE_FACTOR * tol):
+    result = weak_reach_feasible(lts, node, label, vec, partition, tol)
+    if result is None and weak_reach_feasible(lts, node, label, vec, partition,
+                                              _NEAR_TIE_FACTOR * tol):
         _warn_near_tie("weak-transition matching")
     return result
 

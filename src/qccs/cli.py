@@ -127,8 +127,13 @@ def cmd_run(args) -> int:
     if args.scheduler == "interactive-script":
         if not args.script:
             raise SystemExit2("--scheduler interactive-script needs --script FILE")
-        with open(args.script, encoding="utf-8") as fh:
-            scheduler = [int(tok) for tok in fh.read().split()]
+        try:
+            with open(args.script, encoding="utf-8") as fh:
+                scheduler = [int(tok) for tok in fh.read().split()]
+        except OSError as exc:
+            raise SystemExit2(f"cannot read {args.script}: {exc}")
+        except ValueError as exc:
+            raise SystemExit2(f"{args.script}: choices must be integers ({exc})")
     else:
         scheduler = args.scheduler
     try:

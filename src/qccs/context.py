@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import ATOL, Observable, dagger, lift_operator, partial_trace
+from .linalg import ATOL, Observable, apply_operator, partial_trace
 
 PROB_CUTOFF = 1e-12
 
@@ -92,7 +92,7 @@ def _fmt_amp(z: complex) -> str:
     return f"({re:.4g}{sign}{abs(im):.4g}i)"
 
 
-def format_state(rho: np.ndarray, tol: float = 1e-9) -> str:
+def format_state(rho: np.ndarray) -> str:
     """Compact display: a ket combination for pure states, otherwise the
     diagonal of the density matrix."""
     n = linalg.qubit_count(rho.shape[0])
@@ -151,16 +151,15 @@ def apply_unitary(ctx: QContext, u, rvars, tol: float = ATOL) -> QContext:
     if not linalg.is_unitary(u, tol):
         raise NotUnitary("operator is not unitary")
     positions = [ctx.index(v) for v in rvars]
-    full = lift_operator(u, positions, ctx.size)
-    return QContext(ctx.vars, full @ ctx.rho @ dagger(full))
+    return QContext(ctx.vars, apply_operator(u, ctx.rho, positions))
 
 
 def measure(ctx: QContext, obs: Observable, rvars, tol: float = ATOL) -> list:
     """Project with each outcome of obs on the named qubits.
 
     Returns (eigenvalue, probability, post-context) triples for the outcomes
-    with nonzero probability; probabilities are Tr(P rho) and the post-states
-    are the renormalised projections.
+    with nonzero probability; probabilities are Tr(P rho P) and the
+    post-states are the renormalised projections P rho P / p.
     """
     positions = [ctx.index(v) for v in rvars]
     dim = 2 ** len(positions)
@@ -169,25 +168,22 @@ def measure(ctx: QContext, obs: Observable, rvars, tol: float = ATOL) -> list:
         raise InvalidObservable(f"observable {obs.name}: {', '.join(problems)}")
     results = []
     for eigenvalue, projector in obs.outcomes:
-        full = lift_operator(projector, positions, ctx.size)
-        p = float(np.real(linalg.trace(full @ ctx.rho)))
+        projected = apply_operator(projector, ctx.rho, positions)
+        p = float(np.real(linalg.trace(projected)))
         if p <= PROB_CUTOFF:
             continue
-        post = (full @ ctx.rho @ full) / p
-        results.append((float(eigenvalue), p, QContext(ctx.vars, post)))
+        results.append((float(eigenvalue), p, QContext(ctx.vars, projected / p)))
     return results
 
 
 def context_equal(c1: QContext, c2: QContext, tol: float = ATOL) -> bool:
     """Equality up to reordering of the qubit tuple.
 
-    The variable name sets must agree; the unique name-aligning permutation is
-    applied to c1's state before the entrywise comparison.
+    The variable name sets must agree; c1's state is reordered to c2's
+    variable order before the entrywise comparison.
     """
     if set(c1.vars) != set(c2.vars):
         return False
     if c1.vars == c2.vars:
         return linalg.approx_equal(c1.rho, c2.rho, tol)
-    perm = [c1.index(v) for v in c2.vars]
-    pi = linalg.permutation_op(perm, c1.size)
-    return linalg.approx_equal(pi @ c1.rho @ dagger(pi), c2.rho, tol)
+    return linalg.approx_equal(c1.reduced(c2.vars), c2.rho, tol)

@@ -889,10 +889,3 @@ def elaborate(source: SourceFile, tol: float = linalg.ATOL) -> Elaboration:
     )
     policy = InputPolicy(classical_domains=domains)
     return Elaboration(configs, policy, source.checks)
-
-
-def load_file(path: str) -> tuple:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    source = parse(text)
-    return source, elaborate(source)

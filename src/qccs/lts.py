@@ -60,13 +60,6 @@ class BoundExceeded(LtsError):
         super().__init__(f"exploration exceeded {which}={limit}")
 
 
-class NotEnabled(LtsError):
-    def __init__(self, action, blocking):
-        self.action = action
-        self.blocking = blocking
-        super().__init__(f"{format_action(action)} is not enabled at {len(blocking)} support point(s)")
-
-
 class StuckError(LtsError):
     def __init__(self, blocked):
         self.blocked = tuple(blocked)
@@ -220,14 +213,14 @@ class Distribution:
 
     __slots__ = ("_pairs",)
 
-    def __init__(self, pairs, merge_tol: float = MERGE_TOL, check_total: bool = True):
+    def __init__(self, pairs):
         merged: list[list] = []
         for config, p in pairs:
             p = float(p)
             if p <= 0:
                 raise BadWeights(f"probability {p} is not in (0, 1]")
             for entry in merged:
-                if same_configuration(entry[0], config, merge_tol):
+                if same_configuration(entry[0], config):
                     entry[1] += p
                     break
             else:
@@ -235,7 +228,7 @@ class Distribution:
         if not merged:
             raise BadWeights("distribution must have nonempty support")
         total = sum(p for _, p in merged)
-        if check_total and abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise BadWeights(f"probabilities sum to {total}, not 1")
         self._pairs = tuple((c, p) for c, p in merged)
 
@@ -251,12 +244,6 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self._pairs)
-
-    def probability(self, config: Configuration, tol: float = MERGE_TOL) -> float:
-        for c, p in self._pairs:
-            if same_configuration(c, config, tol):
-                return p
-        return 0.0
 
     def approx_equal(self, other: "Distribution", tol: float = 1e-9) -> bool:
         if len(self) != len(other):
@@ -345,24 +332,32 @@ class _Step:
     action: Action
     targets: list
 
-
-@dataclass
-class _CInStep:
-    """Symbolic classical input: instantiated either by a communication
-    partner's output value or by the policy's finite domain."""
-
-    chan: Chan
-    cont: object  # value -> ProcessExpr; context never changes
+    @property
+    def chan(self) -> Chan | None:
+        return channel_of(self.action)
 
 
 @dataclass
-class _QFreshStep:
-    """Symbolic quantum input of a system not yet in the context; the new
-    joint state comes from the policy's extension recipes."""
+class _InStep:
+    """Symbolic input, kept open so a communication partner can instantiate
+    it.  A classical input takes a value, from the partner's output or the
+    policy's finite domain; the context never changes.  A quantum input takes
+    the fresh name (`hint` suggests one) of a system not yet in the context,
+    whose joint state comes from the policy's extension recipes."""
 
     chan: Chan
     hint: str | None
-    cont: object  # fresh qvar name -> ProcessExpr
+    cont: object  # value or fresh qvar name -> ProcessExpr
+
+
+def _rewrap(step, wrap, fn=None):
+    """`step` with each target term t replaced by wrap(t), and its channel
+    renamed by the relabelling `fn` when one is given."""
+    if isinstance(step, _Step):
+        action = step.action if fn is None else relabel_action(step.action, fn)
+        return _Step(action, [(wrap(t), c2, p) for t, c2, p in step.targets])
+    chan = step.chan if fn is None else fn.apply(step.chan)
+    return _InStep(chan, step.hint, lambda x: wrap(step.cont(x)))
 
 
 def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
@@ -371,7 +366,7 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
             return []
 
         case CInput(chan=c, var=x, body=b):
-            return [_CInStep(c, lambda v, b=b, x=x: subst_classical(b, x, v))]
+            return [_InStep(c, None, lambda v, b=b, x=x: subst_classical(b, x, v))]
 
         case COutput(chan=c, expr=e, body=b):
             return [_Step(COut(c, eval_expr(e)), [(b, ctx, 1.0)])]
@@ -387,7 +382,7 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
                 for r in ctx.vars
                 if r not in taken
             ]
-            steps.append(_QFreshStep(c, q, lambda r, b=b, q=q: subst_quantum(b, q, r)))
+            steps.append(_InStep(c, q, lambda r, b=b, q=q: subst_quantum(b, q, r)))
             return steps
 
         case QOutput(chan=c, qvar=q, body=b):
@@ -407,39 +402,11 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
             return _compose_parallel(_derive(l, ctx, fresh), _derive(r, ctx, fresh), l, r, ctx)
 
         case Relabel(body=b, fn=f):
-            out = []
-            for s in _derive(b, ctx, fresh):
-                if isinstance(s, _Step):
-                    out.append(_Step(
-                        relabel_action(s.action, f),
-                        [(Relabel(t, f), c2, p) for t, c2, p in s.targets],
-                    ))
-                elif isinstance(s, _CInStep):
-                    out.append(_CInStep(f.apply(s.chan),
-                                        lambda v, s=s, f=f: Relabel(s.cont(v), f)))
-                else:
-                    out.append(_QFreshStep(f.apply(s.chan), s.hint,
-                                           lambda r, s=s, f=f: Relabel(s.cont(r), f)))
-            return out
+            return [_rewrap(s, lambda t: Relabel(t, f), f) for s in _derive(b, ctx, fresh)]
 
         case Restrict(body=b, chans=blocked):
-            out = []
-            for s in _derive(b, ctx, fresh):
-                if isinstance(s, _Step):
-                    if channel_of(s.action) not in blocked:
-                        out.append(_Step(
-                            s.action,
-                            [(Restrict(t, blocked), c2, p) for t, c2, p in s.targets],
-                        ))
-                elif isinstance(s, _CInStep):
-                    if s.chan not in blocked:
-                        out.append(_CInStep(s.chan,
-                                            lambda v, s=s, blocked=blocked: Restrict(s.cont(v), blocked)))
-                else:
-                    if s.chan not in blocked:
-                        out.append(_QFreshStep(s.chan, s.hint,
-                                               lambda r, s=s, blocked=blocked: Restrict(s.cont(r), blocked)))
-            return out
+            return [_rewrap(s, lambda t: Restrict(t, blocked))
+                    for s in _derive(b, ctx, fresh) if s.chan not in blocked]
 
         case If(cond=c, body=b):
             return _derive(b, ctx, fresh) if eval_bool(c) else []
@@ -454,24 +421,12 @@ def _compose_parallel(left_steps, right_steps, left_term, right_term, ctx) -> li
 
     def interleave(steps, other_term, other_qv, combine):
         for s in steps:
-            if isinstance(s, _Step):
-                if isinstance(s.action, QIn):
-                    # a component may input a system only if its peer does not
-                    # reference it
-                    if s.action.qvar in other_qv:
-                        continue
-                out.append(_Step(
-                    s.action,
-                    [(combine(t, other_term), c2, p) for t, c2, p in s.targets],
-                ))
-            elif isinstance(s, _CInStep):
-                out.append(_CInStep(s.chan,
-                                    lambda v, s=s: combine(s.cont(v), other_term)))
-            else:
-                # the input name is fresh for the whole context, hence also
-                # for the peer
-                out.append(_QFreshStep(s.chan, s.hint,
-                                       lambda r, s=s: combine(s.cont(r), other_term)))
+            # a component may input a system only if its peer does not
+            # reference it; a symbolic input's name is fresh for the whole
+            # context, hence also for the peer
+            if isinstance(s, _Step) and isinstance(s.action, QIn) and s.action.qvar in other_qv:
+                continue
+            out.append(_rewrap(s, lambda t: combine(t, other_term)))
 
     interleave(left_steps, right_term, qv_right, lambda t, o: Parallel(t, o))
     interleave(right_steps, left_term, qv_left, lambda t, o: Parallel(o, t))
@@ -482,7 +437,7 @@ def _compose_parallel(left_steps, right_steps, left_term, right_term, ctx) -> li
                 continue
             if isinstance(so.action, COut):
                 for si in in_steps:
-                    if isinstance(si, _CInStep) and si.chan == so.action.chan:
+                    if isinstance(si, _InStep) and si.chan == so.action.chan:
                         (t_out, c_out, _), = so.targets
                         out.append(_Step(TAU, [(build(t_out, si.cont(so.action.value)), c_out, 1.0)]))
             elif isinstance(so.action, QOut):
@@ -521,7 +476,7 @@ def transitions(
         if isinstance(s, _Step):
             dist = Distribution([(Configuration(t, c2), p) for t, c2, p in s.targets])
             result.append((s.action, dist))
-        elif isinstance(s, _CInStep):
+        elif not s.chan.quantum:
             for v in policy.domain(s.chan):
                 result.append((CIn(s.chan, float(v)),
                                Distribution.point(Configuration(s.cont(float(v)), config.context))))
@@ -554,9 +509,11 @@ def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
             case Restrict(body=b, chans=chans):
                 inner = _derive(b, config.context, fresh)
                 for s in inner:
-                    if isinstance(s, _Step) and channel_of(s.action) in chans:
+                    if s.chan not in chans:
+                        continue
+                    if isinstance(s, _Step):
                         blocked.append(s.action)
-                    elif isinstance(s, (_CInStep, _QFreshStep)) and s.chan in chans:
+                    else:
                         blocked.append(CIn(s.chan, float("nan")) if not s.chan.quantum
                                        else QIn(s.chan, "?"))
                 strip(b)
@@ -617,7 +574,6 @@ def build_lts(
     max_nodes: int = 4000,
     max_depth: int = 200,
     fresh=numbered_fresh,
-    merge_tol: float = MERGE_TOL,
 ) -> Lts:
     """Breadth-first closure of `transitions` from one or more roots.
 
@@ -636,7 +592,7 @@ def build_lts(
     def intern(config: Configuration) -> int:
         key = config.canonical_process
         for i in buckets.get(key, ()):
-            if context_equal(nodes[i].context, config.context, merge_tol):
+            if context_equal(nodes[i].context, config.context, MERGE_TOL):
                 return i
         if len(nodes) >= max_nodes:
             raise BoundExceeded("max_nodes", max_nodes)
@@ -674,48 +630,6 @@ def build_lts(
                 edges[i].append(edge)
 
     return Lts(nodes, edges, tuple(initial))
-
-
-def combined_transitions(lts: Lts, i: int, action: Action) -> list:
-    """Ordinary action-successors of a node; the combined transitions are
-    exactly the convex hull of the returned distributions."""
-    return lts.successors(i, action)
-
-
-def lift_transition(lts: Lts, mu, action: Action, cap: int = 256) -> list:
-    """Distributions reachable from mu when every support point takes one
-    ordinary `action` transition (exhaustive up to `cap` combinations)."""
-    mu = list(mu)
-    per_point = []
-    blocking = []
-    for i, _ in mu:
-        succ = lts.successors(i, action)
-        if not succ:
-            blocking.append(i)
-        per_point.append(succ)
-    if blocking:
-        raise NotEnabled(action, blocking)
-
-    results: list = [{}]
-    for (i, p), succ in zip(mu, per_point):
-        next_results = []
-        for acc in results:
-            for targets in succ:
-                merged = dict(acc)
-                for j, q in targets:
-                    merged[j] = merged.get(j, 0.0) + p * q
-                next_results.append(merged)
-                if len(next_results) > cap:
-                    break
-            if len(next_results) > cap:
-                break
-        results = next_results[:cap]
-    out = []
-    for acc in results:
-        vec = tuple(sorted(acc.items()))
-        if vec not in [tuple(sorted(o.items())) for o in out]:
-            out.append(acc)
-    return [tuple(sorted(o.items())) for o in out]
 
 
 # -- trace execution --

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from qccs import linalg
-from qccs.bisim import Partition, WeakReachQuery, strong_bisim, weak_reach_feasible
+from qccs.bisim import Partition, strong_bisim, weak_reach_feasible
 from qccs.context import make_context
 from qccs.demo import build_choice_example, build_weak_example, verify_teleport
 from qccs.laws import (
@@ -122,7 +122,7 @@ class TestAcceptance:
         def feas(m5, m6):
             vec = [0.0] * graph.node_count
             vec[c5], vec[c6] = m5, m6
-            return weak_reach_feasible(graph, WeakReachQuery(c, label, tuple(vec), singles))
+            return weak_reach_feasible(graph, c, label, tuple(vec), singles)
 
         figs = (feas(0.5, 0.5) is not None      # fig 1
                 and feas(1.0, 0.0) is not None  # fig 2

@@ -4,7 +4,7 @@ import numpy as np
 
 from qccs import linalg
 from qccs.bisim import (
-    TAU_HAT, TAU_STRICT, Partition, WeakReachQuery, class_vector, dist_equiv,
+    TAU_HAT, TAU_STRICT, Partition, class_vector, dist_equiv,
     equality_check, strong_bisim, weak_bisim, weak_reach_feasible,
     weak_terminates_in,
 )
@@ -144,8 +144,7 @@ class TestWeakFigures:
 
     def query(self, m5, m6):
         return weak_reach_feasible(
-            self.graph,
-            WeakReachQuery(self.c, self.label, self.target(m5, m6), self.singletons))
+            self.graph, self.c, self.label, self.target(m5, m6), self.singletons)
 
     def test_fig1_half_half(self):
         assert self.query(0.5, 0.5) is not None
@@ -171,8 +170,8 @@ class TestWeakFigures:
         vec = [0.0] * self.graph.node_count
         vec[self.c5] = 0.5
         vec[self.c] = 0.5  # the start node is never a qc!q target
-        q = WeakReachQuery(self.c, self.label, tuple(vec), self.singletons)
-        assert weak_reach_feasible(self.graph, q) is None
+        assert weak_reach_feasible(
+            self.graph, self.c, self.label, tuple(vec), self.singletons) is None
 
     def test_fig1_decomposition_reverifies(self):
         # the (1/2, 1/2) target forces all first-step flow through the
@@ -195,8 +194,8 @@ class TestWeakFigures:
                 vec[self.c5] = 1.0
             else:
                 vec[self.c6] = 1.0
-            sub = WeakReachQuery(succ, self.label, tuple(vec), self.singletons)
-            assert weak_reach_feasible(self.graph, sub) is not None
+            assert weak_reach_feasible(
+                self.graph, succ, self.label, tuple(vec), self.singletons) is not None
 
     def test_fig3_decomposition_splits_between_branches(self):
         w = self.query(0.75, 0.25)
@@ -374,8 +373,8 @@ class TestMultiActionCharacterization:
                     continue
                 # each intermediate node must complete its share of the end
                 share = tuple(x * mass for x in self._unit_target(node, end_vec))
-                q = WeakReachQuery(node, self.d_out, share, self.singles)
-                if weak_reach_feasible(self.graph, q) is None:
+                if weak_reach_feasible(self.graph, node, self.d_out, share,
+                                       self.singles) is None:
                     ok = False
                     break
             if ok:
@@ -419,14 +418,12 @@ class TestWeakQueryLabels:
     def test_tau_hat_allows_empty_move(self):
         graph = build_lts(cfg(Nil(), ("q",), dm(KET0)))
         part = Partition([0])
-        q = WeakReachQuery(0, TAU_HAT, (1.0,), part)
-        assert weak_reach_feasible(graph, q) is not None
+        assert weak_reach_feasible(graph, 0, TAU_HAT, (1.0,), part) is not None
 
     def test_tau_strict_needs_a_real_move(self):
         graph = build_lts(cfg(Nil(), ("q",), dm(KET0)))
         part = Partition([0])
-        q = WeakReachQuery(0, TAU_STRICT, (1.0,), part)
-        assert weak_reach_feasible(graph, q) is None
+        assert weak_reach_feasible(graph, 0, TAU_STRICT, (1.0,), part) is None
 
     def test_tau_strict_through_chain(self):
         term = Unitary(GATE_X, ("q",), Unitary(GATE_X, ("q",), Nil()))
@@ -435,4 +432,4 @@ class TestWeakQueryLabels:
         terminal = next(i for i in range(graph.node_count) if graph.stuck(i))
         vec = [0.0] * graph.node_count
         vec[terminal] = 1.0
-        assert weak_reach_feasible(graph, WeakReachQuery(0, TAU_STRICT, tuple(vec), part))
+        assert weak_reach_feasible(graph, 0, TAU_STRICT, tuple(vec), part)

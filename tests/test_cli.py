@@ -103,6 +103,22 @@ class TestRun:
                           "--script", str(script))
         assert code == 0
 
+    def test_script_scheduler_missing_file(self, tmp_path, capsys):
+        code, _ = run_cli("run", TELEPORT, "--scheduler", "interactive-script",
+                          "--script", str(tmp_path / "absent.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+
+    def test_script_scheduler_non_integer_choice(self, tmp_path, capsys):
+        script = tmp_path / "choices.txt"
+        script.write_text("0 1 x\n")
+        code, _ = run_cli("run", TELEPORT, "--scheduler", "interactive-script",
+                          "--script", str(script))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integers" in err and "Traceback" not in err
+
 
 class TestBisim:
     def test_equivalent_exit_0(self):

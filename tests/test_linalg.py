@@ -1,4 +1,4 @@
-"""Matrix kernel tests: tensors, partial trace, permutations, operator lifting."""
+"""Matrix kernel tests: tensors, partial trace, qubit reordering, operator application."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from qccs import linalg
 from qccs.linalg import (
     CNOT_MAT, H_MAT, I2, KET0, KET1, X_MAT, Y_MAT, Z_MAT,
-    DimensionMismatch, DuplicatePosition, Observable, dagger, dm,
-    lift_operator, partial_trace, permutation_op, tensor, trace,
-    validate_observable,
+    BadIndex, DimensionMismatch, DuplicatePosition, Observable, apply_operator,
+    dagger, dm, partial_trace, tensor, trace, validate_observable,
 )
 
 from helpers import lift_oracle, ptrace_oracle
@@ -39,10 +38,6 @@ class TestBasics:
     def test_pauli_matrices_square_to_identity(self):
         for m in (X_MAT, Y_MAT, Z_MAT):
             np.testing.assert_allclose(m @ m, I2, atol=1e-12)
-
-    def test_mul_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.mul(I2, np.eye(4))
 
     def test_dagger(self):
         np.testing.assert_allclose(dagger(Y_MAT), Y_MAT, atol=1e-12)  # Hermitian
@@ -84,7 +79,8 @@ class TestPartialTrace:
         joint = tensor(a, b)
         np.testing.assert_allclose(partial_trace(joint, [1, 0]), tensor(b, a), atol=1e-12)
 
-    @pytest.mark.parametrize("n,keep", [(2, [0]), (3, [1]), (3, [0, 2]), (4, [2, 0])])
+    @pytest.mark.parametrize("n,keep", [(2, [0]), (3, [1]), (3, [0, 2]), (4, [2, 0]),
+                                        (4, [3, 1]), (3, [2, 0, 1]), (4, [1, 3, 0, 2])])
     def test_matches_index_oracle(self, n, keep):
         rng = np.random.default_rng(10 + n)
         rho = random_density(rng, n)
@@ -102,69 +98,85 @@ class TestPartialTrace:
 
 
 class TestPermutation:
+    """Reordering qubits, done by a partial trace that keeps every qubit."""
+
     def test_identity(self):
-        np.testing.assert_allclose(permutation_op([0, 1], 2), np.eye(4), atol=1e-12)
+        rng = np.random.default_rng(7)
+        rho = random_density(rng, 3)
+        np.testing.assert_allclose(partial_trace(rho, [0, 1, 2]), rho, atol=1e-12)
 
     def test_swap_on_basis(self):
-        pi = permutation_op([1, 0], 2)
         ket01 = np.zeros(4)
         ket01[1] = 1.0  # |01>
         ket10 = np.zeros(4)
         ket10[2] = 1.0  # |10>
-        np.testing.assert_allclose(pi @ ket01, ket10, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(dm(ket01), [1, 0]), dm(ket10), atol=1e-12)
 
     def test_three_qubit_cycle_conjugation(self):
-        # conjugating A (x) B (x) C by the cycle must permute the factors
+        # reordering A (x) B (x) C by the cycle must permute the factors
         rng = np.random.default_rng(4)
         a, b, c = (random_density(rng, 1) for _ in range(3))
-        pi = permutation_op([1, 2, 0], 3)  # factor at old pos 1 moves to front
-        got = pi @ tensor(a, b, c) @ dagger(pi)
+        got = partial_trace(tensor(a, b, c), [1, 2, 0])  # old qubit 1 moves to front
         np.testing.assert_allclose(got, tensor(b, c, a), atol=1e-12)
 
     def test_unitary(self):
-        pi = permutation_op([2, 0, 1], 3)
-        np.testing.assert_allclose(pi @ dagger(pi), np.eye(8), atol=1e-12)
+        # a reordering keeps the spectrum, and the inverse reordering undoes it
+        rng = np.random.default_rng(8)
+        rho = random_density(rng, 3)
+        moved = partial_trace(rho, [2, 0, 1])
+        np.testing.assert_allclose(np.linalg.eigvalsh(moved), np.linalg.eigvalsh(rho),
+                                   atol=1e-12)
+        np.testing.assert_allclose(partial_trace(moved, [1, 2, 0]), rho, atol=1e-12)
 
 
 class TestLiftOperator:
+    """An operator lifted onto named qubits, applied by `apply_operator`."""
+
     def test_full_width_natural_order(self):
         rng = np.random.default_rng(5)
         u = random_unitary(rng, 2)
-        np.testing.assert_allclose(lift_operator(u, [0, 1], 2), u, atol=1e-12)
+        rho = random_density(rng, 2)
+        np.testing.assert_allclose(apply_operator(u, rho, [0, 1]), u @ rho @ dagger(u),
+                                   atol=1e-12)
 
     def test_single_x_on_second_of_two(self):
-        lifted = lift_operator(X_MAT, [1], 2)
         np.testing.assert_allclose(
-            lifted @ dm(np.array([1, 0, 0, 0])) @ dagger(lifted),
+            apply_operator(X_MAT, dm(np.array([1, 0, 0, 0])), [1]),
             dm(np.array([0, 1, 0, 0])), atol=1e-12)  # |00><00| -> |01><01|
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_index_oracle(self, n):
         rng = np.random.default_rng(20 + n)
-        for _ in range(4):
-            k = int(rng.integers(1, min(n, 2) + 1))
-            positions = list(rng.choice(n, size=k, replace=False))
-            u = random_unitary(rng, k)
-            np.testing.assert_allclose(
-                lift_operator(u, positions, n),
-                lift_oracle(u, positions, n), atol=1e-12)
+        for k in range(1, min(n, 3) + 1):
+            for _ in range(3):
+                positions = [int(p) for p in rng.choice(n, size=k, replace=False)]
+                u = random_unitary(rng, k)
+                rho = random_density(rng, n)
+                lifted = lift_oracle(u, positions, n)
+                np.testing.assert_allclose(
+                    apply_operator(u, rho, positions),
+                    lifted @ rho @ dagger(lifted), atol=1e-12)
 
     def test_lift_preserves_unitarity_and_trace(self):
         rng = np.random.default_rng(6)
-        u = lift_operator(random_unitary(rng, 1), [1], 3)
-        np.testing.assert_allclose(u @ dagger(u), np.eye(8), atol=1e-9)
+        u = random_unitary(rng, 1)
         rho = random_density(rng, 3)
-        evolved = u @ rho @ dagger(u)
+        evolved = apply_operator(u, rho, [1])
         assert abs(trace(evolved) - 1.0) < 1e-12
         assert np.min(np.linalg.eigvalsh((evolved + dagger(evolved)) / 2)) >= -1e-9
+        np.testing.assert_allclose(apply_operator(dagger(u), evolved, [1]), rho, atol=1e-9)
 
     def test_duplicate_position(self):
         with pytest.raises(DuplicatePosition):
-            lift_operator(CNOT_MAT, [1, 1], 2)
+            apply_operator(CNOT_MAT, np.eye(4) / 4, [1, 1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            lift_operator(CNOT_MAT, [0], 2)
+            apply_operator(CNOT_MAT, np.eye(4) / 4, [0])
+
+    def test_bad_index(self):
+        with pytest.raises(BadIndex):
+            apply_operator(X_MAT, np.eye(4) / 4, [2])
 
 
 class TestObservable:

@@ -9,16 +9,17 @@ from qccs.context import context_equal, make_context
 from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, dm, tensor
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
-    InputPolicy, NotEnabled, OpenConfiguration, QIn, QOut, StuckError,
-    build_lts, combine_distributions, combined_transitions, format_action,
-    hint_fresh, lift_transition, lts_to_dot, lts_to_json, run_trace,
-    transitions,
+    InputPolicy, OpenConfiguration, QIn, QOut, StuckError, build_lts,
+    combine_distributions, format_action, hint_fresh, lts_to_dot, lts_to_json,
+    run_trace, transitions,
 )
 from qccs.syntax import (
     Arith, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel,
     QbitNew, QInput, QOutput, Relabel, RelabelFn, Restrict, Sum, Unitary, Var,
     WellformednessError,
 )
+
+from helpers import lift_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -174,7 +175,7 @@ class TestQuantumRules:
         for target, p in dist.items():
             out_value = target.process.expr.value
             proj = [m for e, m in OBS_M01.outcomes if e == out_value][0]
-            lifted = linalg.lift_operator(proj, [1], 2)
+            lifted = lift_oracle(proj, [1], 2)
             assert abs(p - np.real(np.trace(lifted @ state))) < 1e-9
 
     def test_meas_drops_zero_probability_branch(self):
@@ -292,15 +293,19 @@ class TestDistributionAlgebra:
         c1, c2 = cfg(Nil(), ("q",), dm(KET0)), cfg(Nil(), ("q",), dm(KET1))
         out = combine_distributions([(0.5, Distribution.point(c1)),
                                      (0.5, Distribution.point(c2))])
-        assert abs(out.probability(c1) - 0.5) < 1e-12
+        (d1, p1), (d2, p2) = out.items()
+        assert d1 is c1 and d2 is c2
+        assert abs(p1 - 0.5) < 1e-12 and abs(p2 - 0.5) < 1e-12
 
     def test_combine_overlapping_supports(self):
         # 1/2 (1/2 a + 1/2 b) + 1/2 (point a)  =  3/4 a + 1/4 b
         a, b = cfg(Nil(), ("q",), dm(KET0)), cfg(Nil(), ("q",), dm(KET1))
         mixed = Distribution([(a, 0.5), (b, 0.5)])
         out = combine_distributions([(0.5, mixed), (0.5, Distribution.point(a))])
-        assert abs(out.probability(a) - 0.75) < 1e-12
-        assert abs(out.probability(b) - 0.25) < 1e-12
+        (da, pa), (db, pb) = out.items()
+        assert da is a and db is b
+        assert abs(pa - 0.75) < 1e-12
+        assert abs(pb - 0.25) < 1e-12
 
     def test_combine_bad_weights(self):
         mu = Distribution.point(cfg(Nil()))
@@ -392,21 +397,9 @@ class TestCombinedAndLifted:
 
         left, right = build_choice_example()
         graph = build_lts([left, right])
-        succ = combined_transitions(graph, graph.initial[0], TAU)
+        # the combined transitions are the convex hull of these successors
+        succ = graph.successors(graph.initial[0], TAU)
         assert len(succ) == 3
-
-    def test_lift_point_distribution(self):
-        term = Unitary(GATE_H, ("q",), Nil())
-        graph = build_lts(cfg(term, ("q",), dm(KET0)))
-        out = lift_transition(graph, [(graph.initial[0], 1.0)], TAU)
-        assert len(out) == 1
-        (pairs,) = out
-        assert abs(dict(pairs)[1] - 1.0) < 1e-12
-
-    def test_lift_not_enabled(self):
-        graph = build_lts(cfg(Nil()))
-        with pytest.raises(NotEnabled):
-            lift_transition(graph, [(0, 1.0)], TAU)
 
     def test_teleport_measurement_lifts_to_terminals(self):
         from qccs.demo import build_teleport
@@ -427,9 +420,13 @@ class TestCombinedAndLifted:
         for _ in range(5):
             if all(graph.stuck(j) for j, _ in mu):
                 break
-            out = lift_transition(graph, mu, TAU)
-            assert len(out) == 1  # the residual steps are deterministic
-            mu = list(out[0])
+            lifted: dict = {}
+            for j, p in mu:
+                succ = graph.successors(j, TAU)
+                assert len(succ) == 1  # the residual steps are deterministic
+                for k, q in succ[0]:
+                    lifted[k] = lifted.get(k, 0.0) + p * q
+            mu = sorted(lifted.items())
         assert len(mu) == 4
         for j, p in mu:
             assert graph.stuck(j)
