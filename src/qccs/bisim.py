@@ -4,11 +4,14 @@ All three run on a finite explored transition graph (anything shaped like
 lts.Lts).  Matching questions reduce to linear feasibility: combined
 transitions are convex-hull membership over class vectors, weak transitions
 are two-phase flow problems whose feasible flows correspond exactly to
-adversaries realising the move.
+adversaries realising the move.  Partition refinement solves each distinct
+matching question once per refinement: it memoizes verdicts, never witnesses,
+under keys that hold exactly what the question's linear program reads.
 """
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,7 +81,8 @@ def weak_reach_feasible(lts, source: int, label, target, partition: Partition,
     """Flow witness for `source ==label==> some nu with class vector target`
     (per-block mass), or None when no adversary can realise it.  `label` is
     TAU_HAT, TAU_STRICT or a visible Action."""
-    return _flow_feasible(lts, source, label, list(partition.block_of), list(target), tol)
+    return _flow_feasible(lts, source, label, partition.block_of, list(target), tol,
+                          _reachable(lts, source))
 
 
 def _reachable(lts, source: int) -> list:
@@ -94,16 +98,16 @@ def _reachable(lts, source: int) -> list:
     return sorted(seen)
 
 
-def _flow_feasible(lts, source: int, label, group_of, targets, tol: float):
+def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes: list):
     """Feasibility core shared by all weak queries.
 
     Mass 1 enters at `source`, moves along tau edges (splitting by each
     edge's fixed probabilities), crosses one `label` edge when the label is
     visible, and is absorbed at nodes; absorbed mass per group must equal
-    `targets`.  group_of[v] is the absorption group of node v or None when v
-    may not absorb.
+    `targets`.  `nodes` is _reachable(lts, source); group_of[v], read for
+    those nodes only, is the absorption group of v or None when v may not
+    absorb.
     """
-    nodes = _reachable(lts, source)
     tau_edges = []
     act_edges = []
     for u in nodes:
@@ -191,11 +195,18 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float):
 def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = CLASS_TOL):
     """Can `source` internally evolve, with probability one, into stuck
     configurations whose context equals that of `stuck_rep`?"""
-    group_of = [
-        0 if (lts.stuck(v) and lts.terminal_equal(v, stuck_rep)) else None
-        for v in range(lts.node_count)
-    ]
-    return _flow_feasible(lts, source, TAU_HAT, group_of, [1.0], tol)
+    nodes = _reachable(lts, source)
+    return _flow_feasible(lts, source, TAU_HAT, _terminal_groups(lts, stuck_rep, nodes),
+                          [1.0], tol, nodes)
+
+
+def _terminal_groups(lts, stuck_rep: int, nodes: list) -> dict:
+    """Absorption groups of weak_terminates_in: group 0 for the stuck nodes
+    whose context equals that of `stuck_rep`, None for the rest."""
+    return {
+        v: 0 if (lts.stuck(v) and lts.terminal_equal(v, stuck_rep)) else None
+        for v in nodes
+    }
 
 
 def _query_size(lts, node: int, kind: str, action, partition: Partition, mode: str) -> int:
@@ -211,28 +222,130 @@ def _query_size(lts, node: int, kind: str, action, partition: Partition, mode: s
 
 # -- matching predicates --
 
+_HULL_TIE = "combined-transition matching"
+_FLOW_TIE = "weak-transition matching"
+
+
+def _with_near_tie(solve, tol: float):
+    """(solve(tol), near_tie), where near_tie says that solve failed at tol
+    but succeeds at _NEAR_TIE_FACTOR * tol."""
+    result = solve(tol)
+    return result, result is None and solve(_NEAR_TIE_FACTOR * tol) is not None
+
+
+def _warned(solve, tol: float, context: str):
+    result, near_tie = _with_near_tie(solve, tol)
+    if near_tie:
+        _warn_near_tie(context)
+    return result
+
+
+def _hull_solver(points, vec: tuple):
+    """Combined-transition matching of class vector `vec` by the class
+    vectors `points` of a node's moves, as a function of the tolerance."""
+    return lambda tol: lp.convex_hull_member(points, list(vec), tol) if points else None
+
+
+def _weak_label(action: Action, strict: bool = False):
+    if isinstance(action, Tau):
+        return TAU_STRICT if strict else TAU_HAT
+    return action
+
 
 def _strong_match(lts, node: int, action: Action, vec: tuple, partition: Partition, tol: float):
     points = [class_vector(tg, partition) for tg in lts.successors(node, action)]
-    if not points:
-        return None
-    result = lp.convex_hull_member(points, list(vec), tol)
-    if result is None and lp.convex_hull_member(points, list(vec), _NEAR_TIE_FACTOR * tol):
-        _warn_near_tie("combined-transition matching")
-    return result
+    return _warned(_hull_solver(points, vec), tol, _HULL_TIE)
 
 
 def _weak_match(lts, node: int, action: Action, vec: tuple, partition: Partition, tol: float,
                 strict: bool = False):
-    if isinstance(action, Tau):
-        label = TAU_STRICT if strict else TAU_HAT
-    else:
-        label = action
-    result = weak_reach_feasible(lts, node, label, vec, partition, tol)
-    if result is None and weak_reach_feasible(lts, node, label, vec, partition,
-                                              _NEAR_TIE_FACTOR * tol):
-        _warn_near_tie("weak-transition matching")
-    return result
+    label = _weak_label(action, strict)
+    return _warned(lambda t: weak_reach_feasible(lts, node, label, vec, partition, t),
+                   tol, _FLOW_TIE)
+
+
+def _packed(ints, floats) -> bytes:
+    """The ints and the bit patterns of the floats, as one memo key."""
+    return struct.pack(f"{len(ints)}q{len(floats)}d", *ints, *floats)
+
+
+class _Verdicts:
+    """The matching verdicts of one refinement, each question solved once.
+
+    A key holds exactly what the question's linear program reads, with floats
+    compared bit for bit, so a hit is the same program and so the same answer.
+    Keys are packed into bytes and only the verdict is kept, never a witness:
+    keys built of small tuples raised the peak memory of repeated 54-node
+    teleportation checks by 2.5 MB, as the interpreter keeps freed small
+    tuples for reuse.  A verdict is True, False, or _NEAR_TIE for a failure
+    within _NEAR_TIE_FACTOR of the tolerance, which warns again on every hit,
+    as a fresh solve would.  The reachable set of each source and the
+    termination groups of each owner are kept for the same lifetime.
+    """
+
+    _NEAR_TIE = "near tie"
+
+    def __init__(self, lts, tol: float):
+        self.lts = lts
+        self.tol = tol
+        self.known: dict = {}
+        self.reach: dict = {}
+        self.ends: dict = {}
+
+    def _ask(self, key, solve, context: str | None) -> bool:
+        verdict = self.known.get(key)
+        if verdict is None:
+            if context is None:
+                verdict = solve(self.tol) is not None
+            else:
+                result, near_tie = _with_near_tie(solve, self.tol)
+                verdict = self._NEAR_TIE if near_tie else result is not None
+            self.known[key] = verdict
+        if verdict is self._NEAR_TIE:
+            _warn_near_tie(context)
+            return False
+        return verdict
+
+    def _reachable(self, node: int) -> list:
+        nodes = self.reach.get(node)
+        if nodes is None:
+            nodes = self.reach[node] = _reachable(self.lts, node)
+        return nodes
+
+    def strong(self, node: int, action: Action, vec: tuple, partition: Partition) -> bool:
+        points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
+        key = _packed((len(vec),), [x for vector in (vec, *points) for x in vector])
+        return self._ask(key, _hull_solver(points, vec), _HULL_TIE)
+
+    def weak(self, node: int, action: Action, vec: tuple, partition: Partition) -> bool:
+        label = _weak_label(action)
+        nodes = self._reachable(node)
+        block_of = partition.block_of
+        # the absorption groups in the order _flow_feasible writes their rows,
+        # renumbered by rank so that splits elsewhere leave the key alone
+        groups = sorted({block_of[v] for v in nodes}
+                        | {g for g, t in enumerate(vec) if abs(t) > 0})
+        rank = {g: r for r, g in enumerate(groups)}
+        key = (node, label, _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups]))
+        return self._ask(
+            key,
+            lambda t: _flow_feasible(self.lts, node, label, block_of, list(vec), t, nodes),
+            _FLOW_TIE,
+        )
+
+    def terminates(self, node: int, owner: int) -> bool:
+        # weak_terminates_in reads no partition, only which nodes reachable
+        # from `node` may absorb; owners with equal contexts share programs
+        ends = self.ends.get(owner)
+        if ends is None:
+            ends = self.ends[owner] = _terminal_groups(self.lts, owner,
+                                                       range(self.lts.node_count))
+        nodes = self._reachable(node)
+        return self._ask(
+            (node, _packed([v for v in nodes if ends[v] == 0], ())),
+            lambda t: _flow_feasible(self.lts, node, TAU_HAT, ends, [1.0], t, nodes),
+            None,
+        )
 
 
 # -- partition refinement --
@@ -305,10 +418,14 @@ def _compact(block_of: list) -> list:
     return out
 
 
-def _refine(lts, partition: Partition, match, termination_check, tol: float,
-            watch: tuple | None = None, mode: str = "weak"):
+def _refine(lts, partition: Partition, mode: str, tol: float, watch: tuple | None = None):
     """Split blocks until stable; returns (partition, first split separating
-    the watched pair, if any)."""
+    the watched pair, if any).  In 'strong' mode moves are matched by combined
+    moves; in 'weak' mode by weak moves, and stuck nodes must also be matched
+    by internal termination."""
+    verdicts = _Verdicts(lts, tol)
+    match = verdicts.strong if mode == "strong" else verdicts.weak
+    termination_check = mode != "strong"
     first_watch_split = None
     while True:
         changed = False
@@ -323,14 +440,10 @@ def _refine(lts, partition: Partition, match, termination_check, tol: float,
                 if termination_check and lts.stuck(owner):
                     conditions.append(("termination", None, None))
                 for kind, action, vec in conditions:
-                    sat = set()
-                    for m in members:
-                        if kind == "move":
-                            w = match(lts, m, action, vec, partition, tol)
-                        else:
-                            w = weak_terminates_in(lts, m, owner, tol)
-                        if w is not None:
-                            sat.add(m)
+                    if kind == "move":
+                        sat = {m for m in members if match(m, action, vec, partition)}
+                    else:
+                        sat = {m for m in members if verdicts.terminates(m, owner)}
                     if sat and len(sat) < len(members):
                         losers = [m for m in members if m not in sat]
                         if watch and {watch[0], watch[1]} <= set(members):
@@ -388,8 +501,7 @@ def strong_bisim(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimRes
     """
     partition = _initial_strong(lts, tol)
     separated_at_start = partition.block_of[left] != partition.block_of[right]
-    partition, split = _refine(lts, partition, _strong_match, False, tol,
-                                watch=(left, right), mode="strong")
+    partition, split = _refine(lts, partition, "strong", tol, watch=(left, right))
     equivalent = partition.block_of[left] == partition.block_of[right]
     if equivalent:
         witness = _matchings_for_pair(lts, left, right, partition, _strong_match, tol)
@@ -403,7 +515,7 @@ def weak_bisim(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimResul
     """Weak probabilistic bisimilarity: ordinary moves are matched by weak
     (tau-abstracted) moves; mutually stuck configurations need equal contexts."""
     partition = Partition([0] * lts.node_count)
-    partition, split = _refine(lts, partition, _weak_match, True, tol, watch=(left, right))
+    partition, split = _refine(lts, partition, "weak", tol, watch=(left, right))
     equivalent = partition.block_of[left] == partition.block_of[right]
     if equivalent:
         witness = _matchings_for_pair(lts, left, right, partition, _weak_match, tol)
@@ -417,7 +529,7 @@ def equality_check(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimR
     move containing at least one real internal step (single top-level round
     against the weak partition)."""
     partition = Partition([0] * lts.node_count)
-    partition, _ = _refine(lts, partition, _weak_match, True, tol)
+    partition, _ = _refine(lts, partition, "weak", tol)
 
     def strict_match(a, b):
         for action, targets in lts.node_edges(a):

@@ -42,9 +42,12 @@ class LinearProgram:
 
 def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    # one rank-1 update of the rows with a nonzero entry in col; rows with a
+    # zero there are left alone, so no -0.0 turns into +0.0
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    tableau[rows] -= np.outer(factors[rows], tableau[row])
     basis[row] = col
 
 

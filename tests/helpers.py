@@ -3,7 +3,8 @@
 The partial-trace/lift oracles manipulate indices directly; the free-variable
 oracle re-states the defining clauses; the brute-force bisimilarity oracle
 enumerates every equivalence relation and decides hull membership with exact
-rational arithmetic.
+rational arithmetic; the reference refinement loop solves every matching
+question afresh.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from itertools import combinations
 
 import numpy as np
 
+from qccs import lp
 from qccs import syntax as S
+from qccs.bisim import (
+    TAU_HAT, SplitEvent, _query_size, class_vector, weak_reach_feasible,
+    weak_terminates_in,
+)
+from qccs.lts import Tau
 
 
 # -- index-level linear algebra oracles --
@@ -128,10 +135,9 @@ class SyntheticLts:
                 for a, tg in self.edges_exact[i] if a == action]
 
 
-def random_synthetic_lts(rng, max_nodes: int = 6) -> SyntheticLts:
+def random_synthetic_lts(rng, max_nodes: int = 6, actions=("a", "b", "t")) -> SyntheticLts:
     """Random LTS with rational probabilities of denominator at most 4."""
     n = int(rng.integers(2, max_nodes + 1))
-    actions = ["a", "b", "t"]
     edges = [[] for _ in range(n)]
     for i in range(n):
         for _ in range(int(rng.integers(0, 3))):
@@ -266,3 +272,53 @@ def oracle_strong_bisimilar(slts: SyntheticLts, left: int, right: int) -> bool:
         if block_of[left] == block_of[right] and valid(partition):
             return True
     return False
+
+
+# -- partition refinement without memoized verdicts --
+
+
+def _reference_holds(lts, member, owner, kind, action, vec, partition, tol, mode) -> bool:
+    if kind == "termination":
+        return weak_terminates_in(lts, member, owner, tol) is not None
+    if mode == "strong":
+        points = [class_vector(tg, partition) for tg in lts.successors(member, action)]
+        return bool(points) and lp.convex_hull_member(points, list(vec), tol) is not None
+    label = TAU_HAT if isinstance(action, Tau) else action
+    return weak_reach_feasible(lts, member, label, vec, partition, tol) is not None
+
+
+def reference_refine(lts, partition, mode: str, tol: float, watch=None):
+    """Drop-in for bisim._refine: the same restart scan, asking every matching
+    question of the LP layer again each time it comes up."""
+    first_watch_split = None
+    while True:
+        changed = False
+        for block_id, members in enumerate(partition.blocks()):
+            if len(members) < 2:
+                continue
+            for owner in members:
+                conditions = [("move", action, class_vector(targets, partition))
+                              for action, targets in lts.node_edges(owner)]
+                if mode != "strong" and lts.stuck(owner):
+                    conditions.append(("termination", None, None))
+                for kind, action, vec in conditions:
+                    sat = {m for m in members
+                           if _reference_holds(lts, m, owner, kind, action, vec,
+                                               partition, tol, mode)}
+                    if sat and len(sat) < len(members):
+                        losers = [m for m in members if m not in sat]
+                        if watch and {watch[0], watch[1]} <= set(members):
+                            separated = (watch[0] in sat) != (watch[1] in sat)
+                            if separated and first_watch_split is None:
+                                first_watch_split = SplitEvent(
+                                    owner, losers[0], kind, action, vec,
+                                    _query_size(lts, losers[0], kind, action, partition, mode))
+                        partition = partition.split(block_id, sat)
+                        changed = True
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+        if not changed:
+            return partition, first_watch_split

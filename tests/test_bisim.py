@@ -1,15 +1,18 @@
 """Bisimilarity-checker tests: paper examples, flow queries, oracle agreement."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 
-from qccs import linalg
+from qccs import bisim, linalg, lp
 from qccs.bisim import (
     TAU_HAT, TAU_STRICT, Partition, class_vector, dist_equiv,
     equality_check, strong_bisim, weak_bisim, weak_reach_feasible,
     weak_terminates_in,
 )
 from qccs.context import make_context
-from qccs.demo import build_choice_example, build_weak_example
+from qccs.demo import build_choice_example, build_teleport, build_weak_example
 from qccs.linalg import GATE_I, GATE_X, KET0, KET1, KET_PLUS, KET_MINUS, OBS_M01, dm
 from qccs.lts import TAU, Configuration, QOut, build_lts
 from qccs.syntax import (
@@ -17,7 +20,10 @@ from qccs.syntax import (
     Unitary, Var,
 )
 
-from helpers import oracle_strong_bisimilar, random_synthetic_lts
+from helpers import (
+    SyntheticLts, oracle_strong_bisimilar, random_synthetic_lts, reference_refine,
+)
+from test_system import corrupted_teleport
 
 C = Chan("c", False)
 QC = Chan("qc", True)
@@ -433,3 +439,92 @@ class TestWeakQueryLabels:
         vec = [0.0] * graph.node_count
         vec[terminal] = 1.0
         assert weak_reach_feasible(graph, 0, TAU_STRICT, tuple(vec), part)
+
+
+class TestMemoizedRefinement:
+    """Memoized matching verdicts change no partition, verdict, counterexample
+    or witness, and the refinement solves each distinct program about once."""
+
+    CHECKERS = (strong_bisim, weak_bisim, equality_check)
+
+    def assert_matches_reference(self, monkeypatch, graph, left, right) -> list:
+        reference = {}
+
+        def refine_once(lts, partition, mode, tol, watch=None):
+            # weak_bisim and equality_check refine the same start partition in
+            # 'weak' mode; the watched pair changes only the split reported,
+            # which equality_check ignores, so the slow loop runs once per mode
+            if mode not in reference:
+                reference[mode] = reference_refine(lts, partition, mode, tol, watch)
+            return reference[mode]
+
+        verdicts = []
+        for checker in self.CHECKERS:
+            fast = checker(graph, left, right)
+            with monkeypatch.context() as patch:
+                patch.setattr(bisim, "_refine", refine_once)
+                slow = checker(graph, left, right)
+            assert fast.partition.block_of == slow.partition.block_of, checker.__name__
+            assert fast.equivalent == slow.equivalent, checker.__name__
+            assert fast.to_json() == slow.to_json(), checker.__name__
+            verdicts.append(fast.equivalent)
+        return verdicts
+
+    def test_matches_reference_on_random_systems_with_tau(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(40):
+            slts = random_synthetic_lts(rng, max_nodes=6, actions=("a", "b", TAU))
+            verdicts += self.assert_matches_reference(monkeypatch, slts, 0, slts.n - 1)
+        # both outcomes occur, so splits and witnesses are both compared
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_matches_reference_on_teleport_pairs(self, monkeypatch):
+        for right in (build_teleport(0.6, -0.8), corrupted_teleport(0.6, 0.8)):
+            graph = build_lts([build_teleport(0.6, 0.8), right])
+            assert self.assert_matches_reference(monkeypatch, graph, *graph.initial) == [
+                False, False, False]
+
+    def test_weak_teleport_solves_each_program_about_once(self, monkeypatch):
+        # a question is a program and the tolerance it is solved at: a failed
+        # move is solved again at the near-tie tolerance.  The few repeats
+        # left are a weak move and a termination query that build one program.
+        graph = build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])
+        questions = []
+        solve = lp.feasible
+
+        def counting(prog, tol=lp.TOL):
+            questions.append((repr((prog.variables, prog.constraints, prog.objective)), tol))
+            return solve(prog, tol)
+
+        monkeypatch.setattr(lp, "feasible", counting)
+        assert not weak_bisim(graph, *graph.initial).equivalent
+        assert len(questions) <= 1.1 * len(set(questions)), (len(questions), len(set(questions)))
+
+    def test_near_tie_warns_on_every_hit(self, monkeypatch):
+        # node 1 moves 2e-7 of node 0's mass across blocks: outside the
+        # tolerance, inside ten times it
+        half, shift = Fraction(1, 2), Fraction(2, 10**7)
+        graph = SyntheticLts(4, [[("a", ((2, half), (3, half)))],
+                                 [("a", ((2, half + shift), (3, half - shift)))], [], []],
+                             [0, 0, 1, 2])
+        partition = Partition([0, 0, 1, 2])
+        vec = class_vector(graph.node_edges(0)[0][1], partition)
+        solves = []
+        solve = lp.feasible
+
+        def counting(prog, tol):
+            solves.append(tol)
+            return solve(prog, tol)
+
+        monkeypatch.setattr(lp, "feasible", counting)
+        for ask in ("strong", "weak"):
+            verdicts = bisim._Verdicts(graph, bisim.CLASS_TOL)
+            solves.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert not any(getattr(verdicts, ask)(1, "a", vec, partition)
+                               for _ in range(3))
+            assert len(caught) == 3, ask
+            assert all("within 10x of the tolerance" in str(w.message) for w in caught)
+            assert solves == [bisim.CLASS_TOL, 10 * bisim.CLASS_TOL], ask

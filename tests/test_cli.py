@@ -1,9 +1,12 @@
 """Command-line interface tests: exit codes, JSON validity, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+from qccs import lp
 from qccs.cli import main
 
 
@@ -170,6 +173,17 @@ class TestBisim:
         assert code == 1  # B answers with an output, A does not
         assert "sound" in capsys.readouterr().err  # caveat printed
 
+    def test_numerical_failure_exit_2(self, monkeypatch, capsys):
+        def fail(prog, tol=lp.TOL):
+            raise lp.NumericalFailure("pivot budget exhausted (50000)")
+
+        monkeypatch.setattr(lp, "feasible", fail)
+        code, out = run_cli("bisim", CHOICE, "--left", "Left", "--right", "Right",
+                            "--mode", "strong", "--json")
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: pivot budget exhausted (50000)"]
+
     def test_missing_pair_and_no_directives(self, tmp_path):
         f = tmp_path / "plain.qccs"
         f.write_text("config A = < nil >\n")
@@ -220,6 +234,10 @@ class TestEnvironment:
         assert code == 0
 
     def test_entry_point_installed(self):
+        # the child does not inherit pytest's pythonpath, so point it at src
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         out = subprocess.run([sys.executable, "-m", "qccs.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0 and "bisim" in out.stdout

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from qccs.lp import LinearProgram, convex_hull_member, feasible
+from qccs.lp import LinearProgram, _pivot, convex_hull_member, feasible
 
 from helpers import exact_hull_member
 
@@ -131,3 +131,34 @@ class TestConvexHull:
             got = convex_hull_member([[float(x) for x in p] for p in pts],
                                      [float(x) for x in target]) is not None
             assert got == expect, (pts, target)
+
+
+def pivot_by_rows(tableau, basis, row, col):
+    """The per-row pivot loop that _pivot's rank-1 update replaced."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+class TestPivot:
+    def test_matches_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            m, width = int(rng.integers(1, 12)), int(rng.integers(2, 30))
+            tableau = rng.normal(size=(m, width))
+            # sparse like the flow tableaux, with signed zeros among the zeros
+            tableau[rng.random((m, width)) < 0.6] = 0.0
+            tableau[rng.random((m, width)) < 0.1] = -0.0
+            mine, ref = tableau.copy(), tableau.copy()
+            basis_mine, basis_ref = list(range(m)), list(range(m))
+            for _ in range(5):  # a run of pivots, each on the previous result
+                row, col = int(rng.integers(0, m)), int(rng.integers(0, width))
+                if ref[row, col] == 0:
+                    continue
+                _pivot(mine, basis_mine, row, col)
+                pivot_by_rows(ref, basis_ref, row, col)
+                assert np.array_equal(mine, ref)
+                assert np.array_equal(np.signbit(mine), np.signbit(ref))
+                assert basis_mine == basis_ref
