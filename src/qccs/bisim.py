@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import lp
 from .lts import Action, Tau, format_action
 
-CLASS_TOL = 1e-7
+# a failure that passes at this multiple of the tolerance warns as a near tie
 _NEAR_TIE_FACTOR = 10.0
 
 
@@ -67,17 +67,8 @@ def class_vector(targets, partition: Partition) -> tuple:
     return tuple(vec)
 
 
-def dist_equiv(mu, nu, partition: Partition, tol: float = CLASS_TOL) -> bool:
-    """Distributions are equivalent under a partition iff their class vectors agree."""
-    a, b = class_vector(mu, partition), class_vector(nu, partition)
-    worst = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
-    if tol < worst <= _NEAR_TIE_FACTOR * tol:
-        _warn_near_tie("class-vector comparison")
-    return worst <= tol
-
-
 def weak_reach_feasible(lts, source: int, label, target, partition: Partition,
-                        tol: float = CLASS_TOL):
+                        tol: float = lp.TOL):
     """Flow witness for `source ==label==> some nu with class vector target`
     (per-block mass), or None when no adversary can realise it.  `label` is
     TAU_HAT, TAU_STRICT or a visible Action."""
@@ -192,7 +183,7 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes
     return witness
 
 
-def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = CLASS_TOL):
+def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = lp.TOL):
     """Can `source` internally evolve, with probability one, into stuck
     configurations whose context equals that of `stuck_rep`?"""
     nodes = _reachable(lts, source)
@@ -388,7 +379,7 @@ class BisimResult:
         return out
 
 
-def _initial_strong(lts, tol: float) -> Partition:
+def _initial_strong(lts) -> Partition:
     block_of = [-1] * lts.node_count
     stuck_reps: list = []
     for v in range(lts.node_count):
@@ -493,13 +484,13 @@ def _matchings_for_pair(lts, i: int, j: int, partition: Partition, match, tol: f
     return out
 
 
-def strong_bisim(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimResult:
+def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Strong probabilistic bisimilarity by partition refinement.
 
     Every ordinary move must be matched by a combined move with the same
     class vector; stuck configurations must have equal contexts.
     """
-    partition = _initial_strong(lts, tol)
+    partition = _initial_strong(lts)
     separated_at_start = partition.block_of[left] != partition.block_of[right]
     partition, split = _refine(lts, partition, "strong", tol, watch=(left, right))
     equivalent = partition.block_of[left] == partition.block_of[right]
@@ -511,7 +502,7 @@ def strong_bisim(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimRes
     return BisimResult("strong", False, left, right, partition, counterexample=counter)
 
 
-def weak_bisim(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimResult:
+def weak_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Weak probabilistic bisimilarity: ordinary moves are matched by weak
     (tau-abstracted) moves; mutually stuck configurations need equal contexts."""
     partition = Partition([0] * lts.node_count)
@@ -524,7 +515,7 @@ def weak_bisim(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimResul
                        counterexample=_split_counterexample(split))
 
 
-def equality_check(lts, left: int, right: int, tol: float = CLASS_TOL) -> BisimResult:
+def equality_check(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Equality: weak bisimilarity where a tau move must be answered by a weak
     move containing at least one real internal step (single top-level round
     against the weak partition)."""

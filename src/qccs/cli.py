@@ -2,13 +2,15 @@
 
 Batch tool; every command reads its inputs, prints a report (add --json for
 the machine-readable form documented in docs/json_schemas.md), and exits 0 on
-success, 1 on a negative verdict, 2 on errors.  QCCS_TOL overrides the
-default probability tolerance.
+success, 1 on a negative verdict, 2 on errors.  QCCS_TOL replaces the default
+verdict tolerance (lp.TOL) of `bisim` and `laws`; `bisim --tol` takes
+precedence over it.  `demo --tol` bounds the teleported-state error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -17,9 +19,11 @@ import numpy as np
 from . import bisim as bisim_mod
 from . import demo as demo_mod
 from . import laws as laws_mod
+from . import lp
 from .frontend import (
     ElaborationError, ParseError, Parser, elaborate, parse, pretty_print, tokenize,
 )
+from .linalg import ATOL
 from .lts import (
     BoundExceeded, InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
@@ -31,10 +35,19 @@ def _default_tol() -> float:
     env = os.environ.get("QCCS_TOL")
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
-            print(f"warning: ignoring bad QCCS_TOL={env!r}", file=sys.stderr)
-    return 1e-7
+            value = math.nan
+        if 0 < value < math.inf:
+            return value
+        print(f"warning: ignoring bad QCCS_TOL={env!r}", file=sys.stderr)
+    return lp.TOL
+
+
+def _tol_arg(value: float) -> float:
+    if not 0 < value < math.inf:
+        raise SystemExit2(f"--tol must be a finite number > 0, not {value!r}")
+    return value
 
 
 def _load(path: str):
@@ -189,7 +202,7 @@ def cmd_bisim(args) -> int:
     source = _load(args.file)
     elab = elaborate(source)
     policy = _policy(elab, args.open)
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol_arg(args.tol) if args.tol is not None else _default_tol()
 
     queries = []
     if args.left or args.right:
@@ -255,10 +268,11 @@ def cmd_laws(args) -> int:
 def cmd_demo(args) -> int:
     if args.subject != "teleport":
         raise SystemExit2(f"unknown demo {args.subject!r} (available: teleport)")
+    tol = _tol_arg(args.tol)
     try:
         alpha = _parse_amplitude(args.alpha)
         beta = _parse_amplitude(args.beta)
-        report = demo_mod.verify_teleport(alpha, beta, tol=args.tol)
+        report = demo_mod.verify_teleport(alpha, beta, tol=tol)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -348,7 +362,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("subject", choices=["teleport"])
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="0")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=ATOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_demo)
 
@@ -372,7 +386,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LtsError, bisim_mod.lp.NumericalFailure) as exc:
+    except (LtsError, lp.NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import linalg
 from .linalg import ATOL, Observable, apply_operator, partial_trace
 
+# outcomes this unlikely are rounding error: dropped, not renormalised
 PROB_CUTOFF = 1e-12
 
 
@@ -84,9 +85,9 @@ EMPTY = QContext((), np.array([[1.0 + 0j]]))
 
 def _fmt_amp(z: complex) -> str:
     re, im = z.real, z.imag
-    if abs(im) < 1e-9:
+    if abs(im) < ATOL:
         return f"{re:.4g}"
-    if abs(re) < 1e-9:
+    if abs(re) < ATOL:
         return f"{im:.4g}i"
     sign = "+" if im >= 0 else "-"
     return f"({re:.4g}{sign}{abs(im):.4g}i)"
@@ -111,10 +112,10 @@ def format_state(rho: np.ndarray) -> str:
     return f"mixed[diag: {diag}]"
 
 
-def make_context(vars, rho, tol: float = ATOL) -> QContext:
+def make_context(vars, rho) -> QContext:
     """Validated constructor: rho must be a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if not linalg.is_density_matrix(rho, tol):
+    if not linalg.is_density_matrix(rho):
         raise NotDensity("state is not a density matrix (trace 1, Hermitian, PSD)")
     return QContext(tuple(vars), rho)
 
@@ -126,7 +127,7 @@ def new_qubit(ctx: QContext, r: str) -> QContext:
     return QContext((r,) + ctx.vars, linalg.tensor(linalg.dm(linalg.KET0), ctx.rho))
 
 
-def extend_with_input(ctx: QContext, r: str, sigma, tol: float = ATOL) -> QContext:
+def extend_with_input(ctx: QContext, r: str, sigma) -> QContext:
     """Extend the context with an input qubit r whose joint state is sigma.
 
     sigma must restrict to the current state once r is traced out; this is
@@ -138,23 +139,23 @@ def extend_with_input(ctx: QContext, r: str, sigma, tol: float = ATOL) -> QConte
     n = ctx.size + 1
     if sigma.shape != (2**n, 2**n):
         raise ContextError(f"extension state must cover {n} qubits")
-    if not linalg.is_density_matrix(sigma, tol):
+    if not linalg.is_density_matrix(sigma):
         raise NotDensity("extension state is not a density matrix")
     rest = partial_trace(sigma, range(1, n))
-    if not linalg.approx_equal(rest, ctx.rho, tol):
+    if not linalg.approx_equal(rest, ctx.rho):
         raise TraceMismatch("tracing out the input qubit does not recover the old state")
     return QContext((r,) + ctx.vars, sigma)
 
 
-def apply_unitary(ctx: QContext, u, rvars, tol: float = ATOL) -> QContext:
+def apply_unitary(ctx: QContext, u, rvars) -> QContext:
     u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u, tol):
+    if not linalg.is_unitary(u):
         raise NotUnitary("operator is not unitary")
     positions = [ctx.index(v) for v in rvars]
     return QContext(ctx.vars, apply_operator(u, ctx.rho, positions))
 
 
-def measure(ctx: QContext, obs: Observable, rvars, tol: float = ATOL) -> list:
+def measure(ctx: QContext, obs: Observable, rvars) -> list:
     """Project with each outcome of obs on the named qubits.
 
     Returns (eigenvalue, probability, post-context) triples for the outcomes
@@ -163,7 +164,7 @@ def measure(ctx: QContext, obs: Observable, rvars, tol: float = ATOL) -> list:
     """
     positions = [ctx.index(v) for v in rvars]
     dim = 2 ** len(positions)
-    problems = linalg.validate_observable(obs, dim, tol)
+    problems = linalg.validate_observable(obs, dim)
     if problems:
         raise InvalidObservable(f"observable {obs.name}: {', '.join(problems)}")
     results = []
@@ -176,7 +177,7 @@ def measure(ctx: QContext, obs: Observable, rvars, tol: float = ATOL) -> list:
     return results
 
 
-def context_equal(c1: QContext, c2: QContext, tol: float = ATOL) -> bool:
+def context_equal(c1: QContext, c2: QContext) -> bool:
     """Equality up to reordering of the qubit tuple.
 
     The variable name sets must agree; c1's state is reordered to c2's
@@ -185,5 +186,5 @@ def context_equal(c1: QContext, c2: QContext, tol: float = ATOL) -> bool:
     if set(c1.vars) != set(c2.vars):
         return False
     if c1.vars == c2.vars:
-        return linalg.approx_equal(c1.rho, c2.rho, tol)
-    return linalg.approx_equal(c1.reduced(c2.vars), c2.rho, tol)
+        return linalg.approx_equal(c1.rho, c2.rho)
+    return linalg.approx_equal(c1.reduced(c2.vars), c2.rho)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .context import make_context
-from .linalg import GATE_CNOT, GATE_H, GATE_I, OBS_M01, OBS_MPM, Gate
+from .linalg import ATOL, GATE_CNOT, GATE_H, GATE_I, OBS_M01, OBS_MPM, Gate
 from .lts import Configuration, run_trace
 from .syntax import (
     Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel, QbitNew,
@@ -54,9 +54,9 @@ def build_teleport_process():
     return Restrict(Parallel(Parallel(epr, alice), bob), frozenset({QC, QD, CC}))
 
 
-def build_teleport(alpha: complex, beta: complex, tol: float = 1e-9) -> Configuration:
+def build_teleport(alpha: complex, beta: complex) -> Configuration:
     norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > ATOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {norm:.6g}, not 1")
     psi = np.array([alpha, beta], dtype=complex)
     return Configuration(build_teleport_process(), make_context(("q",), linalg.dm(psi)))
@@ -80,7 +80,7 @@ class TeleportReport:
     ok: bool
 
 
-def verify_teleport(alpha: complex, beta: complex, tol: float = 1e-9) -> TeleportReport:
+def verify_teleport(alpha: complex, beta: complex, tol: float = ATOL) -> TeleportReport:
     """Run the protocol to termination and check each branch teleports the
     state: the reduced state of the receiver's qubit must be |psi><psi|."""
     config = build_teleport(alpha, beta)

@@ -832,7 +832,7 @@ class Elaboration:
     checks: list   # (mode, left, right)
 
 
-def elaborate(source: SourceFile, tol: float = linalg.ATOL) -> Elaboration:
+def elaborate(source: SourceFile) -> Elaboration:
     """Validate declarations and build runnable configurations.
 
     Gates must be unitary, measurements must satisfy the spectral-form
@@ -845,13 +845,13 @@ def elaborate(source: SourceFile, tol: float = linalg.ATOL) -> Elaboration:
         d = gate.matrix.shape[0]
         if gate.matrix.shape != (d, d) or d != 2 ** linalg.qubit_count(d):
             raise ElaborationError(f"gate {name}: matrix must be square over qubits")
-        if not linalg.is_unitary(gate.matrix, tol):
+        if not linalg.is_unitary(gate.matrix):
             raise ElaborationError(f"gate {name}: matrix is not unitary")
 
     for name, obs in source.observables.items():
         dim = obs.outcomes[0][1].shape[0]
         linalg.qubit_count(dim)
-        problems = linalg.validate_observable(obs, dim, tol)
+        problems = linalg.validate_observable(obs, dim)
         if problems:
             raise ElaborationError(f"measurement {name}: {', '.join(problems)}")
 
@@ -871,7 +871,7 @@ def elaborate(source: SourceFile, tol: float = linalg.ATOL) -> Elaboration:
             ctx = make_context((), np.array([[1.0 + 0j]]))
         else:
             try:
-                ctx = make_context(decl.vars, decl.state, tol)
+                ctx = make_context(decl.vars, decl.state)
             except Exception as exc:
                 raise ElaborationError(f"config {name}: {exc}") from exc
         try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, lp
 from .bisim import equality_check, strong_bisim, weak_bisim
 from .context import make_context
 from .frontend import pretty_print
@@ -166,7 +166,7 @@ def _joint(e: ProcessExpr, f: ProcessExpr, rng, extra_vars=()):
     return lts
 
 
-def _check(mode, e, f, rng, tol: float = 1e-7, extra_vars=()):
+def _check(mode, e, f, rng, extra_vars=(), tol: float = lp.TOL):
     lts = _joint(e, f, rng, extra_vars)
     fn = {"strong": strong_bisim, "weak": weak_bisim, "eq": equality_check}[mode]
     return fn(lts, lts.initial[0], lts.initial[1], tol)
@@ -269,7 +269,7 @@ def mutate_gate(rng, term: ProcessExpr):
 
 
 def check_laws(samples: int = 40, seed: int = 0, depth: int = 3, qubits: int = 2,
-               tol: float = 1e-7, mutate: bool = False) -> LawsReport:
+               tol: float = lp.TOL, mutate: bool = False) -> LawsReport:
     """Check the sum/parallel static laws on seeded random terms.
 
     With `mutate` set, one side of each instance gets a gate swapped first;
@@ -288,7 +288,7 @@ def check_laws(samples: int = 40, seed: int = 0, depth: int = 3, qubits: int = 2
                 lhs, changed = mutate_gate(rng, lhs)
                 if not changed:
                     continue
-            result = _check("strong", lhs, rhs, rng, tol)
+            result = _check("strong", lhs, rhs, rng, tol=tol)
             report.checked[law] = report.checked.get(law, 0) + 1
             if not result.equivalent:
                 report.failures.append(LawFailure(
@@ -346,8 +346,7 @@ def _prefix_contexts(e, f, spare: str):
 
 
 def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
-                     qubits: int = 2, modes=("strong", "weak"),
-                     tol: float = 1e-7) -> CongruenceReport:
+                     qubits: int = 2, modes=("strong", "weak")) -> CongruenceReport:
     """For checker-established equivalent pairs (E, F), verify closure under
     prefixing, summation, classical parallel composition, and relabeling."""
     rng = np.random.default_rng(seed)
@@ -361,29 +360,28 @@ def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
         r = random_process(rng, depth, ("qr",), classical_only=True)
 
         for mode in modes:
-            base = _check(mode, e, f, rng, tol)
+            base = _check(mode, e, f, rng)
             report.record(f"{mode}-base", base.equivalent, pretty_print(e))
             if not base.equivalent:
                 continue
             for name, wrap in _prefix_contexts(e, f, spare):
                 if name == "prefix-qout" and spare in (qv(e) | qv(f)):
                     continue
-                res = _check(mode, wrap(e), wrap(f), rng, tol, extra_vars=(spare,))
+                res = _check(mode, wrap(e), wrap(f), rng, extra_vars=(spare,))
                 report.record(f"{mode}-{name}", res.equivalent, pretty_print(wrap(e)))
-            res = _check(mode, Sum(e, g), Sum(f, g), rng, tol)
+            res = _check(mode, Sum(e, g), Sum(f, g), rng)
             report.record(f"{mode}-sum-context", res.equivalent, pretty_print(Sum(e, g)))
-            res = _check(mode, Parallel(e, r), Parallel(f, r), rng, tol,
-                         extra_vars=("qr",))
+            res = _check(mode, Parallel(e, r), Parallel(f, r), rng, extra_vars=("qr",))
             report.record(f"{mode}-parallel-classical", res.equivalent,
                           pretty_print(Parallel(e, r)))
             fn = RelabelFn([(CCHANS[0], CCHANS[1]), (QCHANS[0], QCHANS[1])])
-            res = _check(mode, Relabel(e, fn), Relabel(f, fn), rng, tol)
+            res = _check(mode, Relabel(e, fn), Relabel(f, fn), rng)
             report.record(f"{mode}-relabel", res.equivalent, pretty_print(Relabel(e, fn)))
     return report
 
 
 def equality_plus_context_suite(pairs: int = 10, seed: int = 1, depth: int = 2,
-                                qubits: int = 2, tol: float = 1e-7) -> CongruenceReport:
+                                qubits: int = 2) -> CongruenceReport:
     """Equal processes stay weakly bisimilar under any added summand."""
     rng = np.random.default_rng(seed)
     report = CongruenceReport(pairs, seed)
@@ -392,10 +390,10 @@ def equality_plus_context_suite(pairs: int = 10, seed: int = 1, depth: int = 2,
         e = random_process(rng, depth, qavail)
         f = equivalent_rewrite(rng, e)
         g = random_process(rng, depth, qavail)
-        eq = _check("eq", e, f, rng, tol)
+        eq = _check("eq", e, f, rng)
         report.record("eq-base", eq.equivalent, pretty_print(e))
         if not eq.equivalent:
             continue
-        res = _check("weak", Sum(e, g), Sum(f, g), rng, tol)
+        res = _check("weak", Sum(e, g), Sum(f, g), rng)
         report.record("eq-implies-sum-weak", res.equivalent, pretty_print(Sum(e, g)))
     return report

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The state tolerance: the entrywise bound under which two matrices are equal.
+# It validates states, gates and observables, merges equal configurations into
+# one node, and checks probability sums.  Class masses use lp.TOL instead.
 ATOL = 1e-9
 
 
@@ -69,32 +72,32 @@ def trace(a) -> complex:
     return complex(np.trace(a))
 
 
-def approx_equal(a, b, tol: float = ATOL) -> bool:
+def approx_equal(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= tol)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= ATOL)
 
 
-def is_hermitian(a, tol: float = ATOL) -> bool:
+def is_hermitian(a) -> bool:
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and approx_equal(a, dagger(a), tol)
+    return a.shape[0] == a.shape[1] and approx_equal(a, dagger(a))
 
 
-def is_unitary(a, tol: float = ATOL) -> bool:
+def is_unitary(a) -> bool:
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return approx_equal(a @ dagger(a), np.eye(a.shape[0]), tol)
+    return approx_equal(a @ dagger(a), np.eye(a.shape[0]))
 
 
-def is_density_matrix(rho, tol: float = ATOL) -> bool:
+def is_density_matrix(rho) -> bool:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[0] != rho.shape[1]:
         return False
-    if abs(trace(rho) - 1.0) > tol:
+    if abs(trace(rho) - 1.0) > ATOL:
         return False
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         return False
-    return float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2))) >= -tol
+    return float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2))) >= -ATOL
 
 
 def partial_trace(rho, keep) -> np.ndarray:
@@ -196,7 +199,7 @@ class Observable:
         return self.name
 
 
-def validate_observable(obs: Observable, dim: int, tol: float = ATOL) -> list[str]:
+def validate_observable(obs: Observable, dim: int) -> list[str]:
     """Check the spectral-form invariants; returns the violated ones (empty = ok)."""
     problems = []
     eigenvalues = [ev for ev, _ in obs.outcomes]
@@ -207,23 +210,23 @@ def validate_observable(obs: Observable, dim: int, tol: float = ATOL) -> list[st
         problems.append("dimension")
         return problems
     for p in projectors:
-        if not is_hermitian(p, tol):
+        if not is_hermitian(p):
             problems.append("hermitian")
             break
     for p in projectors:
-        if not approx_equal(p @ p, p, tol):
+        if not approx_equal(p @ p, p):
             problems.append("idempotent")
             break
     done = False
     for i, p in enumerate(projectors):
         for q in projectors[i + 1 :]:
-            if not approx_equal(p @ q, np.zeros((dim, dim)), tol):
+            if not approx_equal(p @ q, np.zeros((dim, dim))):
                 problems.append("orthogonal")
                 done = True
                 break
         if done:
             break
-    if not approx_equal(sum(projectors), np.eye(dim), tol):
+    if not approx_equal(sum(projectors), np.eye(dim)):
         problems.append("completeness")
     return problems
 

@@ -11,7 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The verdict tolerance: the residual a witness may leave on each constraint,
+# and so on class-vector masses.  `bisim --tol` and QCCS_TOL replace it.
 TOL = 1e-7
+# Not tolerances on answers: the simplex treats tableau entries within
+# PIVOT_EPS of zero as zero, and gives up on one solve after MAX_PIVOTS pivots.
 PIVOT_EPS = 1e-10
 MAX_PIVOTS = 50_000
 

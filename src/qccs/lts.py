@@ -26,8 +26,6 @@ from .syntax import (
     subst_quantum,
 )
 
-MERGE_TOL = 1e-9
-
 
 class LtsError(Exception):
     pass
@@ -201,10 +199,10 @@ class Configuration:
         return f"<{pretty_print(self.process)}; {self.context}>"
 
 
-def same_configuration(c1: Configuration, c2: Configuration, tol: float = MERGE_TOL) -> bool:
+def same_configuration(c1: Configuration, c2: Configuration) -> bool:
     return (
         c1.canonical_process == c2.canonical_process
-        and context_equal(c1.context, c2.context, tol)
+        and context_equal(c1.context, c2.context)
     )
 
 
@@ -228,7 +226,7 @@ class Distribution:
         if not merged:
             raise BadWeights("distribution must have nonempty support")
         total = sum(p for _, p in merged)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > linalg.ATOL:
             raise BadWeights(f"probabilities sum to {total}, not 1")
         self._pairs = tuple((c, p) for c, p in merged)
 
@@ -245,13 +243,13 @@ class Distribution:
     def __len__(self) -> int:
         return len(self._pairs)
 
-    def approx_equal(self, other: "Distribution", tol: float = 1e-9) -> bool:
+    def approx_equal(self, other: "Distribution") -> bool:
         if len(self) != len(other):
             return False
         used = set()
         for c, p in self._pairs:
             for j, (d, q) in enumerate(other._pairs):
-                if j not in used and abs(p - q) <= tol and same_configuration(c, d):
+                if j not in used and abs(p - q) <= linalg.ATOL and same_configuration(c, d):
                     used.add(j)
                     break
             else:
@@ -260,19 +258,6 @@ class Distribution:
 
     def __str__(self) -> str:
         return " (+) ".join(f"{p:.4g}*{c}" for c, p in self._pairs)
-
-
-def combine_distributions(weighted) -> Distribution:
-    """Convex combination sum_i p_i * mu_i of distributions."""
-    weighted = list(weighted)
-    total = sum(p for p, _ in weighted)
-    if any(p <= 0 or p > 1 + 1e-9 for p, _ in weighted) or abs(total - 1.0) > 1e-9:
-        raise BadWeights(f"weights must lie in (0,1] and sum to 1 (got total {total})")
-    pairs = []
-    for p, mu in weighted:
-        for config, q in mu.items():
-            pairs.append((config, p * q))
-    return Distribution(pairs)
 
 
 # -- input policy and fresh names --
@@ -555,12 +540,12 @@ class Lts:
     def stuck(self, i: int) -> bool:
         return not self.edges[i]
 
-    def terminal_equal(self, i: int, j: int, tol: float = linalg.ATOL) -> bool:
-        return context_equal(self.nodes[i].context, self.nodes[j].context, tol)
+    def terminal_equal(self, i: int, j: int) -> bool:
+        return context_equal(self.nodes[i].context, self.nodes[j].context)
 
-    def find(self, config: Configuration, tol: float = MERGE_TOL):
+    def find(self, config: Configuration):
         for i, node in enumerate(self.nodes):
-            if same_configuration(node, config, tol):
+            if same_configuration(node, config):
                 return i
         return None
 
@@ -592,7 +577,7 @@ def build_lts(
     def intern(config: Configuration) -> int:
         key = config.canonical_process
         for i in buckets.get(key, ()):
-            if context_equal(nodes[i].context, config.context, MERGE_TOL):
+            if context_equal(nodes[i].context, config.context):
                 return i
         if len(nodes) >= max_nodes:
             raise BoundExceeded("max_nodes", max_nodes)

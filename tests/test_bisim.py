@@ -7,7 +7,7 @@ import numpy as np
 
 from qccs import bisim, linalg, lp
 from qccs.bisim import (
-    TAU_HAT, TAU_STRICT, Partition, class_vector, dist_equiv,
+    TAU_HAT, TAU_STRICT, Partition, class_vector,
     equality_check, strong_bisim, weak_bisim, weak_reach_feasible,
     weak_terminates_in,
 )
@@ -40,26 +40,11 @@ def pair_lts(t1, ctx1, t2, ctx2):
     return graph, graph.initial[0], graph.initial[1]
 
 
-class TestDistEquiv:
-    def setup_method(self):
-        self.partition = Partition([0, 0, 1, 2])
-
-    def test_equal_distributions(self):
-        mu = ((0, 0.5), (2, 0.5))
-        assert dist_equiv(mu, mu, self.partition)
-
-    def test_same_block_mass(self):
-        # unit mass on two different members of one block
-        assert dist_equiv(((0, 1.0),), ((1, 1.0),), self.partition)
-
-    def test_cross_block_mismatch(self):
-        assert not dist_equiv(((0, 0.5), (2, 0.5)), ((0, 0.5), (3, 0.5)), self.partition)
-
-    def test_class_vector(self):
-        assert class_vector(((0, 0.25), (1, 0.25), (3, 0.5)), self.partition) == (0.5, 0.0, 0.5)
-
-
 class TestStrongExamples:
+    def test_class_vector(self):
+        partition = Partition([0, 0, 1, 2])
+        assert class_vector(((0, 0.25), (1, 0.25), (3, 0.5)), partition) == (0.5, 0.0, 0.5)
+
     def test_choice_example_equivalent_with_half_half_witness(self):
         left, right = build_choice_example()
         graph = build_lts([left, right])
@@ -519,7 +504,7 @@ class TestMemoizedRefinement:
 
         monkeypatch.setattr(lp, "feasible", counting)
         for ask in ("strong", "weak"):
-            verdicts = bisim._Verdicts(graph, bisim.CLASS_TOL)
+            verdicts = bisim._Verdicts(graph, lp.TOL)
             solves.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -527,4 +512,4 @@ class TestMemoizedRefinement:
                                for _ in range(3))
             assert len(caught) == 3, ask
             assert all("within 10x of the tolerance" in str(w.message) for w in caught)
-            assert solves == [bisim.CLASS_TOL, 10 * bisim.CLASS_TOL], ask
+            assert solves == [lp.TOL, 10 * lp.TOL], ask

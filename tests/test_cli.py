@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qccs import lp
 from qccs.cli import main
 
@@ -63,9 +65,11 @@ class TestLts:
         code, out = run_cli("lts", WEAK, "--format", "dot")
         assert code == 0 and out.startswith("digraph")
 
-    def test_bound_exceeded_exit_2(self):
-        code, _ = run_cli("lts", TELEPORT, "--max-nodes", "3")
-        assert code == 2
+    def test_bound_exceeded_exit_2(self, capsys):
+        code, out = run_cli("lts", TELEPORT, "--max-nodes", "3")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "error: exploration exceeded max_nodes=3"]
 
     def test_single_config_is_default(self):
         code, _ = run_cli("lts", WEAK)
@@ -225,6 +229,34 @@ class TestDemo:
         code, _ = run_cli("demo", "teleport", "--alpha", "1/sqrt(2)",
                           "--beta=-1/sqrt(2)")
         assert code == 0
+
+
+class TestTolerance:
+    # PR0 and QR0 are distinguished at the default tolerance; a tolerance that
+    # is not a finite positive number made every matching question pass
+    PAIR = (RESTRICTION, "--left", "PR0", "--right", "QR0")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("command", [("bisim", *PAIR), ("demo", "teleport")],
+                             ids=["bisim", "demo"])
+    def test_bad_flag_exit_2(self, command, tol, capsys):
+        code, out = run_cli(*command, "--tol", tol)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tol must be a finite number > 0")
+
+    @pytest.mark.parametrize("env", ["nan", "-1", "inf", "abc"])
+    def test_bad_env_falls_back_to_default(self, monkeypatch, capsys, env):
+        monkeypatch.setenv("QCCS_TOL", env)
+        code, out = run_cli("bisim", *self.PAIR)
+        assert code == 1 and "PR0 vs QR0: distinguished" in out
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: ignoring bad QCCS_TOL={env!r}"]
+
+    def test_bad_env_keeps_laws_mutation_caught(self, monkeypatch):
+        monkeypatch.setenv("QCCS_TOL", "nan")
+        code, out = run_cli("laws", "--samples", "3", "--mutate")
+        assert code == 1 and "caught 10 of 10 mutated instances" in out
 
 
 class TestEnvironment:

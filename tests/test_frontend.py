@@ -1,5 +1,7 @@
 """Parser, pretty-printer round-trip, and elaboration tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from qccs.frontend import (
 )
 from qccs.syntax import Chan, CInput, If, Nil, Parallel, QInput, Restrict, Sum, qv
 
-TELEPORT = open("corpus/teleport.qccs", encoding="utf-8").read()
+TELEPORT = Path("corpus/teleport.qccs").read_text(encoding="utf-8")
 
 
 def symbols() -> SourceFile:

@@ -10,7 +10,7 @@ from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, dm, tenso
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
     InputPolicy, OpenConfiguration, QIn, QOut, StuckError, build_lts,
-    combine_distributions, format_action, hint_fresh, lts_to_dot, lts_to_json,
+    format_action, hint_fresh, lts_to_dot, lts_to_json,
     run_trace, transitions,
 )
 from qccs.syntax import (
@@ -284,34 +284,6 @@ class TestStructuralRules:
 
 
 class TestDistributionAlgebra:
-    def test_combine_singleton(self):
-        mu = Distribution.point(cfg(Nil()))
-        out = combine_distributions([(1.0, mu)])
-        assert out.approx_equal(mu)
-
-    def test_combine_two_points(self):
-        c1, c2 = cfg(Nil(), ("q",), dm(KET0)), cfg(Nil(), ("q",), dm(KET1))
-        out = combine_distributions([(0.5, Distribution.point(c1)),
-                                     (0.5, Distribution.point(c2))])
-        (d1, p1), (d2, p2) = out.items()
-        assert d1 is c1 and d2 is c2
-        assert abs(p1 - 0.5) < 1e-12 and abs(p2 - 0.5) < 1e-12
-
-    def test_combine_overlapping_supports(self):
-        # 1/2 (1/2 a + 1/2 b) + 1/2 (point a)  =  3/4 a + 1/4 b
-        a, b = cfg(Nil(), ("q",), dm(KET0)), cfg(Nil(), ("q",), dm(KET1))
-        mixed = Distribution([(a, 0.5), (b, 0.5)])
-        out = combine_distributions([(0.5, mixed), (0.5, Distribution.point(a))])
-        (da, pa), (db, pb) = out.items()
-        assert da is a and db is b
-        assert abs(pa - 0.75) < 1e-12
-        assert abs(pb - 0.25) < 1e-12
-
-    def test_combine_bad_weights(self):
-        mu = Distribution.point(cfg(Nil()))
-        with pytest.raises(BadWeights):
-            combine_distributions([(0.4, mu), (0.4, mu)])
-
     def test_distribution_merges_equal_configurations(self):
         a1 = cfg(Nil(), ("q",), dm(KET0))
         a2 = cfg(Nil(), ("q",), dm(KET0))
