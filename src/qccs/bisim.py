@@ -4,9 +4,11 @@ All three run on a finite explored transition graph (anything shaped like
 lts.Lts).  Matching questions reduce to linear feasibility: combined
 transitions are convex-hull membership over class vectors, weak transitions
 are two-phase flow problems whose feasible flows correspond exactly to
-adversaries realising the move.  Partition refinement solves each distinct
-matching question once per refinement: it memoizes verdicts, never witnesses,
-under keys that hold exactly what the question's linear program reads.
+adversaries realising the move.  One _Matcher builds every matching question,
+for refinement, for witnesses and for `eq`'s strict round.  Refinement asks
+it for verdicts, memoized under keys that hold exactly what the question's
+linear program reads, so each distinct question is solved once; witnesses
+are solved afresh.  _first_split finds the next split by a restart scan.
 """
 
 from __future__ import annotations
@@ -99,16 +101,18 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes
     those nodes only, is the absorption group of v or None when v may not
     absorb.
     """
+    if any(t < -tol for t in targets):
+        return None
+    two_phase = label not in (TAU_HAT, TAU_STRICT)
     tau_edges = []
     act_edges = []
     for u in nodes:
         for k, (action, tg) in enumerate(lts.node_edges(u)):
             if isinstance(action, Tau):
                 tau_edges.append((u, k, tg))
-            elif label not in (TAU_HAT, TAU_STRICT) and action == label:
+            elif two_phase and action == label:
                 act_edges.append((u, k, tg))
 
-    two_phase = label not in (TAU_HAT, TAU_STRICT)
     prog = lp.LinearProgram([])
     names = prog.variables
 
@@ -117,7 +121,7 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes
         return name
 
     y1 = {(u, k): var(f"y_{u}_{k}") for u, k, _ in tau_edges}
-    x = {(u, k): var(f"x_{u}_{k}") for u, k, _ in act_edges} if two_phase else {}
+    x = {(u, k): var(f"x_{u}_{k}") for u, k, _ in act_edges}
     y2 = {(u, k): var(f"z_{u}_{k}") for u, k, _ in tau_edges} if two_phase else {}
     absorb = {}
     for v in nodes:
@@ -126,47 +130,30 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes
                 continue  # the unit at the source must take a real internal move
             absorb[v] = var(f"a_{v}")
 
-    # conservation per node: inflow + injected - outflow - absorption = 0,
-    # with the injected unit moved to the right-hand side
-    if not two_phase:
+    def conserve(flows, absorbing: bool, at_source: float):
+        # conservation per node: inflow + injected - outflow - absorption = 0,
+        # with the injected unit moved to the right-hand side as `at_source`;
+        # each flow is (edges, their variables, leaves u?, arrives at targets?)
         rows = {v: {} for v in nodes}
-        for (u, k, tg) in tau_edges:
-            fv = y1[(u, k)]
-            rows[u][fv] = rows[u].get(fv, 0.0) - 1.0
-            for v, p in tg:
-                rows[v][fv] = rows[v].get(fv, 0.0) + p
+        for edges, flow, leaves, arrives in flows:
+            for u, k, tg in edges:
+                fv = flow[(u, k)]
+                if leaves:
+                    rows[u][fv] = rows[u].get(fv, 0.0) - 1.0
+                for v, p in tg if arrives else ():
+                    rows[v][fv] = rows[v].get(fv, 0.0) + p
         for v in nodes:
-            if v in absorb:
+            if absorbing and v in absorb:
                 rows[v][absorb[v]] = rows[v].get(absorb[v], 0.0) - 1.0
-            prog.constrain(rows[v], -1.0 if v == source else 0.0)
+            prog.constrain(rows[v], at_source if v == source else 0.0)
+
+    if two_phase:
+        # phase 1: tau flows feed the visible edges; phase 2: visible-edge
+        # output plus tau flows end in absorption
+        conserve([(tau_edges, y1, True, True), (act_edges, x, True, False)], False, -1.0)
+        conserve([(act_edges, x, False, True), (tau_edges, y2, True, True)], True, 0.0)
     else:
-        # phase 1: tau flows feed the visible edges
-        rows = {v: {} for v in nodes}
-        for (u, k, tg) in tau_edges:
-            fv = y1[(u, k)]
-            rows[u][fv] = rows[u].get(fv, 0.0) - 1.0
-            for v, p in tg:
-                rows[v][fv] = rows[v].get(fv, 0.0) + p
-        for (u, k, _) in act_edges:
-            fv = x[(u, k)]
-            rows[u][fv] = rows[u].get(fv, 0.0) - 1.0
-        for v in nodes:
-            prog.constrain(rows[v], -1.0 if v == source else 0.0)
-        # phase 2: visible-edge output plus tau flows end in absorption
-        rows = {v: {} for v in nodes}
-        for (u, k, tg) in act_edges:
-            fv = x[(u, k)]
-            for v, p in tg:
-                rows[v][fv] = rows[v].get(fv, 0.0) + p
-        for (u, k, tg) in tau_edges:
-            fv = y2[(u, k)]
-            rows[u][fv] = rows[u].get(fv, 0.0) - 1.0
-            for v, p in tg:
-                rows[v][fv] = rows[v].get(fv, 0.0) + p
-        for v in nodes:
-            if v in absorb:
-                rows[v][absorb[v]] = rows[v].get(absorb[v], 0.0) - 1.0
-            prog.constrain(rows[v], 0.0)
+        conserve([(tau_edges, y1, True, True)], True, -1.0)
 
     groups = sorted({g for g in (group_of[v] for v in nodes) if g is not None}
                     | {g for g, t in enumerate(targets) if abs(t) > 0})
@@ -174,8 +161,6 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes
         row = {absorb[v]: 1.0 for v in nodes if group_of[v] == g and v in absorb}
         prog.constrain(row, targets[g] if g < len(targets) else 0.0)
 
-    if any(t < -tol for t in targets):
-        return None
     witness = lp.feasible(prog, tol)
     if witness is None:
         return None
@@ -211,48 +196,20 @@ def _query_size(lts, node: int, kind: str, action, partition: Partition, mode: s
     return reach * phases + partition.block_count
 
 
-# -- matching predicates --
+# -- matching questions --
 
 _HULL_TIE = "combined-transition matching"
 _FLOW_TIE = "weak-transition matching"
 
 
-def _with_near_tie(solve, tol: float):
+def _solve(solve, tol: float, context: str | None):
     """(solve(tol), near_tie), where near_tie says that solve failed at tol
-    but succeeds at _NEAR_TIE_FACTOR * tol."""
+    but succeeds at _NEAR_TIE_FACTOR * tol.  A question without a near-tie
+    context (termination) is solved once and is never a near tie."""
     result = solve(tol)
-    return result, result is None and solve(_NEAR_TIE_FACTOR * tol) is not None
-
-
-def _warned(solve, tol: float, context: str):
-    result, near_tie = _with_near_tie(solve, tol)
-    if near_tie:
-        _warn_near_tie(context)
-    return result
-
-
-def _hull_solver(points, vec: tuple):
-    """Combined-transition matching of class vector `vec` by the class
-    vectors `points` of a node's moves, as a function of the tolerance."""
-    return lambda tol: lp.convex_hull_member(points, list(vec), tol) if points else None
-
-
-def _weak_label(action: Action, strict: bool = False):
-    if isinstance(action, Tau):
-        return TAU_STRICT if strict else TAU_HAT
-    return action
-
-
-def _strong_match(lts, node: int, action: Action, vec: tuple, partition: Partition, tol: float):
-    points = [class_vector(tg, partition) for tg in lts.successors(node, action)]
-    return _warned(_hull_solver(points, vec), tol, _HULL_TIE)
-
-
-def _weak_match(lts, node: int, action: Action, vec: tuple, partition: Partition, tol: float,
-                strict: bool = False):
-    label = _weak_label(action, strict)
-    return _warned(lambda t: weak_reach_feasible(lts, node, label, vec, partition, t),
-                   tol, _FLOW_TIE)
+    near_tie = (context is not None and result is None
+                and solve(_NEAR_TIE_FACTOR * tol) is not None)
+    return result, near_tie
 
 
 def _packed(ints, floats) -> bytes:
@@ -260,42 +217,34 @@ def _packed(ints, floats) -> bytes:
     return struct.pack(f"{len(ints)}q{len(floats)}d", *ints, *floats)
 
 
-class _Verdicts:
-    """The matching verdicts of one refinement, each question solved once.
+class _Matcher:
+    """Every matching question of one check, built in one place: can `node`
+    answer a move by `action` with class vector `vec`?  In 'strong' mode the
+    answer is a combined move, in 'weak' mode a weak move, which for a strict
+    tau move takes at least one real internal step.
 
-    A key holds exactly what the question's linear program reads, with floats
-    compared bit for bit, so a hit is the same program and so the same answer.
-    Keys are packed into bytes and only the verdict is kept, never a witness:
-    keys built of small tuples raised the peak memory of repeated 54-node
-    teleportation checks by 2.5 MB, as the interpreter keeps freed small
-    tuples for reuse.  A verdict is True, False, or _NEAR_TIE for a failure
-    within _NEAR_TIE_FACTOR of the tolerance, which warns again on every hit,
-    as a fresh solve would.  The reachable set of each source and the
-    termination groups of each owner are kept for the same lifetime.
+    holds() solves each distinct question once.  A key holds exactly what the
+    question's linear program reads, with floats compared bit for bit, so a
+    hit is the same program and so the same answer.  Keys are packed into
+    bytes and only the verdict is kept, never a witness: keys built of small
+    tuples raised the peak memory of repeated 54-node teleportation checks by
+    2.5 MB, as the interpreter keeps freed small tuples for reuse.  A verdict
+    is True, False, or _NEAR_TIE for a failure within _NEAR_TIE_FACTOR of the
+    tolerance, which warns again on every hit, as a fresh solve would.
+    witness() solves afresh and returns the hull weights or the flow.  The
+    reachable set of each source and the termination groups of each owner
+    are kept for the matcher's lifetime.
     """
 
     _NEAR_TIE = "near tie"
 
-    def __init__(self, lts, tol: float):
+    def __init__(self, lts, mode: str, tol: float):
         self.lts = lts
+        self.mode = mode
         self.tol = tol
         self.known: dict = {}
         self.reach: dict = {}
         self.ends: dict = {}
-
-    def _ask(self, key, solve, context: str | None) -> bool:
-        verdict = self.known.get(key)
-        if verdict is None:
-            if context is None:
-                verdict = solve(self.tol) is not None
-            else:
-                result, near_tie = _with_near_tie(solve, self.tol)
-                verdict = self._NEAR_TIE if near_tie else result is not None
-            self.known[key] = verdict
-        if verdict is self._NEAR_TIE:
-            _warn_near_tie(context)
-            return False
-        return verdict
 
     def _reachable(self, node: int) -> list:
         nodes = self.reach.get(node)
@@ -303,13 +252,15 @@ class _Verdicts:
             nodes = self.reach[node] = _reachable(self.lts, node)
         return nodes
 
-    def strong(self, node: int, action: Action, vec: tuple, partition: Partition) -> bool:
-        points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
-        key = _packed((len(vec),), [x for vector in (vec, *points) for x in vector])
-        return self._ask(key, _hull_solver(points, vec), _HULL_TIE)
-
-    def weak(self, node: int, action: Action, vec: tuple, partition: Partition) -> bool:
-        label = _weak_label(action)
+    def _question(self, node: int, action: Action, vec: tuple, partition: Partition,
+                  strict: bool):
+        """(memo key, solve at a tolerance, near-tie context) of one question."""
+        if self.mode == "strong":
+            points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
+            return (_packed((len(vec),), [x for vector in (vec, *points) for x in vector]),
+                    lambda t: lp.convex_hull_member(points, list(vec), t) if points else None,
+                    _HULL_TIE)
+        label = (TAU_STRICT if strict else TAU_HAT) if isinstance(action, Tau) else action
         nodes = self._reachable(node)
         block_of = partition.block_of
         # the absorption groups in the order _flow_feasible writes their rows,
@@ -318,11 +269,31 @@ class _Verdicts:
                         | {g for g, t in enumerate(vec) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
         key = (node, label, _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups]))
-        return self._ask(
-            key,
-            lambda t: _flow_feasible(self.lts, node, label, block_of, list(vec), t, nodes),
-            _FLOW_TIE,
-        )
+        return (key,
+                lambda t: _flow_feasible(self.lts, node, label, block_of, list(vec), t, nodes),
+                _FLOW_TIE)
+
+    def _ask(self, key, solve, context: str | None) -> bool:
+        verdict = self.known.get(key)
+        if verdict is None:
+            result, near_tie = _solve(solve, self.tol, context)
+            verdict = self._NEAR_TIE if near_tie else result is not None
+            self.known[key] = verdict
+        if verdict is self._NEAR_TIE:
+            _warn_near_tie(context)
+            return False
+        return verdict
+
+    def holds(self, node: int, action: Action, vec: tuple, partition: Partition) -> bool:
+        return self._ask(*self._question(node, action, vec, partition, False))
+
+    def witness(self, node: int, action: Action, vec: tuple, partition: Partition,
+                strict: bool = False):
+        _, solve, context = self._question(node, action, vec, partition, strict)
+        result, near_tie = _solve(solve, self.tol, context)
+        if near_tie:
+            _warn_near_tie(context)
+        return result
 
     def terminates(self, node: int, owner: int) -> bool:
         # weak_terminates_in reads no partition, only which nodes reachable
@@ -409,60 +380,56 @@ def _compact(block_of: list) -> list:
     return out
 
 
+def _first_split(matcher: _Matcher, partition: Partition):
+    """The first requirement that some but not all members of a block meet,
+    as (block id, members, members meeting it, owner, kind, action, class
+    vector), or None when the partition is stable.  Blocks, owners and each
+    owner's moves are scanned in order; in 'weak' mode a stuck owner also
+    requires internal termination in its context."""
+    lts = matcher.lts
+    for block_id, members in enumerate(partition.blocks()):
+        if len(members) < 2:
+            continue
+        for owner in members:
+            for action, targets in lts.node_edges(owner):
+                vec = class_vector(targets, partition)
+                sat = {m for m in members if matcher.holds(m, action, vec, partition)}
+                if sat and len(sat) < len(members):
+                    return block_id, members, sat, owner, "move", action, vec
+            if matcher.mode != "strong" and lts.stuck(owner):
+                sat = {m for m in members if matcher.terminates(m, owner)}
+                if sat and len(sat) < len(members):
+                    return block_id, members, sat, owner, "termination", None, None
+    return None
+
+
 def _refine(lts, partition: Partition, mode: str, tol: float, watch: tuple | None = None):
     """Split blocks until stable; returns (partition, first split separating
     the watched pair, if any).  In 'strong' mode moves are matched by combined
     moves; in 'weak' mode by weak moves, and stuck nodes must also be matched
     by internal termination."""
-    verdicts = _Verdicts(lts, tol)
-    match = verdicts.strong if mode == "strong" else verdicts.weak
-    termination_check = mode != "strong"
+    matcher = _Matcher(lts, mode, tol)
     first_watch_split = None
-    while True:
-        changed = False
-        for block_id, members in enumerate(partition.blocks()):
-            if len(members) < 2:
-                continue
-            for owner in members:
-                conditions = []
-                for action, targets in lts.node_edges(owner):
-                    vec = class_vector(targets, partition)
-                    conditions.append(("move", action, vec))
-                if termination_check and lts.stuck(owner):
-                    conditions.append(("termination", None, None))
-                for kind, action, vec in conditions:
-                    if kind == "move":
-                        sat = {m for m in members if match(m, action, vec, partition)}
-                    else:
-                        sat = {m for m in members if verdicts.terminates(m, owner)}
-                    if sat and len(sat) < len(members):
-                        losers = [m for m in members if m not in sat]
-                        if watch and {watch[0], watch[1]} <= set(members):
-                            on_left = watch[0] in sat
-                            on_right = watch[1] in sat
-                            if on_left != on_right and first_watch_split is None:
-                                lp_size = _query_size(lts, losers[0], kind, action, partition, mode)
-                                first_watch_split = SplitEvent(
-                                    owner, losers[0], kind, action, vec, lp_size
-                                )
-                        partition = partition.split(block_id, sat)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-        if not changed:
-            return partition, first_watch_split
+    while split := _first_split(matcher, partition):
+        block_id, members, sat, owner, kind, action, vec = split
+        if (watch and first_watch_split is None and set(watch) <= set(members)
+                and (watch[0] in sat) != (watch[1] in sat)):
+            loser = next(m for m in members if m not in sat)
+            first_watch_split = SplitEvent(owner, loser, kind, action, vec,
+                                           _query_size(lts, loser, kind, action, partition, mode))
+        partition = partition.split(block_id, sat)
+    return partition, first_watch_split
 
 
-def _matchings_for_pair(lts, i: int, j: int, partition: Partition, match, tol: float) -> list:
+def _matchings_for_pair(lts, i: int, j: int, partition: Partition, mode: str, tol: float,
+                        strict: bool = False) -> list:
     """How each move of i is matched by j (and vice versa) at the fixpoint."""
+    matcher = _Matcher(lts, mode, tol)
     out = []
     for a, b, side in ((i, j, "left"), (j, i, "right")):
         for action, targets in lts.node_edges(a):
             vec = class_vector(targets, partition)
-            w = match(lts, b, action, vec, partition, tol)
+            w = matcher.witness(b, action, vec, partition, strict)
             entry = {
                 "from": side,
                 "node": a,
@@ -495,7 +462,7 @@ def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult
     partition, split = _refine(lts, partition, "strong", tol, watch=(left, right))
     equivalent = partition.block_of[left] == partition.block_of[right]
     if equivalent:
-        witness = _matchings_for_pair(lts, left, right, partition, _strong_match, tol)
+        witness = _matchings_for_pair(lts, left, right, partition, "strong", tol)
         return BisimResult("strong", True, left, right, partition, witness=witness)
     counter = (_initial_counterexample(lts, left, right) if separated_at_start
                else _split_counterexample(split))
@@ -509,7 +476,7 @@ def weak_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     partition, split = _refine(lts, partition, "weak", tol, watch=(left, right))
     equivalent = partition.block_of[left] == partition.block_of[right]
     if equivalent:
-        witness = _matchings_for_pair(lts, left, right, partition, _weak_match, tol)
+        witness = _matchings_for_pair(lts, left, right, partition, "weak", tol)
         return BisimResult("weak", True, left, right, partition, witness=witness)
     return BisimResult("weak", False, left, right, partition,
                        counterexample=_split_counterexample(split))
@@ -521,12 +488,12 @@ def equality_check(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResu
     against the weak partition)."""
     partition = Partition([0] * lts.node_count)
     partition, _ = _refine(lts, partition, "weak", tol)
+    matcher = _Matcher(lts, "weak", tol)
 
     def strict_match(a, b):
         for action, targets in lts.node_edges(a):
             vec = class_vector(targets, partition)
-            w = _weak_match(lts, b, action, vec, partition, tol, strict=True)
-            if w is None:
+            if matcher.witness(b, action, vec, partition, strict=True) is None:
                 return {
                     "pair": [a, b],
                     "action": format_action(action),
@@ -540,10 +507,7 @@ def equality_check(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResu
         if not lts.terminal_equal(left, right):
             counter = {"pair": [left, right], "reason": "terminal contexts differ"}
     if counter is None:
-        witness = _matchings_for_pair(
-            lts, left, right, partition,
-            lambda l, n, a, v, p, t: _weak_match(l, n, a, v, p, t, strict=True), tol,
-        )
+        witness = _matchings_for_pair(lts, left, right, partition, "weak", tol, strict=True)
         return BisimResult("eq", True, left, right, partition, witness=witness)
     return BisimResult("eq", False, left, right, partition, counterexample=counter)
 

@@ -274,8 +274,7 @@ def cmd_demo(args) -> int:
         beta = _parse_amplitude(args.beta)
         report = demo_mod.verify_teleport(alpha, beta, tol=tol)
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit2(str(exc))
     if args.json:
         print(json_dumps({
             "format": "qccs-demo", "version": 1, "subject": "teleport",

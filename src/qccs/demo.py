@@ -14,28 +14,17 @@ import numpy as np
 
 from . import linalg
 from .context import make_context
+from .frontend import _sigma_sugar
 from .linalg import ATOL, GATE_CNOT, GATE_H, GATE_I, OBS_M01, OBS_MPM, Gate
 from .lts import Configuration, run_trace
 from .syntax import (
-    Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel, QbitNew,
-    QInput, QOutput, Restrict, Sum, Unitary, Var,
+    Chan, CInput, COutput, Measure, Nil, Parallel, QbitNew, QInput, QOutput, Restrict, Sum,
+    Unitary, Var,
 )
 
 QC = Chan("qc", quantum=True)
 QD = Chan("qd", quantum=True)
 CC = Chan("c", quantum=False)
-
-
-def _sigma_correction(var: str, qvar: str):
-    arms = [
-        If(Cmp("=", Var(var), Const(float(i))),
-           Unitary(linalg.GATE_SIGMA[i], (qvar,), Nil()))
-        for i in range(4)
-    ]
-    out = arms[0]
-    for arm in arms[1:]:
-        out = Sum(out, arm)
-    return out
 
 
 def build_teleport_process():
@@ -46,7 +35,7 @@ def build_teleport_process():
                                    Measure(linalg.computational_observable(2, "M4"),
                                            ("q", "q1"), "x",
                                            COutput(CC, Var("x"), Nil())))))
-    bob = QInput(QD, "q2", CInput(CC, "x", _sigma_correction("x", "q2")))
+    bob = QInput(QD, "q2", CInput(CC, "x", _sigma_sugar("x", ("q2",), Nil())))
     epr = QbitNew("q1", QbitNew("q2",
                   Unitary(GATE_H, ("q1",),
                           Unitary(GATE_CNOT, ("q1", "q2"),

@@ -464,6 +464,28 @@ class TestMemoizedRefinement:
         # both outcomes occur, so splits and witnesses are both compared
         assert 0 < sum(verdicts) < len(verdicts)
 
+    def test_witness_agrees_with_verdict_on_random_systems_with_tau(self, monkeypatch):
+        # refinement asks for memoized verdicts and witnesses are solved
+        # afresh; both come from one builder, so they must agree on every
+        # question that refinement asks
+        holds = bisim._Matcher.holds
+        asked = {"strong": 0, "weak": 0}
+
+        def checked(matcher, node, action, vec, partition):
+            verdict = holds(matcher, node, action, vec, partition)
+            witness = matcher.witness(node, action, vec, partition)
+            assert (witness is not None) == verdict, (matcher.mode, node, action, vec)
+            asked[matcher.mode] += 1
+            return verdict
+
+        monkeypatch.setattr(bisim._Matcher, "holds", checked)
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            slts = random_synthetic_lts(rng, max_nodes=6, actions=("a", "b", TAU))
+            strong_bisim(slts, 0, slts.n - 1)
+            weak_bisim(slts, 0, slts.n - 1)
+        assert min(asked.values()) > 100, asked
+
     def test_matches_reference_on_teleport_pairs(self, monkeypatch):
         for right in (build_teleport(0.6, -0.8), corrupted_teleport(0.6, 0.8)):
             graph = build_lts([build_teleport(0.6, 0.8), right])
@@ -504,12 +526,11 @@ class TestMemoizedRefinement:
 
         monkeypatch.setattr(lp, "feasible", counting)
         for ask in ("strong", "weak"):
-            verdicts = bisim._Verdicts(graph, lp.TOL)
+            matcher = bisim._Matcher(graph, ask, lp.TOL)
             solves.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                assert not any(getattr(verdicts, ask)(1, "a", vec, partition)
-                               for _ in range(3))
+                assert not any(matcher.holds(1, "a", vec, partition) for _ in range(3))
             assert len(caught) == 3, ask
             assert all("within 10x of the tolerance" in str(w.message) for w in caught)
             assert solves == [lp.TOL, 10 * lp.TOL], ask

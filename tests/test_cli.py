@@ -71,6 +71,12 @@ class TestLts:
         assert capsys.readouterr().err.splitlines() == [
             "error: exploration exceeded max_nodes=3"]
 
+    def test_depth_bound_exceeded_exit_2(self, capsys):
+        code, out = run_cli("lts", TELEPORT, "--max-depth", "2")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "error: exploration exceeded max_depth=2"]
+
     def test_single_config_is_default(self):
         code, _ = run_cli("lts", WEAK)
         assert code == 0
@@ -84,6 +90,13 @@ class TestRun:
         assert payload["status"] == "terminated"
         assert len(payload["final"]) == 4
         assert all(abs(b["prob"] - 0.25) < 1e-9 for b in payload["final"])
+
+    def test_step_bound_reports_maxed(self):
+        code, out = run_cli("run", TELEPORT, "--max-steps", "2", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "maxed"
+        assert len(payload["steps"]) == 2
 
     def test_deterministic_output(self):
         _, out1 = run_cli("run", TELEPORT, "--json", "--seed", "1")
@@ -221,9 +234,10 @@ class TestDemo:
         assert payload["ok"] and len(payload["branches"]) == 4
 
     def test_invalid_amplitudes(self, capsys):
-        code, _ = run_cli("demo", "teleport", "--alpha", "2", "--beta", "0")
-        assert code == 2
-        assert "input error" in capsys.readouterr().err
+        code, out = run_cli("demo", "teleport", "--alpha", "2", "--beta", "0")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "error: |alpha|^2 + |beta|^2 = 4, not 1"]
 
     def test_sqrt_amplitudes(self):
         code, _ = run_cli("demo", "teleport", "--alpha", "1/sqrt(2)",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qccs import linalg
+from qccs.demo import build_teleport_process
 from qccs.frontend import (
     ElaborationError, ParseError, SourceFile, elaborate, parse, parse_process,
     pretty_print,
@@ -190,6 +191,10 @@ class TestElaborate:
         main = elab.configs["Main"]
         assert main.context.vars == ("q",)
         assert qv(main.process) == {"q"}
+
+    def test_teleport_is_the_demo_protocol(self):
+        # the built-in demo and the corpus file describe one process term
+        assert elaborate(parse(TELEPORT)).configs["Main"].process == build_teleport_process()
 
     def test_empty_context(self):
         sf = parse("channel c\nconfig K = < c!0.nil >")
