@@ -161,11 +161,7 @@ def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes
         row = {absorb[v]: 1.0 for v in nodes if group_of[v] == g and v in absorb}
         prog.constrain(row, targets[g] if g < len(targets) else 0.0)
 
-    witness = lp.feasible(prog, tol)
-    if witness is None:
-        return None
-    witness["_constraints"] = len(prog.constraints)
-    return witness
+    return lp.feasible(prog, tol)
 
 
 def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = lp.TOL):
@@ -442,11 +438,7 @@ def _matchings_for_pair(lts, i: int, j: int, partition: Partition, mode: str, to
                     [[n, p] for n, p in tg] for tg in lts.successors(b, action)
                 ]
             elif isinstance(w, dict):
-                entry["flow"] = {
-                    k: round(v, 12)
-                    for k, v in w.items()
-                    if not k.startswith("_") and abs(v) > 1e-10
-                }
+                entry["flow"] = {k: round(v, 12) for k, v in w.items() if abs(v) > 1e-10}
             out.append(entry)
     return out
 

@@ -25,7 +25,7 @@ from .frontend import (
 )
 from .linalg import ATOL
 from .lts import (
-    BoundExceeded, InputPolicy, LtsError, OpenConfiguration, StuckError,
+    InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
 )
 from .syntax import WellformednessError, check_wellformed
@@ -117,12 +117,8 @@ def cmd_lts(args) -> int:
     elab = elaborate(source)
     name, config = _pick_config(elab, args.config, args.file)
     policy = _policy(elab, args.open)
-    try:
-        graph = build_lts(config, policy=policy, max_nodes=args.max_nodes,
-                          max_depth=args.max_depth)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph = build_lts(config, policy=policy, max_nodes=args.max_nodes,
+                      max_depth=args.max_depth)
     if args.format == "dot":
         print(lts_to_dot(graph))
     else:

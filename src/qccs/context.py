@@ -80,9 +80,6 @@ class QContext:
         return f"{','.join(self.vars)} = {format_state(self.rho)}"
 
 
-EMPTY = QContext((), np.array([[1.0 + 0j]]))
-
-
 def _fmt_amp(z: complex) -> str:
     re, im = z.real, z.imag
     if abs(im) < ATOL:

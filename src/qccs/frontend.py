@@ -213,7 +213,7 @@ class Parser:
         self.expect("=")
         tok = self.peek()
         value = self.state_expr()
-        m = _as_matrix(value, tok, self)
+        m = _as_matrix(value, tok)
         self.source.gates[name] = Gate(name, m)
 
     def decl_measure(self):
@@ -229,7 +229,7 @@ class Parser:
                 raise ParseError("eigenvalues must be real", ev_tok.line, ev_tok.col)
             self.expect(":")
             ptok = self.peek()
-            proj = _as_matrix(self.state_expr(), ptok, self)
+            proj = _as_matrix(self.state_expr(), ptok)
             outcomes.append((float(ev.real), proj))
             if not self.accept(","):
                 break
@@ -707,7 +707,7 @@ def _state_tensor(a, b):
     return np.kron(am, bm)
 
 
-def _as_matrix(value, tok, parser) -> np.ndarray:
+def _as_matrix(value, tok) -> np.ndarray:
     if isinstance(value, _Ket):
         raise ParseError("expected a matrix, found a ket", tok.line, tok.col)
     return value

@@ -20,7 +20,7 @@ from .lts import Configuration, InputPolicy, build_lts
 from .syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
     Parallel, ProcessExpr, QbitNew, QInput, QOutput, Relabel, RelabelFn,
-    Restrict, Sum, Unitary, Var, qv,
+    Restrict, Sum, Unitary, Var, qv, rebuild,
 )
 
 CCHANS = (Chan("c", False), Chan("d", False))
@@ -221,58 +221,35 @@ def _law_instances(e, f, g):
     }
 
 
-def mutate_gate(rng, term: ProcessExpr):
-    """Swap one unitary for a different gate (for suite self-checks)."""
-    swapped = {"H": linalg.GATE_X, "X": linalg.GATE_Z, "Z": linalg.GATE_H,
-               "I": linalg.GATE_X, "CNOT": linalg.GATE_CNOT}
-    done = [False]
+def mutate_gate(term: ProcessExpr):
+    """Mutate the first unitary, in pre-order, that has a mutation (for suite
+    self-checks): a one-qubit gate is swapped for another gate, and a CNOT
+    has its two qubits reversed.  Returns the new term and whether it differs
+    from `term`."""
+    swapped = {"H": linalg.GATE_X, "X": linalg.GATE_Z, "Z": linalg.GATE_H, "I": linalg.GATE_X}
+    done = False
 
     def walk(t):
-        match t:
-            case Unitary(gate=g, qvars=qs, body=b) if not done[0]:
-                done[0] = True
-                repl = swapped.get(g.name, linalg.GATE_X)
-                if repl.arity != g.arity:
-                    repl = linalg.GATE_X
-                    done[0] = g.arity == 1
-                return Unitary(repl if repl.arity == g.arity else g, qs, walk(b))
-            case Nil():
-                return t
-            case CInput(chan=c, var=x, body=b):
-                return CInput(c, x, walk(b))
-            case COutput(chan=c, expr=v, body=b):
-                return COutput(c, v, walk(b))
-            case QbitNew(qvar=q, body=b):
-                return QbitNew(q, walk(b))
-            case QInput(chan=c, qvar=q, body=b):
-                return QInput(c, q, walk(b))
-            case QOutput(chan=c, qvar=q, body=b):
-                return QOutput(c, q, walk(b))
-            case Unitary(gate=g, qvars=qs, body=b):
-                return Unitary(g, qs, walk(b))
-            case Measure(obs=m, qvars=qs, var=x, body=b):
-                return Measure(m, qs, x, walk(b))
-            case Sum(left=l, right=r):
-                return Sum(walk(l), walk(r))
-            case Parallel(left=l, right=r):
-                return Parallel(walk(l), walk(r))
-            case Relabel(body=b, fn=fn):
-                return Relabel(walk(b), fn)
-            case Restrict(body=b, chans=ch):
-                return Restrict(walk(b), ch)
-            case If(cond=c, body=b):
-                return If(c, walk(b))
-        return t
+        nonlocal done
+        if done:
+            return t
+        if isinstance(t, Unitary) and t.gate.name == "CNOT":
+            done = True
+            return Unitary(t.gate, t.qvars[::-1], t.body)
+        if isinstance(t, Unitary) and t.gate.arity == 1:
+            done = True
+            return Unitary(swapped.get(t.gate.name, linalg.GATE_X), t.qvars, t.body)
+        return rebuild(t, walk)
 
     out = walk(term)
-    return out, done[0]
+    return out, out != term
 
 
 def check_laws(samples: int = 40, seed: int = 0, depth: int = 3, qubits: int = 2,
                tol: float = lp.TOL, mutate: bool = False) -> LawsReport:
     """Check the sum/parallel static laws on seeded random terms.
 
-    With `mutate` set, one side of each instance gets a gate swapped first;
+    With `mutate` set, one side of each instance gets a gate mutated first;
     the report then records which instances the checker caught (all laws are
     expected to fail somewhere, demonstrating suite sensitivity).
     """
@@ -285,7 +262,7 @@ def check_laws(samples: int = 40, seed: int = 0, depth: int = 3, qubits: int = 2
         g = random_process(rng, depth, qavail)
         for law, (lhs, rhs) in _law_instances(e, f, g).items():
             if mutate:
-                lhs, changed = mutate_gate(rng, lhs)
+                lhs, changed = mutate_gate(lhs)
                 if not changed:
                     continue
             result = _check("strong", lhs, rhs, rng, tol=tol)
@@ -333,7 +310,7 @@ class CongruenceReport:
             self.failures.append({"check": name, "detail": detail})
 
 
-def _prefix_contexts(e, f, spare: str):
+def _prefix_contexts(spare: str):
     c, qc = CCHANS[0], QCHANS[0]
     return [
         ("prefix-cin", lambda t: CInput(c, "zz", t)),
@@ -364,7 +341,7 @@ def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
             report.record(f"{mode}-base", base.equivalent, pretty_print(e))
             if not base.equivalent:
                 continue
-            for name, wrap in _prefix_contexts(e, f, spare):
+            for name, wrap in _prefix_contexts(spare):
                 if name == "prefix-qout" and spare in (qv(e) | qv(f)):
                     continue
                 res = _check(mode, wrap(e), wrap(f), rng, extra_vars=(spare,))

@@ -23,7 +23,7 @@ from .syntax import (
     Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew,
     QInput, QOutput, Relabel, Restrict, Sum, Unitary, assert_wellformed,
     canonical, eval_bool, eval_expr, fv_classical, qv, subst_classical,
-    subst_quantum,
+    subst_quantum, subterms,
 )
 
 
@@ -623,16 +623,11 @@ def build_lts(
 def is_terminated(term: ProcessExpr) -> bool:
     """Structurally finished: nothing left that could ever fire."""
     match term:
-        case Nil():
-            return True
-        case Parallel(left=l, right=r) | Sum(left=l, right=r):
-            return is_terminated(l) and is_terminated(r)
-        case Relabel(body=b) | Restrict(body=b):
-            return is_terminated(b)
+        case Nil() | Parallel() | Sum() | Relabel() | Restrict():
+            return all(map(is_terminated, subterms(term)))
         case If(cond=c, body=b):
             return (not eval_bool(c)) or is_terminated(b)
-        case _:
-            return False
+    return False
 
 
 @dataclass

@@ -3,11 +3,16 @@
 Terms are immutable; structural equality and hashing work on every node, so
 terms can be used directly as dictionary keys.  Gate and measurement payloads
 compare by name plus a matrix fingerprint (see linalg.Gate).
+
+One table knows where each of the 13 process constructors keeps its
+subterms; `subterms` and `rebuild` read it, so each traversal here spells out
+only the constructors where it binds, renames or reads an expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .linalg import Gate, Observable
 
@@ -62,9 +67,6 @@ class RelabelFn:
                 return dst
         return chan
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{s}->{d}" for s, d in self.pairs) + "}"
-
 
 # -- classical value and boolean expressions --
 
@@ -73,17 +75,10 @@ class RelabelFn:
 class Const:
     value: float
 
-    def __str__(self) -> str:
-        v = self.value
-        return str(int(v)) if float(v).is_integer() else repr(v)
-
 
 @dataclass(frozen=True)
 class Var:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -91,12 +86,6 @@ class Arith:
     op: str  # '+', '-', '*'
     left: "ValueExpr"
     right: "ValueExpr"
-
-    def __str__(self) -> str:
-        def wrap(e):
-            return f"({e})" if isinstance(e, Arith) and self.op == "*" else str(e)
-
-        return f"{wrap(self.left)} {self.op} {wrap(self.right)}"
 
 
 ValueExpr = Const | Var | Arith
@@ -108,9 +97,6 @@ class Cmp:
     left: ValueExpr
     right: ValueExpr
 
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
 
 @dataclass(frozen=True)
 class BoolOp:
@@ -118,16 +104,10 @@ class BoolOp:
     left: "BoolExpr"
     right: "BoolExpr"
 
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
 
 @dataclass(frozen=True)
 class Not:
     body: "BoolExpr"
-
-    def __str__(self) -> str:
-        return f"!{self.body}"
 
 
 BoolExpr = Cmp | BoolOp | Not
@@ -185,20 +165,18 @@ def expr_vars(e) -> frozenset:
     raise SyntaxError_(f"bad expression {e!r}")
 
 
-def subst_expr(e, x: str, v: float):
+def _map_vars(e, f):
+    """The expression e with each variable y replaced by the expression f(y)."""
     match e:
         case Const():
             return e
         case Var(name=y):
-            return Const(v) if y == x else e
-        case Arith(op=op, left=l, right=r):
-            return Arith(op, subst_expr(l, x, v), subst_expr(r, x, v))
-        case Cmp(op=op, left=l, right=r):
-            return Cmp(op, subst_expr(l, x, v), subst_expr(r, x, v))
-        case BoolOp(op=op, left=l, right=r):
-            return BoolOp(op, subst_expr(l, x, v), subst_expr(r, x, v))
+            return f(y)
+        case Arith(op=op, left=l, right=r) | Cmp(op=op, left=l, right=r) \
+                | BoolOp(op=op, left=l, right=r):
+            return type(e)(op, _map_vars(l, f), _map_vars(r, f))
         case Not(body=b):
-            return Not(subst_expr(b, x, v))
+            return Not(_map_vars(b, f))
     raise SyntaxError_(f"bad expression {e!r}")
 
 
@@ -295,48 +273,70 @@ ProcessExpr = (
 )
 
 
+# Per constructor: its process subterms in order, and the node rebuilt around
+# f(subterm) by a direct constructor call.  The traversals below name only the
+# constructors that bind, rename or read an expression.
+_TABLE = {
+    Nil: (lambda t: (), lambda t, f: t),
+    CInput: (lambda t: (t.body,), lambda t, f: CInput(t.chan, t.var, f(t.body))),
+    COutput: (lambda t: (t.body,), lambda t, f: COutput(t.chan, t.expr, f(t.body))),
+    QbitNew: (lambda t: (t.body,), lambda t, f: QbitNew(t.qvar, f(t.body))),
+    QInput: (lambda t: (t.body,), lambda t, f: QInput(t.chan, t.qvar, f(t.body))),
+    QOutput: (lambda t: (t.body,), lambda t, f: QOutput(t.chan, t.qvar, f(t.body))),
+    Unitary: (lambda t: (t.body,), lambda t, f: Unitary(t.gate, t.qvars, f(t.body))),
+    Measure: (lambda t: (t.body,), lambda t, f: Measure(t.obs, t.qvars, t.var, f(t.body))),
+    Sum: (lambda t: (t.left, t.right), lambda t, f: Sum(f(t.left), f(t.right))),
+    Parallel: (lambda t: (t.left, t.right), lambda t, f: Parallel(f(t.left), f(t.right))),
+    Relabel: (lambda t: (t.body,), lambda t, f: Relabel(f(t.body), t.fn)),
+    Restrict: (lambda t: (t.body,), lambda t, f: Restrict(f(t.body), t.chans)),
+    If: (lambda t: (t.body,), lambda t, f: If(t.cond, f(t.body))),
+}
+
+
+def _not_a_term(term, *_):
+    raise SyntaxError_(f"bad process term {term!r}")
+
+
+_NOT_A_TERM = (_not_a_term, _not_a_term)
+
+
+def subterms(term: ProcessExpr) -> tuple:
+    """The process children of a term, left to right."""
+    return _TABLE.get(type(term), _NOT_A_TERM)[0](term)
+
+
+def rebuild(term: ProcessExpr, f) -> ProcessExpr:
+    """The term with f applied to each process child, left to right."""
+    return _TABLE.get(type(term), _NOT_A_TERM)[1](term, f)
+
+
 def qv(e: ProcessExpr) -> frozenset:
-    """Free quantum variables, one clause per constructor."""
+    """Free quantum variables: allocation and quantum input bind them;
+    quantum output, unitaries and measurements use them."""
     match e:
-        case Nil():
-            return frozenset()
-        case CInput(body=b) | COutput(body=b):
-            return qv(b)
-        case QbitNew(qvar=q, body=b):
-            return qv(b) - {q}
-        case QInput(qvar=q, body=b):
+        case QbitNew(qvar=q, body=b) | QInput(qvar=q, body=b):
             return qv(b) - {q}
         case QOutput(qvar=q, body=b):
             return qv(b) | {q}
         case Unitary(qvars=qs, body=b) | Measure(qvars=qs, body=b):
             return qv(b) | frozenset(qs)
-        case Sum(left=l, right=r) | Parallel(left=l, right=r):
-            return qv(l) | qv(r)
-        case Relabel(body=b) | Restrict(body=b) | If(body=b):
-            return qv(b)
-    raise SyntaxError_(f"bad process term {e!r}")
+    out = frozenset()
+    for s in subterms(e):
+        out |= qv(s)
+    return out
 
 
 def fv_classical(e: ProcessExpr) -> frozenset:
     """Free classical variables; input and measurement prefixes bind."""
     match e:
-        case Nil():
-            return frozenset()
-        case CInput(var=x, body=b):
+        case CInput(var=x, body=b) | Measure(var=x, body=b):
             return fv_classical(b) - {x}
-        case COutput(expr=ve, body=b):
-            return expr_vars(ve) | fv_classical(b)
-        case QbitNew(body=b) | QInput(body=b) | QOutput(body=b) | Unitary(body=b):
-            return fv_classical(b)
-        case Measure(var=x, body=b):
-            return fv_classical(b) - {x}
-        case Sum(left=l, right=r) | Parallel(left=l, right=r):
-            return fv_classical(l) | fv_classical(r)
-        case Relabel(body=b) | Restrict(body=b):
-            return fv_classical(b)
-        case If(cond=c, body=b):
+        case COutput(expr=c, body=b) | If(cond=c, body=b):
             return expr_vars(c) | fv_classical(b)
-    raise SyntaxError_(f"bad process term {e!r}")
+    out = frozenset()
+    for s in subterms(e):
+        out |= fv_classical(s)
+    return out
 
 
 @dataclass(frozen=True)
@@ -360,31 +360,15 @@ def check_wellformed(e: ProcessExpr) -> list:
 
     def walk(t, path):
         match t:
-            case QOutput(qvar=q, body=b):
-                if q in qv(b):
-                    out.append(Violation("output-then-use", path, f"{q} used after output"))
-                walk(b, path + (0,))
-            case Parallel(left=l, right=r):
-                shared = qv(l) & qv(r)
-                if shared:
-                    out.append(
-                        Violation("parallel-overlap", path,
-                                  f"components share {{{', '.join(sorted(shared))}}}")
-                    )
-                walk(l, path + (0,))
-                walk(r, path + (1,))
-            case Unitary(qvars=qs, body=b) | Measure(qvars=qs, body=b):
-                if len(set(qs)) != len(qs):
-                    out.append(Violation("duplicate-qvar", path, f"repeated name in [{', '.join(qs)}]"))
-                walk(b, path + (0,))
-            case Sum(left=l, right=r):
-                walk(l, path + (0,))
-                walk(r, path + (1,))
-            case CInput(body=b) | COutput(body=b) | QbitNew(body=b) | QInput(body=b) \
-                | Relabel(body=b) | Restrict(body=b) | If(body=b):
-                walk(b, path + (0,))
-            case Nil():
-                pass
+            case QOutput(qvar=q, body=b) if q in qv(b):
+                out.append(Violation("output-then-use", path, f"{q} used after output"))
+            case Parallel(left=l, right=r) if shared := qv(l) & qv(r):
+                out.append(Violation("parallel-overlap", path,
+                                     f"components share {{{', '.join(sorted(shared))}}}"))
+            case Unitary(qvars=qs) | Measure(qvars=qs) if len(set(qs)) != len(qs):
+                out.append(Violation("duplicate-qvar", path, f"repeated name in [{', '.join(qs)}]"))
+        for k, s in enumerate(subterms(t)):
+            walk(s, path + (k,))
 
     walk(e, ())
     return out
@@ -399,49 +383,28 @@ def assert_wellformed(e: ProcessExpr) -> None:
 def is_classical(e: ProcessExpr) -> bool:
     """True iff the term never changes a quantum context: no allocation,
     quantum input, unitary or measurement anywhere (quantum output is fine)."""
-    match e:
-        case Nil():
-            return True
-        case QbitNew() | QInput() | Unitary() | Measure():
-            return False
-        case CInput(body=b) | COutput(body=b) | QOutput(body=b) | Relabel(body=b) \
-            | Restrict(body=b) | If(body=b):
-            return is_classical(b)
-        case Sum(left=l, right=r) | Parallel(left=l, right=r):
-            return is_classical(l) and is_classical(r)
-    raise SyntaxError_(f"bad process term {e!r}")
+    if isinstance(e, (QbitNew, QInput, Unitary, Measure)):
+        return False
+    return all(map(is_classical, subterms(e)))
 
 
 def subst_classical(e: ProcessExpr, x: str, v: float) -> ProcessExpr:
     """Instantiate the free classical variable x with the value v."""
-    match e:
-        case Nil():
-            return e
-        case CInput(chan=c, var=y, body=b):
-            return e if y == x else CInput(c, y, subst_classical(b, x, v))
-        case COutput(chan=c, expr=ve, body=b):
-            return COutput(c, subst_expr(ve, x, v), subst_classical(b, x, v))
-        case QbitNew(qvar=q, body=b):
-            return QbitNew(q, subst_classical(b, x, v))
-        case QInput(chan=c, qvar=q, body=b):
-            return QInput(c, q, subst_classical(b, x, v))
-        case QOutput(chan=c, qvar=q, body=b):
-            return QOutput(c, q, subst_classical(b, x, v))
-        case Unitary(gate=g, qvars=qs, body=b):
-            return Unitary(g, qs, subst_classical(b, x, v))
-        case Measure(obs=m, qvars=qs, var=y, body=b):
-            return e if y == x else Measure(m, qs, y, subst_classical(b, x, v))
-        case Sum(left=l, right=r):
-            return Sum(subst_classical(l, x, v), subst_classical(r, x, v))
-        case Parallel(left=l, right=r):
-            return Parallel(subst_classical(l, x, v), subst_classical(r, x, v))
-        case Relabel(body=b, fn=f):
-            return Relabel(subst_classical(b, x, v), f)
-        case Restrict(body=b, chans=ch):
-            return Restrict(subst_classical(b, x, v), ch)
-        case If(cond=c, body=b):
-            return If(subst_expr(c, x, v), subst_classical(b, x, v))
-    raise SyntaxError_(f"bad process term {e!r}")
+
+    def value(y):
+        return Const(v) if y == x else Var(y)
+
+    def sub(t):
+        match t:
+            case CInput(var=y) | Measure(var=y) if y == x:
+                return t
+            case COutput(chan=c, expr=ve, body=b):
+                return COutput(c, _map_vars(ve, value), sub(b))
+            case If(cond=c, body=b):
+                return If(_map_vars(c, value), sub(b))
+        return rebuild(t, sub)
+
+    return sub(e)
 
 
 def _fresh_qvar(base: str, avoid) -> str:
@@ -461,106 +424,54 @@ def subst_quantum(e: ProcessExpr, q: str, r: str) -> ProcessExpr:
 
     def sub(t):
         match t:
-            case Nil():
+            case QbitNew(qvar=p) | QInput(qvar=p) if p == q:
                 return t
-            case CInput(chan=c, var=x, body=b):
-                return CInput(c, x, sub(b))
-            case COutput(chan=c, expr=ve, body=b):
-                return COutput(c, ve, sub(b))
-            case QbitNew(qvar=p, body=b):
-                if p == q:
-                    return t
-                if p == r and q in qv(b):
-                    p2 = _fresh_qvar(p, qv(b) | {q, r})
-                    return QbitNew(p2, sub(subst_quantum(b, p, p2)))
-                return QbitNew(p, sub(b))
-            case QInput(chan=c, qvar=p, body=b):
-                if p == q:
-                    return t
-                if p == r and q in qv(b):
-                    p2 = _fresh_qvar(p, qv(b) | {q, r})
-                    return QInput(c, p2, sub(subst_quantum(b, p, p2)))
-                return QInput(c, p, sub(b))
+            case QbitNew(qvar=p, body=b) | QInput(qvar=p, body=b) if p == r and q in qv(b):
+                p2 = _fresh_qvar(p, qv(b) | {q, r})
+                b2 = sub(subst_quantum(b, p, p2))
+                return QbitNew(p2, b2) if isinstance(t, QbitNew) else QInput(t.chan, p2, b2)
             case QOutput(chan=c, qvar=p, body=b):
                 return QOutput(c, r if p == q else p, sub(b))
             case Unitary(gate=g, qvars=qs, body=b):
                 return Unitary(g, tuple(r if p == q else p for p in qs), sub(b))
             case Measure(obs=m, qvars=qs, var=x, body=b):
                 return Measure(m, tuple(r if p == q else p for p in qs), x, sub(b))
-            case Sum(left=l, right=rr):
-                return Sum(sub(l), sub(rr))
-            case Parallel(left=l, right=rr):
-                return Parallel(sub(l), sub(rr))
-            case Relabel(body=b, fn=f):
-                return Relabel(sub(b), f)
-            case Restrict(body=b, chans=ch):
-                return Restrict(sub(b), ch)
-            case If(cond=c, body=b):
-                return If(c, sub(b))
-        raise SyntaxError_(f"bad process term {t!r}")
+        return rebuild(t, sub)
 
     return sub(e)
 
 
 def canonical(e: ProcessExpr) -> ProcessExpr:
     """Rename bound variables to position-based names so that alpha-equivalent
-    terms become structurally equal.  Free variables are left untouched."""
-    counter = [0]
+    terms become structurally equal.  Free variables are left untouched.
+
+    Binders are numbered %1, %2, ... in pre-order, left to right."""
+    numbers = count(1)
 
     def walk(t, qenv, cenv):
-        def fresh():
-            counter[0] += 1
-            return f"%{counter[0]}"
-
         match t:
-            case Nil():
-                return t
             case CInput(chan=c, var=x, body=b):
-                nx = fresh()
+                nx = f"%{next(numbers)}"
                 return CInput(c, nx, walk(b, qenv, {**cenv, x: nx}))
-            case COutput(chan=c, expr=ve, body=b):
-                return COutput(c, _rename_expr(ve, cenv), walk(b, qenv, cenv))
             case QbitNew(qvar=p, body=b):
-                np_ = fresh()
+                np_ = f"%{next(numbers)}"
                 return QbitNew(np_, walk(b, {**qenv, p: np_}, cenv))
             case QInput(chan=c, qvar=p, body=b):
-                np_ = fresh()
+                np_ = f"%{next(numbers)}"
                 return QInput(c, np_, walk(b, {**qenv, p: np_}, cenv))
+            case Measure(obs=m, qvars=qs, var=x, body=b):
+                nx = f"%{next(numbers)}"
+                return Measure(m, tuple(qenv.get(p, p) for p in qs), nx,
+                               walk(b, qenv, {**cenv, x: nx}))
             case QOutput(chan=c, qvar=p, body=b):
                 return QOutput(c, qenv.get(p, p), walk(b, qenv, cenv))
             case Unitary(gate=g, qvars=qs, body=b):
                 return Unitary(g, tuple(qenv.get(p, p) for p in qs), walk(b, qenv, cenv))
-            case Measure(obs=m, qvars=qs, var=x, body=b):
-                nx = fresh()
-                return Measure(m, tuple(qenv.get(p, p) for p in qs), nx,
-                                     walk(b, qenv, {**cenv, x: nx}))
-            case Sum(left=l, right=r):
-                return Sum(walk(l, qenv, cenv), walk(r, qenv, cenv))
-            case Parallel(left=l, right=r):
-                return Parallel(walk(l, qenv, cenv), walk(r, qenv, cenv))
-            case Relabel(body=b, fn=f):
-                return Relabel(walk(b, qenv, cenv), f)
-            case Restrict(body=b, chans=ch):
-                return Restrict(walk(b, qenv, cenv), ch)
+            case COutput(chan=c, expr=ve, body=b):
+                return COutput(c, _map_vars(ve, lambda y: Var(cenv.get(y, y))),
+                               walk(b, qenv, cenv))
             case If(cond=c, body=b):
-                return If(_rename_expr(c, cenv), walk(b, qenv, cenv))
-        raise SyntaxError_(f"bad process term {t!r}")
+                return If(_map_vars(c, lambda y: Var(cenv.get(y, y))), walk(b, qenv, cenv))
+        return rebuild(t, lambda s: walk(s, qenv, cenv))
 
     return walk(e, {}, {})
-
-
-def _rename_expr(e, cenv):
-    match e:
-        case Const():
-            return e
-        case Var(name=x):
-            return Var(cenv.get(x, x))
-        case Arith(op=op, left=l, right=r):
-            return Arith(op, _rename_expr(l, cenv), _rename_expr(r, cenv))
-        case Cmp(op=op, left=l, right=r):
-            return Cmp(op, _rename_expr(l, cenv), _rename_expr(r, cenv))
-        case BoolOp(op=op, left=l, right=r):
-            return BoolOp(op, _rename_expr(l, cenv), _rename_expr(r, cenv))
-        case Not(body=b):
-            return Not(_rename_expr(b, cenv))
-    raise SyntaxError_(f"bad expression {e!r}")

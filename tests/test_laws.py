@@ -41,10 +41,23 @@ class TestGenerator:
         from qccs.linalg import GATE_H
         from qccs.syntax import Nil, Unitary
 
-        rng = np.random.default_rng(4)
         t = Unitary(GATE_H, ("q",), Nil())
-        mutated, changed = mutate_gate(rng, t)
+        mutated, changed = mutate_gate(t)
         assert changed and mutated != t
+
+    def test_mutation_reverses_a_cnot(self):
+        from qccs.linalg import GATE_CNOT
+        from qccs.syntax import Nil, Unitary
+
+        t = Unitary(GATE_CNOT, ("a", "b"), Nil())
+        assert mutate_gate(t) == (Unitary(GATE_CNOT, ("b", "a"), Nil()), True)
+
+    def test_mutation_reports_a_change_iff_the_term_changed(self):
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            t = random_process(rng, 3, ("q0", "q1"))
+            mutated, changed = mutate_gate(t)
+            assert changed == (mutated != t)
 
 
 class TestLawSuite:

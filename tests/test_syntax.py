@@ -1,15 +1,18 @@
 """Term-level tests: free variables, substitution, validity, evaluation."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qccs.linalg import GATE_CNOT, GATE_H, GATE_X, OBS_M01, computational_observable
 from qccs.syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
-    Parallel, QbitNew, QInput, QOutput, RelabelFn, Sum,
-    UnboundVariable, Unitary, Var, BadRelabeling, canonical, check_wellformed,
-    eval_bool, eval_expr, fv_classical, is_classical, qv, subst_classical,
-    subst_quantum,
+    Parallel, QbitNew, QInput, QOutput, Relabel, RelabelFn, Restrict, Sum,
+    SyntaxError_, UnboundVariable, Unitary, Var, BadRelabeling, canonical,
+    check_wellformed, eval_bool, eval_expr, fv_classical, is_classical, qv,
+    rebuild, subst_classical, subst_quantum, subterms,
 )
 
 from helpers import qv_oracle
@@ -208,6 +211,105 @@ class TestCanonical:
     def test_idempotent(self):
         t = QbitNew("a", Measure(OBS_M01, ("a",), "x", COutput(C, Var("x"), Nil())))
         assert canonical(canonical(t)) == canonical(t)
+
+    def test_binders_numbered_in_preorder_left_to_right(self):
+        t = Sum(CInput(C, "x", QbitNew("a", Unitary(GATE_H, ("a",), COutput(C, Var("x"), Nil())))),
+                Measure(OBS_M01, ("q",), "y", COutput(C, Var("y"), Nil())))
+        assert canonical(t) == Sum(
+            CInput(C, "%1", QbitNew("%2", Unitary(GATE_H, ("%2",), COutput(C, Var("%1"), Nil())))),
+            Measure(OBS_M01, ("q",), "%3", COutput(C, Var("%3"), Nil())))
+
+    def test_invariant_under_renaming_every_binder(self):
+        from qccs.laws import random_process
+
+        rng = np.random.default_rng(11)
+        renamed = 0
+        for _ in range(300):
+            t = random_process(rng, 4, ("q0", "q1", "q2"), ("x0", "y"),
+                               allow_quantum_input=True)
+            t2 = _rename_binders(t, (f"v{k}" for k in itertools.count()))
+            renamed += t2 != t
+            assert canonical(t2) == canonical(t)
+        assert renamed > 150
+
+
+def _rename_expr(e, cenv):
+    if isinstance(e, Var):
+        return Var(cenv.get(e.name, e.name))
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Not):
+        return Not(_rename_expr(e.body, cenv))
+    return type(e)(e.op, _rename_expr(e.left, cenv), _rename_expr(e.right, cenv))
+
+
+def _rename_binders(t, fresh, qenv=None, cenv=None):
+    """Rename every binder of t to the next name from `fresh`, by hand."""
+    qenv, cenv = qenv or {}, cenv or {}
+
+    def go(b, q=qenv, c=cenv):
+        return _rename_binders(b, fresh, q, c)
+
+    def use(qs):
+        return tuple(qenv.get(p, p) for p in qs)
+
+    if isinstance(t, (CInput, Measure)):
+        x = next(fresh)
+        qvars = {"qvars": use(t.qvars)} if isinstance(t, Measure) else {}
+        return replace(t, var=x, body=go(t.body, qenv, {**cenv, t.var: x}), **qvars)
+    if isinstance(t, (QbitNew, QInput)):
+        p = next(fresh)
+        return replace(t, qvar=p, body=go(t.body, {**qenv, t.qvar: p}, cenv))
+    if isinstance(t, QOutput):
+        return replace(t, qvar=use((t.qvar,))[0], body=go(t.body))
+    if isinstance(t, Unitary):
+        return replace(t, qvars=use(t.qvars), body=go(t.body))
+    if isinstance(t, COutput):
+        return replace(t, expr=_rename_expr(t.expr, cenv), body=go(t.body))
+    if isinstance(t, If):
+        return replace(t, cond=_rename_expr(t.cond, cenv), body=go(t.body))
+    if isinstance(t, (Sum, Parallel)):
+        return replace(t, left=go(t.left), right=go(t.right))
+    if isinstance(t, (Relabel, Restrict)):
+        return replace(t, body=go(t.body))
+    assert isinstance(t, Nil)
+    return t
+
+
+class TestRebuild:
+    A, B = QOutput(QC, "q", Nil()), u("r")
+    ONE_OF_EACH = [
+        (Nil(), ()),
+        (CInput(C, "x", A), (A,)),
+        (COutput(C, Var("x"), A), (A,)),
+        (QbitNew("s", A), (A,)),
+        (QInput(QC, "s", A), (A,)),
+        (QOutput(QD, "s", A), (A,)),
+        (Unitary(GATE_CNOT, ("s", "t"), A), (A,)),
+        (Measure(OBS_M01, ("s",), "x", A), (A,)),
+        (Sum(A, B), (A, B)),
+        (Parallel(A, B), (A, B)),
+        (Relabel(A, RelabelFn([(C, D)])), (A,)),
+        (Restrict(A, frozenset([C])), (A,)),
+        (If(Cmp("=", Var("x"), Const(0.0)), A), (A,)),
+    ]
+
+    def test_covers_every_constructor(self):
+        assert len({type(t) for t, _ in self.ONE_OF_EACH}) == 13
+
+    @pytest.mark.parametrize("term, children", ONE_OF_EACH,
+                             ids=[type(t).__name__ for t, _ in ONE_OF_EACH])
+    def test_identity_rebuild_and_children_in_order(self, term, children):
+        assert rebuild(term, lambda s: s) == term
+        assert subterms(term) == children
+        wrapped = rebuild(term, lambda s: Sum(s, Nil()))
+        assert type(wrapped) is type(term)
+        assert subterms(wrapped) == tuple(Sum(s, Nil()) for s in children)
+
+    def test_non_term_raises(self):
+        for fn in (subterms, lambda t: rebuild(t, lambda s: s), qv, canonical):
+            with pytest.raises(SyntaxError_, match="bad process term"):
+                fn(Var("x"))
 
 
 class TestRelabelFn:
