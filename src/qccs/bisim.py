@@ -175,10 +175,8 @@ def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = lp.TOL):
 def _terminal_groups(lts, stuck_rep: int, nodes: list) -> dict:
     """Absorption groups of weak_terminates_in: group 0 for the stuck nodes
     whose context equals that of `stuck_rep`, None for the rest."""
-    return {
-        v: 0 if (lts.stuck(v) and lts.terminal_equal(v, stuck_rep)) else None
-        for v in nodes
-    }
+    ends = set(lts.terminal_matches(stuck_rep))
+    return {v: 0 if v in ends else None for v in nodes}
 
 
 def _query_size(lts, node: int, kind: str, action, partition: Partition, mode: str) -> int:
@@ -347,19 +345,18 @@ class BisimResult:
 
 
 def _initial_strong(lts) -> Partition:
+    """One block for the nodes that can move, and blocks of stuck nodes: in
+    id order, a stuck node not yet placed heads a new block, which takes
+    every unplaced stuck node whose context equals the head's.  So each stuck
+    node joins the lowest head within ATOL of it."""
     block_of = [-1] * lts.node_count
-    stuck_reps: list = []
+    active = 0
     for v in range(lts.node_count):
-        if not lts.stuck(v):
-            continue
-        for b, rep in stuck_reps:
-            if lts.terminal_equal(v, rep):
-                block_of[v] = b
-                break
-        else:
-            stuck_reps.append((len(stuck_reps), v))
-            block_of[v] = len(stuck_reps) - 1
-    active = len(stuck_reps)
+        if lts.stuck(v) and block_of[v] < 0:
+            block_of[v] = active
+            for u in lts.terminal_matches(v, lambda u: u > v and block_of[u] < 0):
+                block_of[u] = active
+            active += 1
     for v in range(lts.node_count):
         if block_of[v] < 0:
             block_of[v] = active

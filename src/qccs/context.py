@@ -7,7 +7,9 @@ case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +75,29 @@ class QContext:
     def reduced(self, keep_vars) -> np.ndarray:
         """State of the named qubits, in the given order."""
         return partial_trace(self.rho, [self.index(v) for v in keep_vars])
+
+    @cached_property
+    def names(self) -> tuple:
+        """The qubit names, sorted: what equal contexts share exactly."""
+        return tuple(sorted(self.vars))
+
+    @cached_property
+    def cell(self) -> int:
+        """floor(f / w), where f = sum_i (i+1) Re rho_ii over the diagonal
+        reordered to sorted-name order and w = 2 ATOL sum_i (i+1).
+
+        context_equal bounds each diagonal entry's change by ATOL, so it
+        changes f by at most w/2: contexts it accepts lie in the same cell or
+        in adjacent ones.
+        """
+        n = len(self.vars)
+        diag = np.real(np.diagonal(self.rho))
+        if n > 1:
+            order = sorted(range(n), key=self.vars.__getitem__)
+            diag = diag.reshape([2] * n).transpose(order).reshape(-1)
+        d = diag.size
+        f = float(np.arange(1, d + 1) @ diag)
+        return math.floor(f / (ATOL * d * (d + 1)))
 
     def __str__(self) -> str:
         if not self.vars:
@@ -152,6 +177,11 @@ def apply_unitary(ctx: QContext, u, rvars) -> QContext:
     return QContext(ctx.vars, apply_operator(u, ctx.rho, positions))
 
 
+# validate_observable's findings by (content digest, dimension): an
+# observable is checked once, and a bad one still raises on every call
+_observable_problems: dict = {}
+
+
 def measure(ctx: QContext, obs: Observable, rvars) -> list:
     """Project with each outcome of obs on the named qubits.
 
@@ -161,7 +191,9 @@ def measure(ctx: QContext, obs: Observable, rvars) -> list:
     """
     positions = [ctx.index(v) for v in rvars]
     dim = 2 ** len(positions)
-    problems = linalg.validate_observable(obs, dim)
+    problems = _observable_problems.get((obs.key, dim))
+    if problems is None:
+        problems = _observable_problems[(obs.key, dim)] = linalg.validate_observable(obs, dim)
     if problems:
         raise InvalidObservable(f"observable {obs.name}: {', '.join(problems)}")
     results = []
@@ -185,3 +217,75 @@ def context_equal(c1: QContext, c2: QContext) -> bool:
     if c1.vars == c2.vars:
         return linalg.approx_equal(c1.rho, c2.rho)
     return linalg.approx_equal(c1.reduced(c2.vars), c2.rho)
+
+
+# a lookup compares a group of up to this many contexts directly: a cell
+# costs about one comparison, so cells pay only in larger groups
+SCAN_LIMIT = 4
+
+
+class ContextIndex:
+    """Contexts filed under caller-given keys, looked up by context_equal.
+
+    Ids count from 0 in filing order.  matches() yields, in ascending order,
+    the ids under a key whose contexts context_equal accepts against the
+    query; find() returns the first, the lowest id within ATOL.  file() files
+    a context unless find() has an answer: the one rule by which a new state
+    merges into the lowest-id equal one.  A lookup in a group of up to
+    SCAN_LIMIT contexts compares them all.  In a larger group it compares only
+    the contexts in the query's `cell` and the two next to it: the group's
+    contexts are bucketed by cell at its first such lookup.
+    """
+
+    def __init__(self):
+        self._contexts: list = []
+        self._groups: dict = {}  # key -> [ids ascending, {cell: ids} or None]
+
+    def _candidates(self, group: list, ctx: QContext) -> list:
+        ids, cells = group
+        if len(ids) <= SCAN_LIMIT:
+            return ids
+        if cells is None:
+            cells = group[1] = {}
+            for i in ids:
+                cells.setdefault(self._contexts[i].cell, []).append(i)
+        c = ctx.cell
+        return sorted(cells.get(c - 1, []) + cells.get(c, []) + cells.get(c + 1, []))
+
+    def _append(self, group: list, ctx: QContext) -> int:
+        i = len(self._contexts)
+        self._contexts.append(ctx)
+        group[0].append(i)
+        if group[1] is not None:
+            group[1].setdefault(ctx.cell, []).append(i)
+        return i
+
+    def add(self, key, ctx: QContext) -> int:
+        """File ctx under key; returns its id."""
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = [[], None]
+        return self._append(group, ctx)
+
+    def file(self, key, ctx: QContext) -> tuple:
+        """(find(key, ctx), False) if that is an id, else (add(key, ctx), True),
+        hashing the key once when it is known."""
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = [[], None]
+        else:
+            for i in self._candidates(group, ctx):
+                if context_equal(self._contexts[i], ctx):
+                    return i, False
+        return self._append(group, ctx), True
+
+    def matches(self, key, ctx: QContext, accept=None):
+        """Ids under key within ATOL of ctx, ascending; `accept(id)` filters
+        candidates before any context is compared."""
+        group = self._groups.get(key)
+        for i in () if group is None else self._candidates(group, ctx):
+            if (accept is None or accept(i)) and context_equal(self._contexts[i], ctx):
+                yield i
+
+    def find(self, key, ctx: QContext, accept=None) -> int | None:
+        return next(self.matches(key, ctx, accept), None)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import context as ctxmod
 from . import linalg
-from .context import QContext, context_equal
+from .context import ContextIndex, QContext, context_equal
 from .syntax import (
     Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew,
     QInput, QOutput, Relabel, Restrict, Sum, Unitary, assert_wellformed,
@@ -52,10 +52,17 @@ class OpenConfiguration(LtsError):
 
 
 class BoundExceeded(LtsError):
-    def __init__(self, which, limit):
+    """An exploration bound was hit; says how far exploration got: the nodes
+    interned, the depth of the node being expanded and the queue length."""
+
+    def __init__(self, which, limit, nodes, depth, queued):
         self.which = which
         self.limit = limit
-        super().__init__(f"exploration exceeded {which}={limit}")
+        self.nodes = nodes
+        self.depth = depth
+        self.queued = queued
+        super().__init__(f"exploration exceeded {which}={limit} "
+                         f"({nodes} nodes, depth {depth}, {queued} queued)")
 
 
 class StuckError(LtsError):
@@ -193,42 +200,52 @@ class Configuration:
     def canonical_process(self) -> ProcessExpr:
         return canonical(self.process)
 
+    @cached_property
+    def key(self) -> tuple:
+        """What two equal configurations share exactly: the canonical term
+        and the sorted qubit names.  Their contexts need only agree within
+        ATOL, which a ContextIndex filed under this key decides."""
+        return (self.canonical_process, self.context.names)
+
     def __str__(self) -> str:
         from .frontend import pretty_print  # local import to avoid a cycle
 
         return f"<{pretty_print(self.process)}; {self.context}>"
 
 
-def same_configuration(c1: Configuration, c2: Configuration) -> bool:
-    return (
-        c1.canonical_process == c2.canonical_process
-        and context_equal(c1.context, c2.context)
-    )
-
-
 class Distribution:
-    """Finite-support probability distribution over configurations."""
+    """Finite-support probability distribution over configurations.
 
-    __slots__ = ("_pairs",)
+    A configuration merges into the first earlier one within ATOL.  A
+    distribution of more than one configuration keeps the index that found
+    those merges, for approx_equal.
+    """
+
+    __slots__ = ("_pairs", "_index")
 
     def __init__(self, pairs):
         merged: list[list] = []
+        index = None
         for config, p in pairs:
             p = float(p)
             if p <= 0:
                 raise BadWeights(f"probability {p} is not in (0, 1]")
-            for entry in merged:
-                if same_configuration(entry[0], config):
-                    entry[1] += p
-                    break
-            else:
-                merged.append([config, p])
+            if merged:
+                if index is None:
+                    index = ContextIndex()
+                    index.add(merged[0][0].key, merged[0][0].context)
+                j, new = index.file(config.key, config.context)
+                if not new:
+                    merged[j][1] += p
+                    continue
+            merged.append([config, p])
         if not merged:
             raise BadWeights("distribution must have nonempty support")
         total = sum(p for _, p in merged)
         if abs(total - 1.0) > linalg.ATOL:
             raise BadWeights(f"probabilities sum to {total}, not 1")
         self._pairs = tuple((c, p) for c, p in merged)
+        self._index = index
 
     @staticmethod
     def point(config: Configuration) -> "Distribution":
@@ -244,16 +261,22 @@ class Distribution:
         return len(self._pairs)
 
     def approx_equal(self, other: "Distribution") -> bool:
+        """Pairs each configuration, in order, with the first unpaired one of
+        `other` that is equal within ATOL and has a weight within ATOL."""
         if len(self) != len(other):
             return False
+        if other._index is None:
+            (c, p), = self._pairs
+            (d, q), = other._pairs
+            return (abs(p - q) <= linalg.ATOL and c.key == d.key
+                    and context_equal(c.context, d.context))
         used = set()
         for c, p in self._pairs:
-            for j, (d, q) in enumerate(other._pairs):
-                if j not in used and abs(p - q) <= linalg.ATOL and same_configuration(c, d):
-                    used.add(j)
-                    break
-            else:
+            j = other._index.find(c.key, c.context, lambda j: j not in used
+                                  and abs(p - other._pairs[j][1]) <= linalg.ATOL)
+            if j is None:
                 return False
+            used.add(j)
         return True
 
     def __str__(self) -> str:
@@ -524,11 +547,13 @@ def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
 @dataclass
 class Lts:
     """Explored transition graph: configurations plus per-node edges, each
-    edge being an action and a distribution over node ids."""
+    edge being an action and a distribution over node ids.  `index` files
+    each node's context under its configuration key, with ids = node ids."""
 
     nodes: list
     edges: list  # edges[i] = [(Action, ((j, p), ...)), ...]
     initial: tuple
+    index: ContextIndex = field(repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -544,10 +569,27 @@ class Lts:
         return context_equal(self.nodes[i].context, self.nodes[j].context)
 
     def find(self, config: Configuration):
+        return self.index.find(config.key, config.context)
+
+    @cached_property
+    def _stuck_index(self) -> tuple:
+        """(index, node ids): the stuck nodes' contexts filed under their
+        sorted names, and the node id of each index id."""
+        index, ids = ContextIndex(), []
         for i, node in enumerate(self.nodes):
-            if same_configuration(node, config):
-                return i
-        return None
+            if self.stuck(i):
+                index.add(node.context.names, node.context)
+                ids.append(i)
+        return index, ids
+
+    def terminal_matches(self, i: int, accept=None):
+        """The stuck nodes whose contexts equal node i's within ATOL, in
+        ascending id order; `accept(node)` filters them before any context
+        is compared."""
+        index, ids = self._stuck_index
+        ctx = self.nodes[i].context
+        keep = None if accept is None else (lambda j: accept(ids[j]))
+        return (ids[j] for j in index.matches(ctx.names, ctx, keep))
 
     def successors(self, i: int, action: Action) -> list:
         return [targets for a, targets in self.edges[i] if a == action]
@@ -562,9 +604,14 @@ def build_lts(
 ) -> Lts:
     """Breadth-first closure of `transitions` from one or more roots.
 
-    Nodes are deduplicated by canonically-renamed term plus context equality,
-    so equal states reached on different paths merge.  Deterministic for a
-    fixed policy and bounds.
+    The merge rule: a configuration is a new node unless an existing node
+    has the same canonical term and the same qubit names and a context
+    within ATOL of its own (context_equal); then it merges into the lowest
+    such node id.  The lookup goes by key, and in groups of more than a few
+    nodes by cell (ContextIndex), not by a scan of every node; it finds the
+    node a scan in id order would, so equal states reached on different
+    paths merge.  Deterministic for a fixed policy and bounds.  Raises
+    BoundExceeded at max_nodes nodes or when a node at max_depth can move.
     """
     if isinstance(roots, Configuration):
         roots = [roots]
@@ -572,25 +619,22 @@ def build_lts(
 
     nodes: list = []
     edges: list = []
-    buckets: dict = {}
+    index = ContextIndex()
+    queue: deque = deque()
 
-    def intern(config: Configuration) -> int:
-        key = config.canonical_process
-        for i in buckets.get(key, ()):
-            if context_equal(nodes[i].context, config.context):
-                return i
-        if len(nodes) >= max_nodes:
-            raise BoundExceeded("max_nodes", max_nodes)
-        nodes.append(config)
-        edges.append([])
-        buckets.setdefault(key, []).append(len(nodes) - 1)
-        return len(nodes) - 1
+    def intern(config: Configuration, depth: int) -> int:
+        i, new = index.file(config.key, config.context)
+        if new:
+            if len(nodes) >= max_nodes:
+                raise BoundExceeded("max_nodes", max_nodes, len(nodes), depth, len(queue))
+            nodes.append(config)
+            edges.append([])
+        return i
 
     initial = []
-    queue: deque = deque()
     for root in roots:
         assert_wellformed(root.process)
-        i = intern(root)
+        i = intern(root, 0)
         initial.append(i)
         queue.append((i, 0))
 
@@ -602,11 +646,11 @@ def build_lts(
         expanded.add(i)
         trs = transitions(nodes[i], policy, fresh)
         if trs and depth >= max_depth:
-            raise BoundExceeded("max_depth", max_depth)
+            raise BoundExceeded("max_depth", max_depth, len(nodes), depth, len(queue))
         for action, dist in trs:
             weights: dict = {}
             for config, p in dist.items():
-                j = intern(config)
+                j = intern(config, depth)
                 weights[j] = weights.get(j, 0.0) + p
                 if j not in expanded:
                     queue.append((j, depth + 1))
@@ -614,7 +658,7 @@ def build_lts(
             if edge not in edges[i]:
                 edges[i].append(edge)
 
-    return Lts(nodes, edges, tuple(initial))
+    return Lts(nodes, edges, tuple(initial), index)
 
 
 # -- trace execution --

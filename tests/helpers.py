@@ -130,6 +130,10 @@ class SyntheticLts:
     def terminal_equal(self, i: int, j: int) -> bool:
         return self.labels[i] == self.labels[j]
 
+    def terminal_matches(self, i: int, accept=None):
+        return (j for j in range(self.n) if self.stuck(j) and (accept is None or accept(j))
+                and self.terminal_equal(j, i))
+
     def successors(self, i: int, action):
         return [tuple((j, float(p)) for j, p in tg)
                 for a, tg in self.edges_exact[i] if a == action]

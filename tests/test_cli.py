@@ -69,13 +69,13 @@ class TestLts:
         code, out = run_cli("lts", TELEPORT, "--max-nodes", "3")
         assert code == 2 and out == ""
         assert capsys.readouterr().err.splitlines() == [
-            "error: exploration exceeded max_nodes=3"]
+            "error: exploration exceeded max_nodes=3 (3 nodes, depth 2, 0 queued)"]
 
     def test_depth_bound_exceeded_exit_2(self, capsys):
         code, out = run_cli("lts", TELEPORT, "--max-depth", "2")
         assert code == 2 and out == ""
         assert capsys.readouterr().err.splitlines() == [
-            "error: exploration exceeded max_depth=2"]
+            "error: exploration exceeded max_depth=2 (3 nodes, depth 2, 0 queued)"]
 
     def test_single_config_is_default(self):
         code, _ = run_cli("lts", WEAK)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from qccs import context, linalg
 from qccs.context import (
-    DuplicateVar, NotDensity, NotUnitary, QContext, TraceMismatch, UnknownVar,
-    apply_unitary, context_equal, extend_with_input, make_context, measure,
+    DuplicateVar, InvalidObservable, NotDensity, NotUnitary, QContext, TraceMismatch,
+    UnknownVar, apply_unitary, context_equal, extend_with_input, make_context, measure,
     new_qubit,
 )
 from qccs.linalg import (
@@ -157,6 +158,51 @@ class TestMeasure:
             base = [m for e, m in OBS_M01.outcomes if e == ev][0]
             proj = lift_oracle(base, [1], 2)
             assert abs(p - np.real(np.trace(proj @ ctx.rho))) < 1e-9
+
+    def _count_validations(self, monkeypatch) -> list:
+        calls = []
+        validate = linalg.validate_observable
+        monkeypatch.setattr(context, "_observable_problems", {})
+        monkeypatch.setattr(linalg, "validate_observable",
+                            lambda obs, dim: calls.append(obs.name) or validate(obs, dim))
+        return calls
+
+    def test_observable_validated_once(self, monkeypatch):
+        calls = self._count_validations(monkeypatch)
+        ctx = make_context(("a", "b"), tensor(dm(KET_PLUS), dm(KET_PLUS)))
+        for v in ("a", "b", "a"):
+            assert len(measure(ctx, OBS_M01, [v])) == 2
+        # a copy under another name has the same content digest
+        assert len(measure(ctx, Observable("copy", OBS_M01.outcomes), ["b"])) == 2
+        assert calls == ["M01"]
+
+    def test_bad_observable_raises_on_every_call(self, monkeypatch):
+        calls = self._count_validations(monkeypatch)
+        bad = Observable("bad", ((0.0, dm(KET0)), (1.0, dm(KET_PLUS))))
+        ctx = make_context(("q",), dm(KET0))
+        for _ in range(3):
+            with pytest.raises(InvalidObservable, match="bad: .*orthogonal"):
+                measure(ctx, bad, ["q"])
+        assert calls == ["bad"]
+
+
+class TestCell:
+    def test_invariant_under_reordering(self):
+        rng = np.random.default_rng(11)
+        names = ("c", "a", "b")
+        for _ in range(10):
+            rho = random_density(rng, 3)
+            base = QContext(names, rho)
+            for perm in ([0, 2, 1], [1, 0, 2], [2, 1, 0], [1, 2, 0]):
+                moved = QContext(tuple(names[k] for k in perm), ptrace_oracle(rho, perm))
+                # the same diagonal in sorted-name order, entry for entry
+                assert moved.cell == base.cell
+
+    def test_empty_and_basis_states(self):
+        assert QContext((), np.eye(1, dtype=complex)).cell == int(1 / (2 * 1e-9))
+        # |k><k| in sorted order has f = k + 1: far apart cells
+        cells = {make_context(("b", "a"), dm(np.eye(4)[k])).cell for k in range(4)}
+        assert len(cells) == 4
 
 
 class TestContextEqual:

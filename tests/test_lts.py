@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qccs import linalg
-from qccs.context import context_equal, make_context
+from qccs.bisim import strong_bisim
+from qccs.context import SCAN_LIMIT, ContextIndex, QContext, context_equal, make_context
 from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, dm, tensor
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
@@ -19,7 +20,7 @@ from qccs.syntax import (
     WellformednessError,
 )
 
-from helpers import lift_oracle
+from helpers import lift_oracle, ptrace_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -295,6 +296,158 @@ class TestDistributionAlgebra:
             Distribution([(cfg(Nil()), 0.5)])
 
 
+def random_density(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return dm(v / np.linalg.norm(v))
+
+
+def diag_context(a: float) -> QContext:
+    """The one-qubit state diag(a, 1 - a), unvalidated."""
+    return QContext(("q",), np.diag([a, 1.0 - a]).astype(complex))
+
+
+def reference_intern(configs) -> list:
+    """Node id of each configuration under the pairwise rule: the lowest
+    earlier node with the same key and a context within ATOL, else a new one."""
+    nodes, ids = [], []
+    for c in configs:
+        j = next((j for j, n in enumerate(nodes)
+                  if n.key == c.key and context_equal(n.context, c.context)), None)
+        if j is None:
+            j = len(nodes)
+            nodes.append(c)
+        ids.append(j)
+    return ids
+
+
+def reference_approx_equal(d1, d2) -> bool:
+    """Distribution.approx_equal by a scan of every pair."""
+    if len(d1) != len(d2):
+        return False
+    used = set()
+    for c, p in d1.items():
+        for j, (d, q) in enumerate(d2.items()):
+            if (j not in used and abs(p - q) <= linalg.ATOL and c.key == d.key
+                    and context_equal(c.context, d.context)):
+                used.add(j)
+                break
+        else:
+            return False
+    return True
+
+
+class TestStateIndex:
+    def test_merge_across_a_cell_edge(self):
+        # f = a + 2 (1 - a) = 2 - a and the cell width is 6 ATOL: put a just
+        # inside a cell edge and b 0.5 ATOL away, just outside it
+        w = 6 * linalg.ATOL
+        a = 2.0 - (round(1.5 / w) * w - 0.25 * linalg.ATOL)
+        near, far = diag_context(a), diag_context(a - 0.5 * linalg.ATOL)
+        assert near.cell + 1 == far.cell and context_equal(near, far)
+        # distant states fill the group past SCAN_LIMIT, so lookups go by cell
+        fillers = [diag_context(k / 10) for k in range(SCAN_LIMIT)]
+        index = ContextIndex()
+        for ctx in fillers:
+            index.add("k", ctx)
+        assert index.add("k", near) == SCAN_LIMIT
+        assert index.find("k", far) == SCAN_LIMIT
+        # the same through Distribution and exploration
+        configs = [Configuration(Nil(), c) for c in (*fillers, near, far)]
+        assert len(Distribution([(c, 1 / len(configs)) for c in configs])) == SCAN_LIMIT + 1
+        assert build_lts(configs).initial == (*range(SCAN_LIMIT + 1), SCAN_LIMIT)
+
+    @pytest.mark.parametrize("fill", [0, SCAN_LIMIT])
+    def test_chain_merges_into_lowest_id(self, fill):
+        # A ~ B and B ~ C within ATOL, but A and C are 1.2 ATOL apart; `fill`
+        # distant states first make the lookups go by cell
+        a, b, c = (diag_context(0.5 + k * 0.6 * linalg.ATOL) for k in range(3))
+        assert context_equal(a, b) and context_equal(b, c) and not context_equal(a, c)
+        fillers = [Configuration(Nil(), diag_context(k / 10)) for k in range(fill)]
+        for first, second in ((a, c), (c, a)):
+            configs = fillers + [Configuration(Nil(), x) for x in (first, second, b)]
+            graph = build_lts(configs)
+            assert graph.initial[fill:] == (fill, fill + 1, fill)
+            assert graph.nodes[fill].context is first
+            assert graph.find(configs[-1]) == fill
+            merged = Distribution([(x, 1 / len(configs)) for x in configs]).items()
+            assert [(x.context, round(p * len(configs))) for x, p in merged[fill:]] == [
+                (first, 2), (second, 1)]
+
+    def test_stuck_grouping_takes_lowest_head(self):
+        # three stuck nodes, the last within ATOL of both others: it joins the
+        # first one's block, so it is strongly bisimilar to it and not to C
+        a, b, c = (diag_context(0.5 + k * 0.6 * linalg.ATOL) for k in range(3))
+        never = If(Cmp("=", Const(0.0), Const(1.0)), Nil())
+        graph = build_lts([Configuration(Nil(), a), Configuration(Nil(), c),
+                           Configuration(never, b)])
+        assert graph.node_count == 3
+        assert strong_bisim(graph, 0, 2).equivalent
+        assert not strong_bisim(graph, 1, 2).equivalent
+        assert not strong_bisim(graph, 0, 1).equivalent
+
+    def test_agrees_with_pairwise_reference(self):
+        rng = np.random.default_rng(17)
+        names = ("a", "b", "c")
+        perms = ([0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 2, 1])
+        terms = (Nil(), If(Cmp("=", Const(0.0), Const(1.0)), Nil()))
+        tol = linalg.ATOL
+        for trial in range(6):
+            bases = [random_density(rng, 3) for _ in range(4)]
+            bases.append(np.diag(np.eye(8)[int(rng.integers(8))]).astype(complex))
+            configs, must, must_not = [], 0, 0
+            for rho in bases:
+                for scale in (0.0, 0.4, 3.0):
+                    # a shift of the whole diagonal moves f by scale * w / 2
+                    delta = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
+                    delta *= scale * tol / np.abs(delta).max()
+                    np.fill_diagonal(delta, rng.choice([-1, 1]) * scale * tol)
+                    perm = perms[int(rng.integers(len(perms)))]
+                    ctx = QContext(tuple(names[k] for k in perm),
+                                   ptrace_oracle(rho + delta, perm))
+                    term = terms[int(rng.integers(2))] if scale else terms[0]
+                    configs.append(Configuration(term, ctx))
+                    close = context_equal(ctx, QContext(names, rho))
+                    must += scale == 0.4 and close
+                    must_not += scale == 3.0 and not close
+            assert must == len(bases) and must_not == len(bases)
+            order = rng.permutation(len(configs))
+            configs = [configs[k] for k in order]
+            ids = reference_intern(configs)
+            graph = build_lts(configs)
+            assert list(graph.initial) == ids
+            assert [graph.find(c) for c in configs] == ids
+            weights = rng.dirichlet(np.ones(len(configs)))
+            merged = Distribution(list(zip(configs, weights))).items()
+            expected: dict = {}
+            for c, j, p in zip(configs, ids, weights):
+                expected[j] = expected.get(j, 0.0) + p
+            assert [graph.find(c) for c, _ in merged] == list(expected)
+            np.testing.assert_allclose([p for _, p in merged], list(expected.values()))
+            # approx_equal against a scan, on a reordering and on a reweighting
+            dist = Distribution(list(zip(configs, weights)))
+            for other in (Distribution(list(zip(configs[::-1], weights[::-1]))),
+                          Distribution(list(zip(configs, weights[::-1])))):
+                assert dist.approx_equal(other) == reference_approx_equal(dist, other)
+            assert dist.approx_equal(Distribution(list(zip(configs[::-1], weights[::-1]))))
+
+    def test_exploration_independent_of_root_order(self):
+        from qccs.demo import build_teleport, build_weak_example
+
+        roots = [build_teleport(1.0, 0.0), build_weak_example(),
+                 build_teleport(0.6, 0.8), build_teleport(1.0, 0.0)]
+        reference = build_lts(roots)
+        for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+            graph = build_lts([roots[k] for k in order])
+            assert graph.node_count == reference.node_count
+            to_ref = [reference.find(n) for n in graph.nodes]
+            assert sorted(to_ref) == list(range(reference.node_count))
+            assert [to_ref[graph.initial[k]] for k in range(4)] == [
+                reference.initial[k] for k in order]
+            for i, edges in enumerate(graph.edges):
+                mapped = {(a, tuple(sorted((to_ref[j], p) for j, p in t))) for a, t in edges}
+                assert mapped == set(reference.edges[to_ref[i]])
+
+
 class TestExploration:
     def test_nil_single_node(self):
         graph = build_lts(cfg(Nil()))
@@ -334,12 +487,22 @@ class TestExploration:
         with pytest.raises(BoundExceeded) as err:
             build_lts(build_teleport(1.0, 0.0), max_nodes=3)
         assert err.value.which == "max_nodes"
+        assert (err.value.nodes, err.value.depth, err.value.queued) == (3, 2, 0)
+
+    def test_max_nodes_bound_reports_queue(self):
+        # the root's first successor is queued when its second hits the bound
+        term = Sum(Unitary(GATE_H, ("q",), Nil()), Unitary(GATE_X, ("q",), Nil()))
+        with pytest.raises(BoundExceeded) as err:
+            build_lts(cfg(term, ("q",), dm(KET0)), max_nodes=2)
+        assert (err.value.nodes, err.value.depth, err.value.queued) == (2, 0, 1)
+        assert str(err.value) == "exploration exceeded max_nodes=2 (2 nodes, depth 0, 1 queued)"
 
     def test_max_depth_bound(self):
         term = Unitary(GATE_H, ("q",), Unitary(GATE_H, ("q",), Unitary(GATE_H, ("q",), Nil())))
         with pytest.raises(BoundExceeded) as err:
             build_lts(cfg(term, ("q",), dm(KET0)), max_depth=1)
         assert err.value.which == "max_depth"
+        assert (err.value.nodes, err.value.depth, err.value.queued) == (2, 1, 0)
 
     def test_qcom_edges_preserve_context(self):
         # every synchronisation edge keeps the context of its source
