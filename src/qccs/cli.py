@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import bisim as bisim_mod
 from . import demo as demo_mod
 from . import laws as laws_mod
@@ -23,7 +21,7 @@ from . import lp
 from .frontend import (
     ElaborationError, ParseError, Parser, elaborate, parse, pretty_print, tokenize,
 )
-from .linalg import ATOL
+from .linalg import ATOL, factor_diagonal
 from .lts import (
     InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
@@ -173,7 +171,7 @@ def cmd_run(args) -> int:
                     "term": pretty_print(c.process),
                     "vars": list(c.context.vars),
                     "prob": p,
-                    "rho_diag": [float(x) for x in np.real(np.diag(c.context.rho))],
+                    "rho_diag": factor_diagonal(c.context.factor).tolist(),
                 }
                 for c, p in trace.final
             ],

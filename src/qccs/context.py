@@ -1,8 +1,11 @@
 """Quantum contexts: an ordered tuple of qubit names plus their joint state.
 
-All operations return fresh values; a context is never mutated.  The empty
-context is the 1x1 matrix [[1]], so allocating into nothing needs no special
-case.
+The state is held as a factor: a 2^n x r array K with rho = K K^dag, which
+every state the system creates keeps at low rank (r = 1 for pure states).
+Operations act on K; rho itself is built only for output and for the rare
+comparison that the diagonals cannot settle.  All operations return fresh
+values; a context is never mutated.  The empty context is the 1x1 factor
+[[1]], so allocating into nothing needs no special case.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import ATOL, Observable, apply_operator, partial_trace
+from .linalg import ATOL, Observable, apply_to_factor
 
 # outcomes this unlikely are rounding error: dropped, not renormalised
 PROB_CUTOFF = 1e-12
@@ -50,17 +53,26 @@ class InvalidObservable(ContextError):
 
 @dataclass(frozen=True, eq=False)
 class QContext:
+    """Qubit names and a 2^n x r factor K of their state rho = K K^dag.
+
+    Build one from a density matrix with make_context.
+    """
+
     vars: tuple
-    rho: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise DuplicateVar(f"duplicate variable in {self.vars}")
-        dim = 2 ** len(self.vars)
-        if self.rho.shape != (dim, dim):
+        if self.factor.ndim != 2 or self.factor.shape[0] != 2 ** len(self.vars):
             raise ContextError(
-                f"state of shape {self.rho.shape} does not fit {len(self.vars)} qubits"
+                f"factor of shape {self.factor.shape} does not fit {len(self.vars)} qubits"
             )
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The density matrix K K^dag, built afresh on every access."""
+        return self.factor @ self.factor.conj().T
 
     @property
     def size(self) -> int:
@@ -74,7 +86,7 @@ class QContext:
 
     def reduced(self, keep_vars) -> np.ndarray:
         """State of the named qubits, in the given order."""
-        return partial_trace(self.rho, [self.index(v) for v in keep_vars])
+        return linalg.reduce_factor(self.factor, [self.index(v) for v in keep_vars])
 
     @cached_property
     def names(self) -> tuple:
@@ -82,21 +94,21 @@ class QContext:
         return tuple(sorted(self.vars))
 
     @cached_property
+    def diag(self) -> np.ndarray:
+        """diag(rho) with the qubits in sorted-name order: the squared row
+        norms of K with its rows in that order."""
+        return linalg.factor_diagonal(self.factor, [self.vars.index(v) for v in self.names])
+
+    @cached_property
     def cell(self) -> int:
-        """floor(f / w), where f = sum_i (i+1) Re rho_ii over the diagonal
-        reordered to sorted-name order and w = 2 ATOL sum_i (i+1).
+        """floor(f / w), where f = sum_i (i+1) diag_i and w = 2 ATOL sum_i (i+1).
 
         context_equal bounds each diagonal entry's change by ATOL, so it
         changes f by at most w/2: contexts it accepts lie in the same cell or
         in adjacent ones.
         """
-        n = len(self.vars)
-        diag = np.real(np.diagonal(self.rho))
-        if n > 1:
-            order = sorted(range(n), key=self.vars.__getitem__)
-            diag = diag.reshape([2] * n).transpose(order).reshape(-1)
-        d = diag.size
-        f = float(np.arange(1, d + 1) @ diag)
+        d = self.diag.size
+        f = float(np.arange(1, d + 1) @ self.diag)
         return math.floor(f / (ATOL * d * (d + 1)))
 
     def __str__(self) -> str:
@@ -134,39 +146,55 @@ def format_state(rho: np.ndarray) -> str:
     return f"mixed[diag: {diag}]"
 
 
+def _factor(rho, what: str) -> np.ndarray:
+    k = linalg.factor_density(rho)
+    if k is None:
+        raise NotDensity(f"{what} is not a density matrix (trace 1, Hermitian, PSD)")
+    return k
+
+
 def make_context(vars, rho) -> QContext:
-    """Validated constructor: rho must be a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if not linalg.is_density_matrix(rho):
-        raise NotDensity("state is not a density matrix (trace 1, Hermitian, PSD)")
-    return QContext(tuple(vars), rho)
+    """Validated constructor: rho must be a density matrix of the named qubits."""
+    vars, rho = tuple(vars), np.asarray(rho, dtype=complex)
+    k = _factor(rho, "state")
+    dim = 2 ** len(vars)
+    if rho.shape != (dim, dim):
+        raise ContextError(f"state of shape {rho.shape} does not fit {len(vars)} qubits")
+    return QContext(vars, k)
 
 
 def new_qubit(ctx: QContext, r: str) -> QContext:
-    """Allocate a fresh qubit in |0><0|, prepended to the variable list."""
+    """Allocate a fresh qubit in |0><0|, prepended to the variable list:
+    |0> (x) K is K stacked over zeros."""
     if r in ctx.vars:
         raise DuplicateVar(f"{r} is already in the context")
-    return QContext((r,) + ctx.vars, linalg.tensor(linalg.dm(linalg.KET0), ctx.rho))
+    k = ctx.factor
+    return QContext((r,) + ctx.vars, np.concatenate([k, np.zeros_like(k)]))
 
 
 def extend_with_input(ctx: QContext, r: str, sigma) -> QContext:
-    """Extend the context with an input qubit r whose joint state is sigma.
+    """Extend the context with an input qubit r, prepended to the variables.
 
-    sigma must restrict to the current state once r is traced out; this is
-    what keeps an input from disturbing the systems already present.
+    A 2x2 sigma is the input's own state, joining the context as a product:
+    the factor is the Kronecker product of sigma's factor and K, of rank at
+    most 2 r <= 2^(n+1), so it never needs re-factoring.  Otherwise sigma is
+    the joint state of r and the context, and must restrict to the current
+    state once r is traced out; this is what keeps an input from disturbing
+    the systems already present.
     """
     if r in ctx.vars:
         raise DuplicateVar(f"{r} is already in the context")
     sigma = np.asarray(sigma, dtype=complex)
-    n = ctx.size + 1
-    if sigma.shape != (2**n, 2**n):
-        raise ContextError(f"extension state must cover {n} qubits")
-    if not linalg.is_density_matrix(sigma):
-        raise NotDensity("extension state is not a density matrix")
-    rest = partial_trace(sigma, range(1, n))
-    if not linalg.approx_equal(rest, ctx.rho):
+    extended = (r,) + ctx.vars
+    if sigma.shape == (2, 2):
+        return QContext(extended, np.kron(_factor(sigma, "input state"), ctx.factor))
+    dim = 2 ** len(extended)
+    if sigma.shape != (dim, dim):
+        raise ContextError(f"extension state must cover 1 or {len(extended)} qubits")
+    joint = QContext(extended, _factor(sigma, "extension state"))
+    if not linalg.approx_equal(joint.reduced(ctx.vars), ctx.rho):
         raise TraceMismatch("tracing out the input qubit does not recover the old state")
-    return QContext((r,) + ctx.vars, sigma)
+    return joint
 
 
 def apply_unitary(ctx: QContext, u, rvars) -> QContext:
@@ -174,7 +202,7 @@ def apply_unitary(ctx: QContext, u, rvars) -> QContext:
     if not linalg.is_unitary(u):
         raise NotUnitary("operator is not unitary")
     positions = [ctx.index(v) for v in rvars]
-    return QContext(ctx.vars, apply_operator(u, ctx.rho, positions))
+    return QContext(ctx.vars, apply_to_factor(u, ctx.factor, positions))
 
 
 # validate_observable's findings by (content digest, dimension): an
@@ -186,8 +214,8 @@ def measure(ctx: QContext, obs: Observable, rvars) -> list:
     """Project with each outcome of obs on the named qubits.
 
     Returns (eigenvalue, probability, post-context) triples for the outcomes
-    with nonzero probability; probabilities are Tr(P rho P) and the
-    post-states are the renormalised projections P rho P / p.
+    with nonzero probability; probabilities are Tr(P rho P) = ||P K||_F^2
+    and the post-states have the renormalised factors P K / sqrt(p).
     """
     positions = [ctx.index(v) for v in rvars]
     dim = 2 ** len(positions)
@@ -198,11 +226,11 @@ def measure(ctx: QContext, obs: Observable, rvars) -> list:
         raise InvalidObservable(f"observable {obs.name}: {', '.join(problems)}")
     results = []
     for eigenvalue, projector in obs.outcomes:
-        projected = apply_operator(projector, ctx.rho, positions)
-        p = float(np.real(linalg.trace(projected)))
+        projected = apply_to_factor(projector, ctx.factor, positions)
+        p = float(np.vdot(projected, projected).real)
         if p <= PROB_CUTOFF:
             continue
-        results.append((float(eigenvalue), p, QContext(ctx.vars, projected / p)))
+        results.append((float(eigenvalue), p, QContext(ctx.vars, projected / math.sqrt(p))))
     return results
 
 
@@ -210,9 +238,15 @@ def context_equal(c1: QContext, c2: QContext) -> bool:
     """Equality up to reordering of the qubit tuple.
 
     The variable name sets must agree; c1's state is reordered to c2's
-    variable order before the entrywise comparison.
+    variable order before the entrywise comparison.  A pair whose diagonals
+    (in sorted-name order) differ by more than ATOL in some entry fails that
+    comparison, so it is rejected before either rho is built.
     """
-    if set(c1.vars) != set(c2.vars):
+    if c1 is c2:
+        return True
+    if c1.names != c2.names:
+        return False
+    if np.abs(c1.diag - c2.diag).max() > ATOL:
         return False
     if c1.vars == c2.vars:
         return linalg.approx_equal(c1.rho, c2.rho)

@@ -1,9 +1,11 @@
-"""Dense complex-matrix kernel for few-qubit quantum states.
+"""Complex-matrix kernel for few-qubit quantum states.
 
-Everything operates on square numpy arrays of dtype complex whose dimension
-is a power of two.  Qubit index 0 is the leftmost tensor factor (the most
-significant bit of a basis index), so the basis state |b0 b1 ... b{n-1}>
-has index b0*2^(n-1) + ... + b{n-1}.
+States are held as factors: a 2^n x r array K of dtype complex stands for
+the density matrix rho = K K^dag, and every state operation acts on the rows
+of K.  Gates, observables and density matrices are square arrays whose
+dimension is a power of two.  Qubit index 0 is the leftmost tensor factor
+(the most significant bit of a basis index), so the basis state
+|b0 b1 ... b{n-1}> has index b0*2^(n-1) + ... + b{n-1}.
 """
 
 from __future__ import annotations
@@ -89,63 +91,78 @@ def is_unitary(a) -> bool:
     return approx_equal(a @ dagger(a), np.eye(a.shape[0]))
 
 
-def is_density_matrix(rho) -> bool:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] != rho.shape[1]:
-        return False
-    if abs(trace(rho) - 1.0) > ATOL:
-        return False
-    if not is_hermitian(rho):
-        return False
-    return float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2))) >= -ATOL
+# Eigenvalues at most this large are dropped when a density matrix is
+# factored: rounding noise on the zero eigenvalues of a low-rank state, far
+# below ATOL, so that a pure state keeps one column.
+RANK_CUTOFF = 1e-14
 
 
-def partial_trace(rho, keep) -> np.ndarray:
-    """Trace out all qubits not in `keep`, preserving the order of the kept ones.
+def factor_density(rho) -> np.ndarray | None:
+    """A 2^n x r factor K with rho = K K^dag, or None if rho is not a density
+    matrix (trace 1, Hermitian and PSD, each within ATOL).
 
-    `keep` is a collection of qubit indices into the tensor factors of rho.
+    One eigh of the Hermitian part both validates and factors: K holds the
+    columns sqrt(lam) v of the eigenpairs with lam > RANK_CUTOFF.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = qubit_count(rho.shape[0])
-    if rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch("partial trace of a non-square matrix")
-    keep = list(keep)
-    if len(set(keep)) != len(keep):
-        raise BadIndex(f"duplicate qubit index in {keep}")
-    if any(k < 0 or k >= n for k in keep):
-        raise BadIndex(f"qubit index out of range in {keep} (n={n})")
-    order = keep + [i for i in range(n) if i not in keep]
-    dk, dd = 2 ** len(keep), 2 ** (n - len(keep))
-    t = rho.reshape([2] * (2 * n)).transpose(order + [n + i for i in order])
-    return np.trace(t.reshape(dk, dd, dk, dd), axis1=1, axis2=3)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        return None
+    if abs(trace(rho) - 1.0) > ATOL or not is_hermitian(rho):
+        return None
+    evals, evecs = np.linalg.eigh((rho + dagger(rho)) / 2)
+    if evals[0] < -ATOL:
+        return None
+    keep = evals > RANK_CUTOFF
+    return evecs[:, keep] * np.sqrt(evals[keep])
 
 
-def apply_operator(op, rho, positions) -> np.ndarray:
-    """op rho op^dag, with the k-qubit op acting on the listed qubits of the
-    n-qubit state rho (in listed order) and as the identity elsewhere.
-
-    The axes of rho reshaped to [2]*2n are permuted so the listed qubits come
-    first among the rows and among the columns; op then contracts the leading
-    row axes and conj(op) the leading column axes, and the permutation is
-    undone: O(4^n 2^k) work, with no 2^n x 2^n lift of op.
-    """
-    op = np.asarray(op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    k = qubit_count(op.shape[0])
-    n = qubit_count(rho.shape[0])
+def _rows_first(k: np.ndarray, positions) -> tuple:
+    """The rows of the 2^n x r factor k as a tensor with the listed qubits'
+    axes first (in listed order), the other qubits next and r last, plus the
+    axis order that gives it."""
+    n = qubit_count(k.shape[0])
     positions = list(positions)
-    if len(positions) != k:
-        raise DimensionMismatch(f"{k}-qubit operator applied to {len(positions)} positions")
     if len(set(positions)) != len(positions):
         raise DuplicatePosition(f"duplicate positions in {positions}")
     if any(p < 0 or p >= n for p in positions):
         raise BadIndex(f"position out of range in {positions} (n={n})")
-    order = positions + [i for i in range(n) if i not in positions]
-    axes = order + [n + i for i in order]
-    dk, dr = 2**k, 2 ** (n - k)
-    t = rho.reshape([2] * (2 * n)).transpose(axes).reshape(dk, dr * dk * dr)
-    t = op.conj() @ (op @ t).reshape(dk * dr, dk, dr)
-    return t.reshape([2] * (2 * n)).transpose(np.argsort(axes)).reshape(rho.shape)
+    order = positions + [i for i in range(n) if i not in positions] + [n]
+    return k.reshape([2] * n + [k.shape[1]]).transpose(order), order
+
+
+def apply_to_factor(op, k: np.ndarray, positions) -> np.ndarray:
+    """op K, with the m-qubit op acting on the listed qubits of the rows of
+    the 2^n x r factor K (in listed order) and as the identity elsewhere.
+
+    op contracts the leading axes of _rows_first and the permutation is
+    undone: O(2^n r 2^m) work, on the rows only.
+    """
+    op = np.asarray(op, dtype=complex)
+    m = qubit_count(op.shape[0])
+    positions = list(positions)
+    if len(positions) != m:
+        raise DimensionMismatch(f"{m}-qubit operator applied to {len(positions)} positions")
+    t, order = _rows_first(k, positions)
+    t = (op @ t.reshape(2**m, -1)).reshape(t.shape)
+    return t.transpose(np.argsort(order)).reshape(k.shape)
+
+
+def reduce_factor(k: np.ndarray, keep) -> np.ndarray:
+    """Tr_rest(K K^dag): the density matrix of the listed qubits of the
+    factor K, in listed order.  K reshaped to (d_keep, d_rest r) is a factor
+    of it."""
+    t, _ = _rows_first(k, keep)
+    kp = t.reshape(2 ** len(keep), -1)
+    return kp @ dagger(kp)
+
+
+def factor_diagonal(k: np.ndarray, order=None) -> np.ndarray:
+    """diag(K K^dag): the squared row norms of K.  `order`, a permutation
+    of all qubit positions, first reorders the rows so that the diagonal is
+    indexed by the qubits in that order."""
+    if order is not None:
+        k = _rows_first(k, order)[0].reshape(k.shape)
+    return (k.real**2 + k.imag**2).sum(axis=1)
 
 
 def _digest(*arrays) -> str:

@@ -491,8 +491,7 @@ def transitions(
         else:
             r = fresh(config.context, s.hint)
             for _, single in policy.quantum_recipes:
-                sigma = linalg.tensor(single, config.context.rho)
-                extended = QContext((r,) + config.context.vars, sigma)
+                extended = ctxmod.extend_with_input(config.context, r, single)
                 result.append((QIn(s.chan, r),
                                Distribution.point(Configuration(s.cont(r), extended))))
 
@@ -796,7 +795,7 @@ def run_trace(
 
 
 def _complex_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def lts_to_json(lts: Lts) -> dict:

@@ -1,6 +1,8 @@
 """Shared test oracles, written independently of the code under test.
 
-The partial-trace/lift oracles manipulate indices directly; the free-variable
+The partial-trace/lift oracles manipulate indices directly; the dense
+partial trace and operator application are the density-matrix references
+for the factored state kernel; the free-variable
 oracle re-states the defining clauses; the brute-force bisimilarity oracle
 enumerates every equivalence relation and decides hull membership with exact
 rational arithmetic; the reference refinement loop solves every matching
@@ -77,6 +79,35 @@ def lift_oracle(op: np.ndarray, positions, n: int) -> np.ndarray:
                 oj = (oj << 1) | jbits[p]
             out[big_i, big_j] = op[oi, oj]
     return out
+
+
+# -- dense references: the density-matrix forms of the factor kernel --
+
+
+def partial_trace(rho, keep) -> np.ndarray:
+    """Trace out all qubits of rho not in `keep`, keeping the listed order."""
+    rho = np.asarray(rho, dtype=complex)
+    n = int(np.log2(rho.shape[0]))
+    keep = list(keep)
+    order = keep + [i for i in range(n) if i not in keep]
+    dk, dd = 2 ** len(keep), 2 ** (n - len(keep))
+    t = rho.reshape([2] * (2 * n)).transpose(order + [n + i for i in order])
+    return np.trace(t.reshape(dk, dd, dk, dd), axis1=1, axis2=3)
+
+
+def apply_operator(op, rho, positions) -> np.ndarray:
+    """op rho op^dag, with the k-qubit op on the listed qubits of rho: the
+    listed row and column axes are moved first, contracted, and moved back."""
+    op = np.asarray(op, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    k, n = int(np.log2(op.shape[0])), int(np.log2(rho.shape[0]))
+    positions = list(positions)
+    order = positions + [i for i in range(n) if i not in positions]
+    axes = order + [n + i for i in order]
+    dk, dr = 2**k, 2 ** (n - k)
+    t = rho.reshape([2] * (2 * n)).transpose(axes).reshape(dk, dr * dk * dr)
+    t = op.conj() @ (op @ t).reshape(dk * dr, dk, dr)
+    return t.reshape([2] * (2 * n)).transpose(np.argsort(axes)).reshape(rho.shape)
 
 
 # -- free quantum variables, restated clause by clause --

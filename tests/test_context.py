@@ -5,15 +5,16 @@ import pytest
 
 from qccs import context, linalg
 from qccs.context import (
-    DuplicateVar, InvalidObservable, NotDensity, NotUnitary, QContext, TraceMismatch,
+    ContextError, DuplicateVar, InvalidObservable, NotDensity, NotUnitary, TraceMismatch,
     UnknownVar, apply_unitary, context_equal, extend_with_input, make_context, measure,
     new_qubit,
 )
 from qccs.linalg import (
-    CNOT_MAT, H_MAT, I2, KET0, KET1, KET_PLUS, OBS_M01, Observable, dm, tensor,
+    ATOL, CNOT_MAT, H_MAT, I2, KET0, KET1, KET_MINUS, KET_PLUS, OBS_M01, OBS_MPM,
+    Observable, computational_observable, dm, tensor,
 )
 
-from helpers import lift_oracle, ptrace_oracle
+from helpers import apply_operator, lift_oracle, partial_trace, ptrace_oracle
 
 EPR = dm(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -47,6 +48,16 @@ class TestAllocation:
         ctx = make_context(("q",), dm(KET0))
         with pytest.raises(DuplicateVar):
             new_qubit(ctx, "q")
+
+
+class TestMakeContext:
+    def test_state_of_wrong_dimension(self):
+        with pytest.raises(ContextError, match=r"^state of shape \(4, 4\) does not fit 1 qubits$"):
+            make_context(("q",), EPR)
+
+    def test_density_checked_before_dimension(self):
+        with pytest.raises(NotDensity, match="^state is not a density matrix"):
+            make_context(("q",), 2 * EPR)
 
 
 class TestInputExtension:
@@ -192,14 +203,14 @@ class TestCell:
         names = ("c", "a", "b")
         for _ in range(10):
             rho = random_density(rng, 3)
-            base = QContext(names, rho)
+            base = make_context(names, rho)
             for perm in ([0, 2, 1], [1, 0, 2], [2, 1, 0], [1, 2, 0]):
-                moved = QContext(tuple(names[k] for k in perm), ptrace_oracle(rho, perm))
+                moved = make_context(tuple(names[k] for k in perm), ptrace_oracle(rho, perm))
                 # the same diagonal in sorted-name order, entry for entry
                 assert moved.cell == base.cell
 
     def test_empty_and_basis_states(self):
-        assert QContext((), np.eye(1, dtype=complex)).cell == int(1 / (2 * 1e-9))
+        assert make_context((), np.eye(1, dtype=complex)).cell == int(1 / (2 * 1e-9))
         # |k><k| in sorted order has f = k + 1: far apart cells
         cells = {make_context(("b", "a"), dm(np.eye(4)[k])).cell for k in range(4)}
         assert len(cells) == 4
@@ -235,7 +246,7 @@ class TestContextEqual:
             ctxs = []
             for o in orders:
                 perm = [("a", "b").index(v) for v in o]
-                ctxs.append(QContext(o, ptrace_oracle(rho, perm)))
+                ctxs.append(make_context(o, ptrace_oracle(rho, perm)))
             c1, c2 = ctxs
             assert context_equal(c1, c1)                      # reflexive
             assert context_equal(c1, c2) == context_equal(c2, c1)  # symmetric
@@ -245,3 +256,159 @@ class TestContextEqual:
         c1 = make_context(("q", "r"), EPR)
         c2 = make_context(("r", "q"), EPR)  # EPR is swap-symmetric
         assert context_equal(c1, c2)
+
+
+def random_mixed(rng, n, rank):
+    """A random n-qubit state mixing `rank` random pure states."""
+    weights = rng.dirichlet(np.ones(rank))
+    return sum(w * random_density(rng, n) for w in weights)
+
+
+def random_unitary(rng, k):
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_cell(names, rho) -> int:
+    """QContext.cell computed from rho reordered to sorted-name order."""
+    d = np.real(np.diag(partial_trace(rho, sorted(range(len(names)), key=names.__getitem__))))
+    f = float(np.arange(1, d.size + 1) @ d)
+    return int(np.floor(f / (ATOL * d.size * (d.size + 1))))
+
+
+def random_cases(seed, count=40):
+    """(names, rho, ctx, rng): seeded states of rank 1-3 on 1-4 qubits, over
+    permuted name orders."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        names = tuple(str(v) for v in rng.permutation(["a", "b", "c", "d"][:n]))
+        rho = random_mixed(rng, n, int(rng.integers(1, 4)))
+        yield names, rho, make_context(names, rho), rng
+
+
+def pick(rng, names, most):
+    """A random ordered selection of 1 to `most` of the names."""
+    k = int(rng.integers(1, min(len(names), most) + 1))
+    return [str(v) for v in rng.choice(names, size=k, replace=False)]
+
+
+class TestFactoredAgainstDense:
+    """Each operation on the factor K against the same operation on rho = K K^dag."""
+
+    def test_unitary(self):
+        for names, rho, ctx, rng in random_cases(30):
+            rvars = pick(rng, names, 2)
+            u = random_unitary(rng, len(rvars))
+            want = apply_operator(u, rho, [names.index(v) for v in rvars])
+            np.testing.assert_allclose(apply_unitary(ctx, u, rvars).rho, want, atol=1e-12)
+
+    def test_measure(self):
+        for names, rho, ctx, rng in random_cases(31):
+            rvars = pick(rng, names, 2)
+            obs = (OBS_MPM if len(rvars) == 1 and rng.integers(2)
+                   else computational_observable(len(rvars)))
+            positions = [names.index(v) for v in rvars]
+            got = measure(ctx, obs, rvars)
+            want = []
+            for ev, proj in obs.outcomes:
+                projected = apply_operator(proj, rho, positions)
+                p = float(np.real(np.trace(projected)))
+                if p > context.PROB_CUTOFF:
+                    want.append((ev, p, projected / p))
+            assert [ev for ev, _, _ in got] == [ev for ev, _, _ in want]
+            for (_, p, post), (_, q, dense) in zip(got, want):
+                assert abs(p - q) < 1e-12 and post.vars == names
+                np.testing.assert_allclose(post.rho, dense, atol=1e-12)
+
+    def test_new_qubit(self):
+        for names, rho, ctx, _ in random_cases(32):
+            out = new_qubit(ctx, "r")
+            assert out.vars == ("r",) + names
+            np.testing.assert_allclose(out.rho, tensor(dm(KET0), rho), atol=1e-12)
+
+    def test_input_extension(self):
+        for names, rho, ctx, rng in random_cases(33):
+            single = random_mixed(rng, 1, int(rng.integers(1, 3)))
+            sigma = tensor(single, rho)
+            product = extend_with_input(ctx, "r", single)
+            joint = extend_with_input(ctx, "r", sigma)
+            for out in (product, joint):
+                assert out.vars == ("r",) + names
+                assert out.factor.shape[1] <= out.factor.shape[0]
+                np.testing.assert_allclose(out.rho, sigma, atol=1e-12)
+
+    def test_reduced(self):
+        for names, rho, ctx, rng in random_cases(34):
+            keep = pick(rng, names, 4)
+            want = partial_trace(rho, [names.index(v) for v in keep])
+            np.testing.assert_allclose(ctx.reduced(keep), want, atol=1e-12)
+
+    def test_diag_and_cell(self):
+        for names, rho, ctx, _ in random_cases(35):
+            # the dense diagonal with the qubits in sorted-name order
+            order = [names.index(v) for v in sorted(names)]
+            want = np.real(np.diag(partial_trace(rho, order)))
+            np.testing.assert_allclose(ctx.diag, want, atol=1e-12)
+            assert ctx.cell == dense_cell(names, rho)
+
+    def test_rank_cutoff(self):
+        assert make_context(("q",), dm(KET0)).factor.shape == (2, 1)
+        # eigenvalues 0.6, 0.4, 0 and -1e-12 in a random basis: the last two
+        # are dropped, so rho moves by about 1e-12
+        u = random_unitary(np.random.default_rng(36), 2)
+        rho = u @ np.diag([0.6 + 1e-12, 0.4, 0.0, -1e-12]) @ u.conj().T
+        ctx = make_context(("a", "b"), rho)
+        assert ctx.factor.shape == (4, 2)
+        np.testing.assert_allclose(ctx.rho, rho, atol=1e-11)
+        with pytest.raises(NotDensity):
+            make_context(("a", "b"), u @ np.diag([0.6 + 2e-9, 0.4, 0.0, -2e-9]) @ u.conj().T)
+
+    def _count_full_comparisons(self, monkeypatch) -> list:
+        calls = []
+        compare = linalg.approx_equal
+        monkeypatch.setattr(linalg, "approx_equal", lambda a, b: calls.append(1) or compare(a, b))
+        return calls
+
+    def test_context_equal_on_perturbed_copies(self, monkeypatch):
+        calls = self._count_full_comparisons(monkeypatch)
+        rng = np.random.default_rng(37)
+        seen = {}
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            names = ("a", "b", "c", "d")[:n]
+            d = 2**n
+            # every eigenvalue is at least 1e-6 / d, so shifts of a few ATOL
+            # leave a density matrix
+            rho = (1 - 1e-6) * random_mixed(rng, n, int(rng.integers(1, 4))) + 1e-6 * np.eye(d) / d
+            base = make_context(names, rho)
+            for scale, where in ((0.4, "all"), (3.0, "diagonal"), (3.0, "off-diagonal")):
+                delta = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+                delta = delta + delta.conj().T
+                np.fill_diagonal(delta, np.real(np.diag(delta)) - np.trace(delta).real / d)
+                if where == "diagonal":
+                    delta = np.diag(np.diag(delta))
+                if where == "off-diagonal":
+                    np.fill_diagonal(delta, 0.0)
+                delta *= scale * ATOL / np.abs(delta).max()
+                perm = [int(k) for k in rng.permutation(n)]
+                moved = make_context(tuple(names[k] for k in perm),
+                                     partial_trace(rho + delta, perm))
+                dense = linalg.approx_equal(rho + delta, rho)
+                calls.clear()
+                got = context_equal(moved, base)
+                assert got == dense == (scale < 1)
+                # only a diagonal beyond ATOL settles a pair before rho is built
+                assert bool(calls) == (where != "diagonal")
+                seen[where] = seen.get(where, 0) + 1
+        assert min(seen.values()) >= 10
+
+    def test_equal_diagonals_reach_full_comparison(self, monkeypatch):
+        calls = self._count_full_comparisons(monkeypatch)
+        plus, minus = make_context(("q",), dm(KET_PLUS)), make_context(("q",), dm(KET_MINUS))
+        np.testing.assert_allclose(plus.diag, minus.diag, atol=1e-15)
+        calls.clear()
+        assert not context_equal(plus, minus)
+        assert len(calls) == 1
+        assert not linalg.approx_equal(plus.rho, minus.rho)

@@ -11,7 +11,7 @@ from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, dm, tenso
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
     InputPolicy, OpenConfiguration, QIn, QOut, StuckError, build_lts,
-    format_action, hint_fresh, lts_to_dot, lts_to_json,
+    _complex_pairs, format_action, hint_fresh, lts_to_dot, lts_to_json,
     run_trace, transitions,
 )
 from qccs.syntax import (
@@ -302,8 +302,8 @@ def random_density(rng, n):
 
 
 def diag_context(a: float) -> QContext:
-    """The one-qubit state diag(a, 1 - a), unvalidated."""
-    return QContext(("q",), np.diag([a, 1.0 - a]).astype(complex))
+    """The one-qubit state diag(a, 1 - a)."""
+    return make_context(("q",), np.diag([a, 1.0 - a]))
 
 
 def reference_intern(configs) -> list:
@@ -391,22 +391,29 @@ class TestStateIndex:
         perms = ([0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 2, 1])
         terms = (Nil(), If(Cmp("=", Const(0.0), Const(1.0)), Nil()))
         tol = linalg.ATOL
+        # every eigenvalue of a base is at least 1e-6 / 8, so a Hermitian,
+        # traceless shift of entries up to 3 ATOL leaves it a density matrix
+        mixed = 1e-6 * np.eye(8) / 8
         for trial in range(6):
-            bases = [random_density(rng, 3) for _ in range(4)]
-            bases.append(np.diag(np.eye(8)[int(rng.integers(8))]).astype(complex))
+            bases = [(1 - 1e-6) * random_density(rng, 3) + mixed for _ in range(4)]
+            bases.append((1 - 1e-6) * np.diag(np.eye(8)[int(rng.integers(8))]) + mixed)
             configs, must, must_not = [], 0, 0
             for rho in bases:
                 for scale in (0.0, 0.4, 3.0):
-                    # a shift of the whole diagonal moves f by scale * w / 2
+                    # the diagonal falls by scale * ATOL in its first half and
+                    # rises in its second (or the reverse): f moves by
+                    # 16 scale ATOL, 4/9 of scale * w / 2
                     delta = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
+                    delta = delta + delta.conj().T
                     delta *= scale * tol / np.abs(delta).max()
-                    np.fill_diagonal(delta, rng.choice([-1, 1]) * scale * tol)
+                    np.fill_diagonal(delta, rng.choice([-1, 1]) * scale * tol
+                                     * np.repeat([-1.0, 1.0], 4))
                     perm = perms[int(rng.integers(len(perms)))]
-                    ctx = QContext(tuple(names[k] for k in perm),
-                                   ptrace_oracle(rho + delta, perm))
+                    ctx = make_context(tuple(names[k] for k in perm),
+                                       ptrace_oracle(rho + delta, perm))
                     term = terms[int(rng.integers(2))] if scale else terms[0]
                     configs.append(Configuration(term, ctx))
-                    close = context_equal(ctx, QContext(names, rho))
+                    close = context_equal(ctx, make_context(names, rho))
                     must += scale == 0.4 and close
                     must_not += scale == 3.0 and not close
             assert must == len(bases) and must_not == len(bases)
@@ -526,6 +533,75 @@ class TestExploration:
             np.testing.assert_allclose(reduced, dm(KET0), atol=1e-9)
 
 
+def _prefixes(body, *prefixes):
+    """body under the prefixes, the first outermost; each prefix is a
+    constructor taking the body last."""
+    for make in reversed(prefixes):
+        body = make(body)
+    return body
+
+
+def _terminal_mass(graph) -> dict:
+    """Probability of ending in each stuck node, for an acyclic graph with
+    at most one edge per node and its edges to higher ids."""
+    mass = {graph.initial[0]: 1.0}
+    for i in range(graph.node_count):
+        assert len(graph.edges[i]) <= 1
+        for _, targets in graph.edges[i]:
+            for j, p in targets:
+                assert j > i
+                mass[j] = mass.get(j, 0.0) + mass.get(i, 0.0) * p
+    return {i: m for i, m in mass.items() if graph.stuck(i)}
+
+
+class TestScale:
+    """Models whose dense states would not fit: a 12-qubit rho is 256 MiB."""
+
+    def test_ghz_12(self):
+        n = 12
+        qs = [f"q{i}" for i in (3, 0, 7, 11, 5, 1, 9, 2, 10, 6, 4, 8)]
+        term = _prefixes(
+            Nil(),
+            *(lambda b, q=q: QbitNew(q, b) for q in sorted(qs)),
+            lambda b: Unitary(GATE_H, (qs[0],), b),
+            *(lambda b, x=x, y=y: Unitary(linalg.GATE_CNOT, (x, y), b)
+              for x, y in zip(qs, qs[1:])),
+            *(lambda b, k=k, q=q: Measure(OBS_M01, (q,), f"x{k}", b)
+              for k, q in enumerate(qs[::-1])),
+        )
+        graph = build_lts(cfg(term))
+        assert graph.node_count == 4 * n + 1
+        mass = _terminal_mass(graph)
+        assert len(mass) == 2
+        ends = set()
+        for i, m in mass.items():
+            assert abs(m - 0.5) < 1e-12
+            ctx = graph.nodes[i].context
+            assert ctx.factor.shape == (2**n, 1)
+            ends.add(int(np.argmax(ctx.diag)))
+            assert abs(ctx.diag.max() - 1.0) < 1e-12
+        assert ends == {0, 2**n - 1}
+
+    def test_fanout_9(self):
+        n = 9
+        qs = [f"q{i}" for i in range(n)]
+        term = _prefixes(
+            Nil(),
+            *(lambda b, q=q: QbitNew(q, b) for q in qs),
+            *(lambda b, q=q: Unitary(GATE_H, (q,), b) for q in qs[::-1]),
+            *(lambda b, k=k, q=q: Measure(OBS_M01, (q,), f"x{k}", b)
+              for k, q in enumerate(qs[1::2] + qs[::2])),
+        )
+        graph = build_lts(cfg(term))
+        assert graph.node_count == 2 ** (n + 1) + 2 * n - 1 == 1041
+        mass = _terminal_mass(graph)
+        assert len(mass) == 2**n
+        assert all(abs(m - 2.0**-n) < 1e-12 for m in mass.values())
+        ends = [graph.nodes[i].context.diag for i in mass]
+        assert all(abs(d.max() - 1.0) < 1e-12 for d in ends)
+        assert {int(np.argmax(d)) for d in ends} == set(range(2**n))
+
+
 class TestCombinedAndLifted:
     def test_combined_transitions_lists_successors(self):
         from qccs.demo import build_choice_example
@@ -613,6 +689,22 @@ class TestExports:
         assert all("term" in n and "rho" in n for n in payload["nodes"])
         probs = [t["prob"] for e in payload["edges"] for t in e["targets"]]
         assert all(0 < p <= 1 for p in probs)
+
+    def test_json_rho_matches_entrywise_encoding(self):
+        # every node's rho prints as [re, im] pairs, entry by entry, to the bit
+        import json
+
+        from qccs.demo import build_teleport
+
+        def entrywise(m):
+            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+        graph = build_lts(build_teleport(0.6, 0.8))
+        for node, out in zip(graph.nodes, lts_to_json(graph)["nodes"]):
+            assert json.dumps(out["rho"]) == json.dumps(entrywise(node.context.rho))
+        signed = np.array([[complex(-0.0, 1.0), complex(0.5, -0.0)],
+                           [complex(1e-300, -2.0), complex(-3.0, 0.0)]])
+        assert json.dumps(_complex_pairs(signed)) == json.dumps(entrywise(signed))
 
     def test_dot_mentions_all_nodes(self):
         from qccs.demo import build_weak_example
@@ -714,11 +806,9 @@ def _prefix_step(term, ctx, policy):
                     out.append((QIn(c, r), [(subst_quantum(b, q, r), ctx, 1.0)]))
             r = "#0" if "#0" not in ctx.vars else "#1"
             for _, single in policy.quantum_recipes:
-                from qccs.context import QContext
-
                 sigma = np.kron(single, ctx.rho)
                 out.append((QIn(c, r),
-                            [(subst_quantum(b, q, r), QContext((r,) + ctx.vars, sigma), 1.0)]))
+                            [(subst_quantum(b, q, r), make_context((r,) + ctx.vars, sigma), 1.0)]))
             return out
         case Unitary(gate=g, qvars=qs, body=b):
             return [(TAU, [(b, apply_unitary(ctx, g.matrix, qs), 1.0)])]
