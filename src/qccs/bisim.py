@@ -9,6 +9,11 @@ for refinement, for witnesses and for `eq`'s strict round.  Refinement asks
 it for verdicts, memoized under keys that hold exactly what the question's
 linear program reads, so each distinct question is solved once; witnesses
 are solved afresh.  _first_split finds the next split by a restart scan.
+
+One generator, _requirements, lists what a node asks of its block.
+Refinement splits on it, and a `distinguished` verdict is explained by the
+first requirement of one node that the other fails over the final
+partition, so the counterexample does not depend on the order of splits.
 """
 
 from __future__ import annotations
@@ -179,17 +184,6 @@ def _terminal_groups(lts, stuck_rep: int, nodes: list) -> dict:
     return {v: 0 if v in ends else None for v in nodes}
 
 
-def _query_size(lts, node: int, kind: str, action, partition: Partition, mode: str) -> int:
-    """Constraint count of the infeasible matching query (certificate size)."""
-    if mode == "strong":
-        return 1 + partition.block_count
-    if kind == "termination":
-        return len(_reachable(lts, node)) + 1
-    reach = len(_reachable(lts, node))
-    phases = 1 if isinstance(action, Tau) else 2
-    return reach * phases + partition.block_count
-
-
 # -- matching questions --
 
 _HULL_TIE = "combined-transition matching"
@@ -213,9 +207,9 @@ def _packed(ints, floats) -> bytes:
 
 class _Matcher:
     """Every matching question of one check, built in one place: can `node`
-    answer a move by `action` with class vector `vec`?  In 'strong' mode the
-    answer is a combined move, in 'weak' mode a weak move, which for a strict
-    tau move takes at least one real internal step.
+    meet a requirement (see _requirements) of `owner`?  In 'strong' mode a
+    move is answered by a combined move, in 'weak' mode by a weak move, which
+    for a strict tau move takes at least one real internal step.
 
     holds() solves each distinct question once.  A key holds exactly what the
     question's linear program reads, with floats compared bit for bit, so a
@@ -246,14 +240,28 @@ class _Matcher:
             nodes = self.reach[node] = _reachable(self.lts, node)
         return nodes
 
-    def _question(self, node: int, action: Action, vec: tuple, partition: Partition,
-                  strict: bool):
-        """(memo key, solve at a tolerance, near-tie context) of one question."""
+    def question(self, node: int, owner: int | None, requirement: tuple, partition: Partition,
+                 strict: bool = False):
+        """(memo key, solve at a tolerance, near-tie context, constraint
+        count of the linear program) of one question: can `node` meet
+        `requirement`?  Only a termination requirement reads `owner`."""
+        action, vec = requirement
+        if action is None:
+            # weak_terminates_in reads no partition, only which nodes reachable
+            # from `node` may absorb; owners with equal contexts share programs
+            ends = self.ends.get(owner)
+            if ends is None:
+                ends = self.ends[owner] = _terminal_groups(self.lts, owner,
+                                                           range(self.lts.node_count))
+            nodes = self._reachable(node)
+            return ((node, _packed([v for v in nodes if ends[v] == 0], ())),
+                    lambda t: _flow_feasible(self.lts, node, TAU_HAT, ends, [1.0], t, nodes),
+                    None, len(nodes) + 1)
         if self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
             return (_packed((len(vec),), [x for vector in (vec, *points) for x in vector]),
                     lambda t: lp.convex_hull_member(points, list(vec), t) if points else None,
-                    _HULL_TIE)
+                    _HULL_TIE, 1 + len(vec))
         label = (TAU_STRICT if strict else TAU_HAT) if isinstance(action, Tau) else action
         nodes = self._reachable(node)
         block_of = partition.block_of
@@ -263,11 +271,14 @@ class _Matcher:
                         | {g for g, t in enumerate(vec) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
         key = (node, label, _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups]))
+        # one conservation row per reachable node and phase, one row per group
+        phases = 1 if isinstance(action, Tau) else 2
         return (key,
                 lambda t: _flow_feasible(self.lts, node, label, block_of, list(vec), t, nodes),
-                _FLOW_TIE)
+                _FLOW_TIE, phases * len(nodes) + len(groups))
 
-    def _ask(self, key, solve, context: str | None) -> bool:
+    def ask(self, question) -> bool:
+        key, solve, context, _ = question
         verdict = self.known.get(key)
         if verdict is None:
             result, near_tie = _solve(solve, self.tol, context)
@@ -278,43 +289,30 @@ class _Matcher:
             return False
         return verdict
 
-    def holds(self, node: int, action: Action, vec: tuple, partition: Partition) -> bool:
-        return self._ask(*self._question(node, action, vec, partition, False))
+    def holds(self, node: int, owner: int, requirement: tuple, partition: Partition) -> bool:
+        return self.ask(self.question(node, owner, requirement, partition))
 
     def witness(self, node: int, action: Action, vec: tuple, partition: Partition,
                 strict: bool = False):
-        _, solve, context = self._question(node, action, vec, partition, strict)
+        _, solve, context, _ = self.question(node, None, (action, vec), partition, strict)
         result, near_tie = _solve(solve, self.tol, context)
         if near_tie:
             _warn_near_tie(context)
         return result
 
-    def terminates(self, node: int, owner: int) -> bool:
-        # weak_terminates_in reads no partition, only which nodes reachable
-        # from `node` may absorb; owners with equal contexts share programs
-        ends = self.ends.get(owner)
-        if ends is None:
-            ends = self.ends[owner] = _terminal_groups(self.lts, owner,
-                                                       range(self.lts.node_count))
-        nodes = self._reachable(node)
-        return self._ask(
-            (node, _packed([v for v in nodes if ends[v] == 0], ())),
-            lambda t: _flow_feasible(self.lts, node, TAU_HAT, ends, [1.0], t, nodes),
-            None,
-        )
+
+def _requirements(matcher: _Matcher, owner: int, partition: Partition):
+    """What `owner` asks of every node in its block, in order: each move as
+    (action, class vector), then, for a stuck owner in 'weak' mode, internal
+    termination in its context as (None, None)."""
+    lts = matcher.lts
+    for action, targets in lts.node_edges(owner):
+        yield action, class_vector(targets, partition)
+    if matcher.mode != "strong" and lts.stuck(owner):
+        yield None, None
 
 
 # -- partition refinement --
-
-
-@dataclass
-class SplitEvent:
-    owner: int          # node whose requirement split the block
-    loser: int          # first member that failed it
-    kind: str           # 'move' | 'termination'
-    action: Action | None
-    vector: tuple | None
-    lp_size: int
 
 
 @dataclass
@@ -375,49 +373,32 @@ def _compact(block_of: list) -> list:
 
 def _first_split(matcher: _Matcher, partition: Partition):
     """The first requirement that some but not all members of a block meet,
-    as (block id, members, members meeting it, owner, kind, action, class
-    vector), or None when the partition is stable.  Blocks, owners and each
-    owner's moves are scanned in order; in 'weak' mode a stuck owner also
-    requires internal termination in its context."""
-    lts = matcher.lts
+    as (block id, members meeting it), or None when the partition is stable.
+    Blocks, owners and each owner's requirements are scanned in order."""
     for block_id, members in enumerate(partition.blocks()):
         if len(members) < 2:
             continue
         for owner in members:
-            for action, targets in lts.node_edges(owner):
-                vec = class_vector(targets, partition)
-                sat = {m for m in members if matcher.holds(m, action, vec, partition)}
+            for requirement in _requirements(matcher, owner, partition):
+                sat = {m for m in members if matcher.holds(m, owner, requirement, partition)}
                 if sat and len(sat) < len(members):
-                    return block_id, members, sat, owner, "move", action, vec
-            if matcher.mode != "strong" and lts.stuck(owner):
-                sat = {m for m in members if matcher.terminates(m, owner)}
-                if sat and len(sat) < len(members):
-                    return block_id, members, sat, owner, "termination", None, None
+                    return block_id, sat
     return None
 
 
-def _refine(lts, partition: Partition, mode: str, tol: float, watch: tuple | None = None):
-    """Split blocks until stable; returns (partition, first split separating
-    the watched pair, if any).  In 'strong' mode moves are matched by combined
-    moves; in 'weak' mode by weak moves, and stuck nodes must also be matched
-    by internal termination."""
-    matcher = _Matcher(lts, mode, tol)
-    first_watch_split = None
+def _refine(matcher: _Matcher, partition: Partition) -> Partition:
+    """Split blocks until stable, asking `matcher` whether members meet each
+    requirement."""
     while split := _first_split(matcher, partition):
-        block_id, members, sat, owner, kind, action, vec = split
-        if (watch and first_watch_split is None and set(watch) <= set(members)
-                and (watch[0] in sat) != (watch[1] in sat)):
-            loser = next(m for m in members if m not in sat)
-            first_watch_split = SplitEvent(owner, loser, kind, action, vec,
-                                           _query_size(lts, loser, kind, action, partition, mode))
-        partition = partition.split(block_id, sat)
-    return partition, first_watch_split
+        partition = partition.split(*split)
+    return partition
 
 
-def _matchings_for_pair(lts, i: int, j: int, partition: Partition, mode: str, tol: float,
+def _matchings_for_pair(matcher: _Matcher, i: int, j: int, partition: Partition,
                         strict: bool = False) -> list:
-    """How each move of i is matched by j (and vice versa) at the fixpoint."""
-    matcher = _Matcher(lts, mode, tol)
+    """How each move of i is matched by j (and vice versa) at the fixpoint;
+    a move left unmatched has neither `weights` nor `flow`."""
+    lts = matcher.lts
     out = []
     for a, b, side in ((i, j, "left"), (j, i, "right")):
         for action, targets in lts.node_edges(a):
@@ -440,97 +421,93 @@ def _matchings_for_pair(lts, i: int, j: int, partition: Partition, mode: str, to
     return out
 
 
+def _terminal_mismatch(lts, left: int, right: int) -> dict | None:
+    if lts.stuck(left) and lts.stuck(right) and not lts.terminal_equal(left, right):
+        return {"pair": [left, right], "reason": "terminal contexts differ"}
+    return None
+
+
+def _counterexample(matcher: _Matcher, left: int, right: int, partition: Partition) -> dict:
+    """Why `left` and `right` lie in different blocks of the final partition:
+    the first requirement of `left`, then of `right`, that the other node
+    fails over those blocks.  For strong checks one exists unless both nodes
+    are stuck, since combined moves compose (Segala 1995); the last resort
+    is 'separated transitively'."""
+    for owner, partner in ((left, right), (right, left)):
+        for requirement in _requirements(matcher, owner, partition):
+            question = matcher.question(partner, owner, requirement, partition)
+            if not matcher.ask(question):
+                return _failed_requirement(owner, partner, requirement, question[3])
+    return (_terminal_mismatch(matcher.lts, left, right)
+            or {"reason": "nodes separated transitively during refinement"})
+
+
+def _failed_requirement(owner: int, partner: int, requirement: tuple, rows: int) -> dict:
+    action, vec = requirement
+    out = {
+        "pair": [owner, partner],
+        "kind": "termination" if action is None else "move",
+        "lp_constraints": rows,
+    }
+    if action is None:
+        out["reason"] = (
+            f"node {partner} cannot internally reach, with probability one, "
+            f"stuck configurations with the required context"
+        )
+    else:
+        out["action"] = format_action(action)
+        out["class_vector"] = list(vec)
+        out["reason"] = (
+            f"node {partner} has no matching move for "
+            f"{format_action(action)} with the given class vector"
+        )
+    return out
+
+
+def _check(lts, left: int, right: int, partition: Partition, mode: str,
+           tol: float) -> BisimResult:
+    matcher = _Matcher(lts, mode, tol)
+    partition = _refine(matcher, partition)
+    if partition.block_of[left] == partition.block_of[right]:
+        witness = _matchings_for_pair(matcher, left, right, partition)
+        return BisimResult(mode, True, left, right, partition, witness=witness)
+    return BisimResult(mode, False, left, right, partition,
+                       counterexample=_counterexample(matcher, left, right, partition))
+
+
 def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Strong probabilistic bisimilarity by partition refinement.
 
     Every ordinary move must be matched by a combined move with the same
     class vector; stuck configurations must have equal contexts.
     """
-    partition = _initial_strong(lts)
-    separated_at_start = partition.block_of[left] != partition.block_of[right]
-    partition, split = _refine(lts, partition, "strong", tol, watch=(left, right))
-    equivalent = partition.block_of[left] == partition.block_of[right]
-    if equivalent:
-        witness = _matchings_for_pair(lts, left, right, partition, "strong", tol)
-        return BisimResult("strong", True, left, right, partition, witness=witness)
-    counter = (_initial_counterexample(lts, left, right) if separated_at_start
-               else _split_counterexample(split))
-    return BisimResult("strong", False, left, right, partition, counterexample=counter)
+    return _check(lts, left, right, _initial_strong(lts), "strong", tol)
 
 
 def weak_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Weak probabilistic bisimilarity: ordinary moves are matched by weak
     (tau-abstracted) moves; mutually stuck configurations need equal contexts."""
-    partition = Partition([0] * lts.node_count)
-    partition, split = _refine(lts, partition, "weak", tol, watch=(left, right))
-    equivalent = partition.block_of[left] == partition.block_of[right]
-    if equivalent:
-        witness = _matchings_for_pair(lts, left, right, partition, "weak", tol)
-        return BisimResult("weak", True, left, right, partition, witness=witness)
-    return BisimResult("weak", False, left, right, partition,
-                       counterexample=_split_counterexample(split))
+    return _check(lts, left, right, Partition([0] * lts.node_count), "weak", tol)
 
 
 def equality_check(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Equality: weak bisimilarity where a tau move must be answered by a weak
     move containing at least one real internal step (single top-level round
     against the weak partition)."""
-    partition = Partition([0] * lts.node_count)
-    partition, _ = _refine(lts, partition, "weak", tol)
     matcher = _Matcher(lts, "weak", tol)
-
-    def strict_match(a, b):
-        for action, targets in lts.node_edges(a):
-            vec = class_vector(targets, partition)
-            if matcher.witness(b, action, vec, partition, strict=True) is None:
-                return {
-                    "pair": [a, b],
-                    "action": format_action(action),
-                    "class_vector": list(vec),
-                    "reason": "no strict weak match",
-                }
-        return None
-
-    counter = strict_match(left, right) or strict_match(right, left)
-    if counter is None and lts.stuck(left) and lts.stuck(right):
-        if not lts.terminal_equal(left, right):
-            counter = {"pair": [left, right], "reason": "terminal contexts differ"}
+    partition = _refine(matcher, Partition([0] * lts.node_count))
+    witness = _matchings_for_pair(matcher, left, right, partition, strict=True)
+    unmatched = next((m for m in witness if "flow" not in m), None)
+    if unmatched is not None:
+        partner = right if unmatched["from"] == "left" else left
+        counter = {
+            "pair": [unmatched["node"], partner],
+            "action": unmatched["action"],
+            "class_vector": unmatched["class_vector"],
+            "reason": "no strict weak match",
+        }
+    else:
+        counter = _terminal_mismatch(lts, left, right)
     if counter is None:
-        witness = _matchings_for_pair(lts, left, right, partition, "weak", tol, strict=True)
         return BisimResult("eq", True, left, right, partition, witness=witness)
     return BisimResult("eq", False, left, right, partition, counterexample=counter)
-
-
-def _initial_counterexample(lts, left: int, right: int) -> dict:
-    both_stuck = lts.stuck(left) and lts.stuck(right)
-    if both_stuck:
-        return {"pair": [left, right], "reason": "terminal contexts differ"}
-    stuck = left if lts.stuck(left) else right
-    other = right if stuck == left else left
-    return {
-        "pair": [left, right],
-        "reason": f"node {stuck} is stuck (its context must match) while node {other} can move",
-    }
-
-
-def _split_counterexample(split: SplitEvent | None) -> dict:
-    if split is None:
-        return {"reason": "nodes separated transitively during refinement"}
-    out = {
-        "pair": [split.owner, split.loser],
-        "kind": split.kind,
-        "lp_constraints": split.lp_size,
-    }
-    if split.kind == "move":
-        out["action"] = format_action(split.action)
-        out["class_vector"] = list(split.vector)
-        out["reason"] = (
-            f"node {split.loser} has no matching move for "
-            f"{format_action(split.action)} with the given class vector"
-        )
-    else:
-        out["reason"] = (
-            f"node {split.loser} cannot internally reach, with probability one, "
-            f"stuck configurations with the required context"
-        )
-    return out

@@ -1,4 +1,4 @@
-"""Built-in protocol models: teleportation and the weak-transition example.
+"""Built-in protocol model: teleportation.
 
 `build_teleport` assembles the three-party teleportation protocol (EPR-pair
 source, sender, receiver) over a parameterised input qubit; `verify_teleport`
@@ -15,11 +15,11 @@ import numpy as np
 from . import linalg
 from .context import make_context
 from .frontend import _sigma_sugar
-from .linalg import ATOL, GATE_CNOT, GATE_H, GATE_I, OBS_M01, OBS_MPM, Gate
+from .linalg import ATOL, GATE_CNOT, GATE_H
 from .lts import Configuration, run_trace
 from .syntax import (
-    Chan, CInput, COutput, Measure, Nil, Parallel, QbitNew, QInput, QOutput, Restrict, Sum,
-    Unitary, Var,
+    Chan, CInput, COutput, Measure, Nil, Parallel, QbitNew, QInput, QOutput, Restrict, Unitary,
+    Var,
 )
 
 QC = Chan("qc", quantum=True)
@@ -85,28 +85,3 @@ def verify_teleport(alpha: complex, beta: complex, tol: float = ATOL) -> Telepor
     four_way = len(branches) == 4 and all(abs(b.probability - 0.25) <= tol for b in branches)
     ok = four_way and all(b.fidelity_ok for b in branches) and trace.status == "terminated"
     return TeleportReport(alpha, beta, branches, len(trace.steps), ok)
-
-
-def build_weak_example() -> Configuration:
-    """One measurement-then-rotate branch against a rotate-only branch, both
-    ending in a quantum output; the source of the weak-transition figures."""
-    u = Gate("U", linalg.H_MAT)  # U|0> = |+>, U|1> = |->
-    term = Sum(
-        Measure(OBS_M01, ("q",), "x",
-                Unitary(u, ("q",), QOutput(QC, "q", Nil()))),
-        Measure(OBS_MPM, ("q",), "x",
-                Unitary(GATE_I, ("q",), QOutput(QC, "q", Nil()))),
-    )
-    return Configuration(term, make_context(("q",), linalg.dm(linalg.KET_PLUS)))
-
-
-def build_choice_example():
-    """The measurement-simulated-by-coin-flip pair: a three-way choice with a
-    computational measurement against the two-rotation choice."""
-    u = Gate("U", linalg.H_MAT)        # U|+> = |0>, U|-> = |1>
-    v = Gate("V", linalg.X_MAT @ linalg.H_MAT)  # V|+> = |1>, V|-> = |0>
-    with_meas = Sum(Sum(Unitary(u, ("q",), Nil()), Unitary(v, ("q",), Nil())),
-                    Measure(OBS_M01, ("q",), "x", Nil()))
-    without = Sum(Unitary(u, ("q",), Nil()), Unitary(v, ("q",), Nil()))
-    ctx = make_context(("q",), linalg.dm(linalg.KET_PLUS))
-    return Configuration(with_meas, ctx), Configuration(without, ctx)

@@ -44,7 +44,7 @@ class ElaborationError(Exception):
 
 # -- tokenizer --
 
-_SYMBOLS = ["->", "<=", "||", "&&", "(x)", "\\", "(", ")", "[", "]", "{", "}",
+_SYMBOLS = ["->", "<=", "||", "&&", "\\", "(", ")", "[", "]", "{", "}",
             "<", ">", "|", ";", ":", ",", ".", "?", "!", "+", "-", "*", "/", "=",
             "⊗"]
 _NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
@@ -92,8 +92,6 @@ def tokenize(text: str) -> list:
             i = m.end()
             continue
         for sym in _SYMBOLS:
-            if sym == "(x)":
-                continue  # assembled by the parser inside state expressions
             if text.startswith(sym, i):
                 tokens.append(Token(sym, sym, line, col))
                 col += len(sym)

@@ -14,16 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from qccs import lp
 from qccs import syntax as S
-from qccs.bisim import (
-    TAU_HAT, SplitEvent, _query_size, class_vector, weak_reach_feasible,
-    weak_terminates_in,
-)
+from qccs.bisim import TAU_HAT, class_vector, weak_reach_feasible, weak_terminates_in
+from qccs.frontend import elaborate, parse
 from qccs.lts import Tau
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus_configs(name: str, *configs: str) -> list:
+    """The named configurations of corpus/<name>.qccs, from one elaboration."""
+    elab = elaborate(parse((CORPUS / f"{name}.qccs").read_text(encoding="utf-8")))
+    return [elab.configs[c] for c in configs]
 
 
 # -- index-level linear algebra oracles --
@@ -265,16 +272,18 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
+def exact_class_vector(targets, block_of) -> list:
+    """Exact mass of ((node, Fraction), ...) on each block; block_of lists
+    the block of every node."""
+    vec = [Fraction(0)] * (max(block_of) + 1)
+    for j, p in targets:
+        vec[block_of[j]] += p
+    return vec
+
+
 def oracle_strong_bisimilar(slts: SyntheticLts, left: int, right: int) -> bool:
     """Brute force: does any equivalence relation containing (left, right)
     satisfy the strong-bisimulation conditions?"""
-
-    def exact_class_vector(targets, block_of):
-        blocks = max(block_of) + 1
-        vec = [Fraction(0)] * blocks
-        for j, p in targets:
-            vec[block_of[j]] += p
-        return vec
 
     def valid(partition):
         block_of = [0] * slts.n
@@ -322,10 +331,9 @@ def _reference_holds(lts, member, owner, kind, action, vec, partition, tol, mode
     return weak_reach_feasible(lts, member, label, vec, partition, tol) is not None
 
 
-def reference_refine(lts, partition, mode: str, tol: float, watch=None):
-    """Drop-in for bisim._refine: the same restart scan, asking every matching
-    question of the LP layer again each time it comes up."""
-    first_watch_split = None
+def reference_refine(lts, partition, mode: str, tol: float):
+    """The partition bisim._refine returns, by the same restart scan, asking
+    every matching question of the LP layer again each time it comes up."""
     while True:
         changed = False
         for block_id, members in enumerate(partition.blocks()):
@@ -341,13 +349,6 @@ def reference_refine(lts, partition, mode: str, tol: float, watch=None):
                            if _reference_holds(lts, m, owner, kind, action, vec,
                                                partition, tol, mode)}
                     if sat and len(sat) < len(members):
-                        losers = [m for m in members if m not in sat]
-                        if watch and {watch[0], watch[1]} <= set(members):
-                            separated = (watch[0] in sat) != (watch[1] in sat)
-                            if separated and first_watch_split is None:
-                                first_watch_split = SplitEvent(
-                                    owner, losers[0], kind, action, vec,
-                                    _query_size(lts, losers[0], kind, action, partition, mode))
                         partition = partition.split(block_id, sat)
                         changed = True
                         break
@@ -356,4 +357,4 @@ def reference_refine(lts, partition, mode: str, tol: float, watch=None):
             if changed:
                 break
         if not changed:
-            return partition, first_watch_split
+            return partition

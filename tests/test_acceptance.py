@@ -11,7 +11,7 @@ import numpy as np
 from qccs import linalg
 from qccs.bisim import Partition, strong_bisim, weak_reach_feasible
 from qccs.context import make_context
-from qccs.demo import build_choice_example, build_weak_example, verify_teleport
+from qccs.demo import verify_teleport
 from qccs.laws import (
     check_laws, congruence_suite, equality_plus_context_suite,
 )
@@ -25,7 +25,7 @@ from qccs.syntax import (
     QInput, QOutput, Restrict, Sum, Unitary, Var,
 )
 
-from helpers import oracle_strong_bisimilar, random_synthetic_lts
+from helpers import corpus_configs, oracle_strong_bisimilar, random_synthetic_lts
 
 C = Chan("c", False)
 QC = Chan("qc", True)
@@ -77,7 +77,7 @@ class TestAcceptance:
         """The measurement branch is simulated by the half/half combination of
         the two rotations."""
         t0 = time.monotonic()
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         res = strong_bisim(graph, graph.initial[0], graph.initial[1])
         elapsed = time.monotonic() - t0
@@ -112,7 +112,7 @@ class TestAcceptance:
     def test_criterion_5_weak_transition_figures(self):
         """The three figure targets are weakly reachable; convex combinations
         stay feasible and overweight targets do not."""
-        graph = build_lts(build_weak_example())
+        graph = build_lts(corpus_configs("weak_example", "C")[0])
         c = graph.initial[0]
         c5 = graph.find(cfg(Nil(), ("q",), dm(KET_PLUS)))
         c6 = graph.find(cfg(Nil(), ("q",), dm(KET_MINUS)))

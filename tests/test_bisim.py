@@ -12,16 +12,17 @@ from qccs.bisim import (
     weak_terminates_in,
 )
 from qccs.context import make_context
-from qccs.demo import build_choice_example, build_teleport, build_weak_example
+from qccs.demo import build_teleport
 from qccs.linalg import GATE_I, GATE_X, KET0, KET1, KET_PLUS, KET_MINUS, OBS_M01, dm
-from qccs.lts import TAU, Configuration, QOut, build_lts
+from qccs.lts import TAU, Configuration, QOut, build_lts, format_action
 from qccs.syntax import (
     Chan, Cmp, Const, COutput, If, Measure, Nil, QOutput, Restrict, Sum,
     Unitary, Var,
 )
 
 from helpers import (
-    SyntheticLts, oracle_strong_bisimilar, random_synthetic_lts, reference_refine,
+    SyntheticLts, corpus_configs, exact_class_vector, exact_hull_member,
+    oracle_strong_bisimilar, random_synthetic_lts, reference_refine,
 )
 from test_system import corrupted_teleport
 
@@ -46,7 +47,7 @@ class TestStrongExamples:
         assert class_vector(((0, 0.25), (1, 0.25), (3, 0.5)), partition) == (0.5, 0.0, 0.5)
 
     def test_choice_example_equivalent_with_half_half_witness(self):
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         res = strong_bisim(graph, graph.initial[0], graph.initial[1])
         assert res.equivalent
@@ -75,14 +76,14 @@ class TestStrongExamples:
         assert not res.equivalent
 
     def test_reflexive_and_symmetric(self):
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         i, j = graph.initial
         assert strong_bisim(graph, i, i).equivalent
         assert strong_bisim(graph, i, j).equivalent == strong_bisim(graph, j, i).equivalent
 
     def test_fixpoint_partition_is_an_equivalence(self):
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         res = strong_bisim(graph, graph.initial[0], graph.initial[1])
         seen = set()
@@ -120,7 +121,7 @@ class TestOracleAgreement:
 
 class TestWeakFigures:
     def setup_method(self):
-        self.graph = build_lts(build_weak_example())
+        self.graph = build_lts(corpus_configs("weak_example", "C")[0])
         self.c = self.graph.initial[0]
         self.c5 = self.graph.find(cfg(Nil(), ("q",), dm(KET_PLUS)))
         self.c6 = self.graph.find(cfg(Nil(), ("q",), dm(KET_MINUS)))
@@ -205,7 +206,7 @@ class TestWeakBisim:
         assert not strong_bisim(graph, i, j).equivalent
 
     def test_strong_implies_weak(self):
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         i, j = graph.initial
         assert strong_bisim(graph, i, j).equivalent
@@ -258,7 +259,7 @@ class TestWeakBisim:
 
     def test_weak_terminates_in(self):
         # internal termination cannot cross the visible output in the figure
-        graph = build_lts(build_weak_example())
+        graph = build_lts(corpus_configs("weak_example", "C")[0])
         c = graph.initial[0]
         c5 = graph.find(cfg(Nil(), ("q",), dm(KET_PLUS)))
         assert weak_terminates_in(graph, c, c5) is None
@@ -283,7 +284,7 @@ class TestEquality:
         assert weak_bisim(graph, i, j).equivalent
 
     def test_equality_implies_weak(self):
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         i, j = graph.initial
         assert equality_check(graph, i, j).equivalent
@@ -426,6 +427,12 @@ class TestWeakQueryLabels:
         assert weak_reach_feasible(graph, 0, TAU_STRICT, tuple(vec), part)
 
 
+def seeded_systems() -> list:
+    """The seeded random systems, with tau, that refinement is checked on."""
+    rng = np.random.default_rng(2024)
+    return [random_synthetic_lts(rng, max_nodes=6, actions=("a", "b", TAU)) for _ in range(40)]
+
+
 class TestMemoizedRefinement:
     """Memoized matching verdicts change no partition, verdict, counterexample
     or witness, and the refinement solves each distinct program about once."""
@@ -435,12 +442,12 @@ class TestMemoizedRefinement:
     def assert_matches_reference(self, monkeypatch, graph, left, right) -> list:
         reference = {}
 
-        def refine_once(lts, partition, mode, tol, watch=None):
+        def refine_once(matcher, partition):
             # weak_bisim and equality_check refine the same start partition in
-            # 'weak' mode; the watched pair changes only the split reported,
-            # which equality_check ignores, so the slow loop runs once per mode
+            # 'weak' mode, so the slow loop runs once per mode
+            mode = matcher.mode
             if mode not in reference:
-                reference[mode] = reference_refine(lts, partition, mode, tol, watch)
+                reference[mode] = reference_refine(matcher.lts, partition, mode, matcher.tol)
             return reference[mode]
 
         verdicts = []
@@ -456,10 +463,8 @@ class TestMemoizedRefinement:
         return verdicts
 
     def test_matches_reference_on_random_systems_with_tau(self, monkeypatch):
-        rng = np.random.default_rng(2024)
         verdicts = []
-        for _ in range(40):
-            slts = random_synthetic_lts(rng, max_nodes=6, actions=("a", "b", TAU))
+        for slts in seeded_systems():
             verdicts += self.assert_matches_reference(monkeypatch, slts, 0, slts.n - 1)
         # both outcomes occur, so splits and witnesses are both compared
         assert 0 < sum(verdicts) < len(verdicts)
@@ -471,17 +476,17 @@ class TestMemoizedRefinement:
         holds = bisim._Matcher.holds
         asked = {"strong": 0, "weak": 0}
 
-        def checked(matcher, node, action, vec, partition):
-            verdict = holds(matcher, node, action, vec, partition)
-            witness = matcher.witness(node, action, vec, partition)
-            assert (witness is not None) == verdict, (matcher.mode, node, action, vec)
-            asked[matcher.mode] += 1
+        def checked(matcher, node, owner, requirement, partition):
+            verdict = holds(matcher, node, owner, requirement, partition)
+            action, vec = requirement
+            if action is not None:
+                witness = matcher.witness(node, action, vec, partition)
+                assert (witness is not None) == verdict, (matcher.mode, node, action, vec)
+                asked[matcher.mode] += 1
             return verdict
 
         monkeypatch.setattr(bisim._Matcher, "holds", checked)
-        rng = np.random.default_rng(2024)
-        for _ in range(40):
-            slts = random_synthetic_lts(rng, max_nodes=6, actions=("a", "b", TAU))
+        for slts in seeded_systems():
             strong_bisim(slts, 0, slts.n - 1)
             weak_bisim(slts, 0, slts.n - 1)
         assert min(asked.values()) > 100, asked
@@ -530,7 +535,100 @@ class TestMemoizedRefinement:
             solves.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                assert not any(matcher.holds(1, "a", vec, partition) for _ in range(3))
+                assert not any(matcher.holds(1, 0, ("a", vec), partition) for _ in range(3))
             assert len(caught) == 3, ask
             assert all("within 10x of the tolerance" in str(w.message) for w in caught)
             assert solves == [lp.TOL, 10 * lp.TOL], ask
+
+
+class TestCounterexamples:
+    """A `distinguished` verdict names a requirement of one node that the
+    other fails over the final partition, and can be re-checked from the
+    verdict JSON and the system alone."""
+
+    def test_checkable_from_the_json(self):
+        kinds = set()
+        for slts in seeded_systems():
+            left, right = 0, slts.n - 1
+            for checker in (strong_bisim, weak_bisim):
+                out = checker(slts, left, right).to_json()
+                if out["verdict"] == "equivalent":
+                    continue
+                cex, blocks = out["counterexample"], out["blocks"]
+                kinds.add((out["mode"], cex.get("kind")))
+                assert "kind" in cex or out["mode"] == "strong", cex
+                if "kind" not in cex:
+                    # strong, and both stuck in different contexts: no move to fail
+                    assert cex == {"pair": [left, right], "reason": "terminal contexts differ"}
+                    assert slts.stuck(left) and slts.stuck(right)
+                    assert not slts.terminal_equal(left, right)
+                    continue
+                owner, partner = cex["pair"]
+                assert {owner, partner} == {left, right}
+                if cex["kind"] == "termination":
+                    assert out["mode"] == "weak" and slts.stuck(owner)
+                    continue
+                assert len(cex["class_vector"]) == len(blocks)
+                block_of = [0] * slts.n
+                for b, members in enumerate(blocks):
+                    for node in members:
+                        block_of[node] = b
+                # the owner makes a move with the reported class vector ...
+                moves = [exact_class_vector(tg, block_of)
+                         for action, tg in slts.edges_exact[owner]
+                         if format_action(action) == cex["action"]]
+                target = next(v for v in moves
+                              if max(abs(float(x) - y) for x, y in zip(v, cex["class_vector"]))
+                              <= 1e-12)
+                if out["mode"] == "strong":
+                    # ... and no combination of the partner's moves matches it
+                    points = [exact_class_vector(tg, block_of)
+                              for action, tg in slts.edges_exact[partner]
+                              if format_action(action) == cex["action"]]
+                    assert not exact_hull_member(points, target)
+        assert kinds == {("strong", "move"), ("strong", None),
+                         ("weak", "move"), ("weak", "termination")}
+
+    def test_lp_constraints_counts_the_failed_program(self, monkeypatch):
+        # a fresh matcher solves every question the counterexample asks; the
+        # programs after the last question built are those of the failed one
+        seen = []
+        question, solve = bisim._Matcher.question, lp.feasible
+
+        def marked(matcher, *args):
+            seen.append(None)
+            return question(matcher, *args)
+
+        def counting(prog, tol=lp.TOL):
+            seen.append(len(prog.constraints))
+            return solve(prog, tol)
+
+        compared = {"strong": 0, "weak": 0}
+        for slts in seeded_systems():
+            left, right = 0, slts.n - 1
+            for checker in (strong_bisim, weak_bisim):
+                result = checker(slts, left, right)
+                if result.equivalent or "kind" not in result.counterexample:
+                    continue
+                seen.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(bisim._Matcher, "question", marked)
+                    patch.setattr(lp, "feasible", counting)
+                    again = bisim._counterexample(bisim._Matcher(slts, result.mode, lp.TOL),
+                                                  left, right, result.partition)
+                assert again == result.counterexample
+                failed = seen[len(seen) - seen[::-1].index(None):]
+                # only a strong move that the partner cannot make at all
+                # builds no program
+                assert failed or result.mode == "strong"
+                assert all(rows == again["lp_constraints"] for rows in failed), (failed, again)
+                compared[result.mode] += bool(failed)
+        assert compared["strong"] >= 5 and compared["weak"] >= 20, compared
+
+    def test_teleport_class_vectors_are_over_the_blocks(self):
+        graph = build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])
+        for checker in (strong_bisim, weak_bisim):
+            out = checker(graph, *graph.initial).to_json()
+            cex = out["counterexample"]
+            assert cex["pair"] == list(graph.initial) and cex["kind"] == "move"
+            assert len(cex["class_vector"]) == len(out["blocks"])

@@ -20,7 +20,7 @@ from qccs.syntax import (
     WellformednessError,
 )
 
-from helpers import lift_oracle, ptrace_oracle
+from helpers import corpus_configs, lift_oracle, ptrace_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -438,9 +438,9 @@ class TestStateIndex:
             assert dist.approx_equal(Distribution(list(zip(configs[::-1], weights[::-1]))))
 
     def test_exploration_independent_of_root_order(self):
-        from qccs.demo import build_teleport, build_weak_example
+        from qccs.demo import build_teleport
 
-        roots = [build_teleport(1.0, 0.0), build_weak_example(),
+        roots = [build_teleport(1.0, 0.0), corpus_configs("weak_example", "C")[0],
                  build_teleport(0.6, 0.8), build_teleport(1.0, 0.0)]
         reference = build_lts(roots)
         for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
@@ -461,18 +461,14 @@ class TestExploration:
         assert graph.node_count == 1 and graph.stuck(0)
 
     def test_deterministic_rebuild(self):
-        from qccs.demo import build_weak_example
-
-        g1 = build_lts(build_weak_example())
-        g2 = build_lts(build_weak_example())
+        g1 = build_lts(corpus_configs("weak_example", "C")[0])
+        g2 = build_lts(corpus_configs("weak_example", "C")[0])
         assert g1.node_count == g2.node_count
         assert [n.canonical_process for n in g1.nodes] == [n.canonical_process for n in g2.nodes]
         assert g1.edges == g2.edges
 
     def test_weak_example_graph_shape(self):
-        from qccs.demo import build_weak_example
-
-        graph = build_lts(build_weak_example())
+        graph = build_lts(corpus_configs("weak_example", "C")[0])
         assert graph.node_count == 8
         out_edges = graph.node_edges(graph.initial[0])
         assert len(out_edges) == 2  # both measurements
@@ -604,9 +600,7 @@ class TestScale:
 
 class TestCombinedAndLifted:
     def test_combined_transitions_lists_successors(self):
-        from qccs.demo import build_choice_example
-
-        left, right = build_choice_example()
+        left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         # the combined transitions are the convex hull of these successors
         succ = graph.successors(graph.initial[0], TAU)
@@ -680,9 +674,7 @@ class TestRunTrace:
 
 class TestExports:
     def test_json_shape(self):
-        from qccs.demo import build_weak_example
-
-        graph = build_lts(build_weak_example())
+        graph = build_lts(corpus_configs("weak_example", "C")[0])
         payload = lts_to_json(graph)
         assert payload["format"] == "qccs-lts" and payload["version"] == 1
         assert len(payload["nodes"]) == graph.node_count
@@ -707,9 +699,7 @@ class TestExports:
         assert json.dumps(_complex_pairs(signed)) == json.dumps(entrywise(signed))
 
     def test_dot_mentions_all_nodes(self):
-        from qccs.demo import build_weak_example
-
-        graph = build_lts(build_weak_example())
+        graph = build_lts(corpus_configs("weak_example", "C")[0])
         dot = lts_to_dot(graph)
         assert dot.startswith("digraph")
         for i in range(graph.node_count):
