@@ -7,7 +7,7 @@ are two-phase flow problems whose feasible flows correspond exactly to
 adversaries realising the move.  One _Matcher builds every matching question,
 for refinement, for witnesses and for `eq`'s strict round.  Refinement asks
 it for verdicts, memoized under keys that hold exactly what the question's
-linear program reads, so each distinct question is solved once; witnesses
+linear program reads, so each distinct program is solved once; witnesses
 are solved afresh.  _first_split finds the next split by a restart scan.
 
 One generator, _requirements, lists what a node asks of its block.
@@ -18,9 +18,12 @@ partition, so the counterexample does not depend on the order of splits.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import lp
 from .lts import Action, Tau, format_action
@@ -79,8 +82,8 @@ def weak_reach_feasible(lts, source: int, label, target, partition: Partition,
     """Flow witness for `source ==label==> some nu with class vector target`
     (per-block mass), or None when no adversary can realise it.  `label` is
     TAU_HAT, TAU_STRICT or a visible Action."""
-    return _flow_feasible(lts, source, label, partition.block_of, list(target), tol,
-                          _reachable(lts, source))
+    return _Flows(lts, source, label, _reachable(lts, source)).solve(
+        partition.block_of, list(target), tol)
 
 
 def _reachable(lts, source: int) -> list:
@@ -96,85 +99,133 @@ def _reachable(lts, source: int) -> list:
     return sorted(seen)
 
 
-def _flow_feasible(lts, source: int, label, group_of, targets, tol: float, nodes: list):
-    """Feasibility core shared by all weak queries.
+class _Flows:
+    """The linear program of a weak query, in two parts: the flow columns,
+    built here once per source and label, read no partition; program() adds
+    the absorption columns and group rows of one partition.
 
     Mass 1 enters at `source`, moves along tau edges (splitting by each
     edge's fixed probabilities), crosses one `label` edge when the label is
     visible, and is absorbed at nodes; absorbed mass per group must equal
-    `targets`.  `nodes` is _reachable(lts, source); group_of[v], read for
-    those nodes only, is the absorption group of v or None when v may not
-    absorb.
+    `targets` (a negative target leaves a residual at least its size).
+    `nodes` is _reachable(lts, source).
+
+    Columns: a phase-1 flow y_u_k per tau edge, a flow x_u_k per `label`
+    edge, a phase-2 flow z_u_k per tau edge, then an absorption a_v per
+    absorbing node.  Rows: conservation per node in phase 1, then in phase 2,
+    then one row per group.  Only a visible label has the x, z columns and
+    phase 2; its phase-1 mass is all absorbed at `label` edges.
     """
-    if any(t < -tol for t in targets):
-        return None
-    two_phase = label not in (TAU_HAT, TAU_STRICT)
-    tau_edges = []
-    act_edges = []
-    for u in nodes:
-        for k, (action, tg) in enumerate(lts.node_edges(u)):
-            if isinstance(action, Tau):
-                tau_edges.append((u, k, tg))
-            elif two_phase and action == label:
-                act_edges.append((u, k, tg))
 
-    prog = lp.LinearProgram([])
-    names = prog.variables
+    def __init__(self, lts, source: int, label, nodes: list):
+        self.lts, self.source, self.label, self.nodes = lts, source, label, nodes
+        self.two_phase = two_phase = label not in (TAU_HAT, TAU_STRICT)
+        tau_edges, act_edges = self._edges()
+        row_of = {v: r for r, v in enumerate(nodes)}
+        self.source_row = row_of[source]
+        self.phase2 = phase2 = len(nodes) if two_phase else 0
+        x0 = len(tau_edges)
+        z0 = x0 + len(act_edges)
+        self.width = z0 + (len(tau_edges) if two_phase else 0)
 
-    def var(name):
-        names.append(name)
-        return name
-
-    y1 = {(u, k): var(f"y_{u}_{k}") for u, k, _ in tau_edges}
-    x = {(u, k): var(f"x_{u}_{k}") for u, k, _ in act_edges}
-    y2 = {(u, k): var(f"z_{u}_{k}") for u, k, _ in tau_edges} if two_phase else {}
-    absorb = {}
-    for v in nodes:
-        if group_of[v] is not None:
-            if label == TAU_STRICT and v == source:
-                continue  # the unit at the source must take a real internal move
-            absorb[v] = var(f"a_{v}")
-
-    def conserve(flows, absorbing: bool, at_source: float):
         # conservation per node: inflow + injected - outflow - absorption = 0,
-        # with the injected unit moved to the right-hand side as `at_source`;
-        # each flow is (edges, their variables, leaves u?, arrives at targets?)
-        rows = {v: {} for v in nodes}
-        for edges, flow, leaves, arrives in flows:
-            for u, k, tg in edges:
-                fv = flow[(u, k)]
+        # with the injected unit moved to the right-hand side; an edge's
+        # column gets -1 in the row of u when mass leaves u, then +p in the
+        # row of each target v, so a self-loop sums to -1 + p
+        rows, cols, vals = [], [], []
+
+        def flow(edges, col0, row0, leaves, arrives):
+            for col, (u, _, tg) in enumerate(edges, col0):
                 if leaves:
-                    rows[u][fv] = rows[u].get(fv, 0.0) - 1.0
+                    rows.append(row0 + row_of[u])
+                    cols.append(col)
+                    vals.append(-1.0)
                 for v, p in tg if arrives else ():
-                    rows[v][fv] = rows[v].get(fv, 0.0) + p
-        for v in nodes:
-            if absorbing and v in absorb:
-                rows[v][absorb[v]] = rows[v].get(absorb[v], 0.0) - 1.0
-            prog.constrain(rows[v], at_source if v == source else 0.0)
+                    rows.append(row0 + row_of[v])
+                    cols.append(col)
+                    vals.append(p)
 
-    if two_phase:
-        # phase 1: tau flows feed the visible edges; phase 2: visible-edge
-        # output plus tau flows end in absorption
-        conserve([(tau_edges, y1, True, True), (act_edges, x, True, False)], False, -1.0)
-        conserve([(act_edges, x, False, True), (tau_edges, y2, True, True)], True, 0.0)
-    else:
-        conserve([(tau_edges, y1, True, True)], True, -1.0)
+        flow(tau_edges, 0, 0, True, True)
+        if two_phase:
+            # phase 1: tau flows feed the visible edges; phase 2: visible-edge
+            # output plus tau flows end in absorption
+            flow(act_edges, x0, 0, True, False)
+            flow(act_edges, x0, phase2, False, True)
+            flow(tau_edges, z0, phase2, True, True)
+        self.entries = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                        np.array(vals))
 
-    groups = sorted({g for g in (group_of[v] for v in nodes) if g is not None}
-                    | {g for g, t in enumerate(targets) if abs(t) > 0})
-    for g in groups:
-        row = {absorb[v]: 1.0 for v in nodes if group_of[v] == g and v in absorb}
-        prog.constrain(row, targets[g] if g < len(targets) else 0.0)
+    def _edges(self):
+        """(tau edges, `label` edges) out of `nodes`, each as (u, k, targets)."""
+        tau_edges, act_edges = [], []
+        for u in self.nodes:
+            for k, (action, tg) in enumerate(self.lts.node_edges(u)):
+                if isinstance(action, Tau):
+                    tau_edges.append((u, k, tg))
+                elif self.two_phase and action == self.label:
+                    act_edges.append((u, k, tg))
+        return tau_edges, act_edges
 
-    return lp.feasible(prog, tol)
+    def shape(self) -> bytes:
+        """A digest of what the program reads besides its absorption: two
+        sources with equal shapes, absorption groups and targets have the same
+        program."""
+        kind = 2 if self.two_phase else (TAU_HAT, TAU_STRICT).index(self.label)
+        rows, cols, vals = self.entries
+        head = _packed([kind, len(self.nodes), self.source_row, self.width,
+                        len(rows)], ())
+        return hashlib.blake2b(head + rows.tobytes() + cols.tobytes() + vals.tobytes(),
+                               digest_size=16).digest()
+
+    def absorbing(self, group_of) -> list:
+        """The positions in `nodes` of the nodes that may absorb: group_of[v],
+        read for `nodes` only, is the absorption group of v, or None when v
+        may not absorb."""
+        # the unit at the source must take a real internal move under TAU_STRICT
+        strict_source = self.source if self.label == TAU_STRICT else None
+        return [r for r, v in enumerate(self.nodes)
+                if group_of[v] is not None and v != strict_source]
+
+    def program(self, group_of, targets) -> lp.LinearProgram:
+        nodes, phase2 = self.nodes, self.phase2
+        groups = sorted({g for g in (group_of[v] for v in nodes) if g is not None}
+                        | {g for g, t in enumerate(targets) if abs(t) > 0})
+        rank = {g: r for r, g in enumerate(groups)}
+        first_group = phase2 + len(nodes)
+        absorb = self.absorbing(group_of)
+        a = np.zeros((first_group + len(groups), self.width + len(absorb)))
+        rows, cols, vals = self.entries
+        np.add.at(a, (rows, cols), vals)
+        # each absorption column takes -1 in its node's last conservation row
+        # and +1 in its group's row
+        cols = np.arange(self.width, a.shape[1])
+        a[[phase2 + r for r in absorb], cols] = -1.0
+        a[[first_group + rank[group_of[nodes[r]]] for r in absorb], cols] = 1.0
+        b = np.zeros(len(a))
+        b[self.source_row] = -1.0
+        b[first_group:] = [targets[g] if g < len(targets) else 0.0 for g in groups]
+        return lp.LinearProgram(a, b)
+
+    def solve(self, group_of, targets, tol: float, loose: float | None = None):
+        """The flow as {variable name: value}, or None; `loose` as for
+        lp.feasible."""
+        x = lp.feasible(self.program(group_of, targets), tol, loose)
+        if x is None:
+            return None
+        tau_edges, act_edges = self._edges()
+        names = ([f"y_{u}_{k}" for u, k, _ in tau_edges]
+                 + [f"x_{u}_{k}" for u, k, _ in act_edges]
+                 + [f"z_{u}_{k}" for u, k, _ in tau_edges if self.two_phase]
+                 + [f"a_{self.nodes[r]}" for r in self.absorbing(group_of)])
+        return dict(zip(names, x.tolist()))
 
 
 def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = lp.TOL):
     """Can `source` internally evolve, with probability one, into stuck
     configurations whose context equals that of `stuck_rep`?"""
     nodes = _reachable(lts, source)
-    return _flow_feasible(lts, source, TAU_HAT, _terminal_groups(lts, stuck_rep, nodes),
-                          [1.0], tol, nodes)
+    return _Flows(lts, source, TAU_HAT, nodes).solve(
+        _terminal_groups(lts, stuck_rep, nodes), [1.0], tol)
 
 
 def _terminal_groups(lts, stuck_rep: int, nodes: list) -> dict:
@@ -190,14 +241,15 @@ _HULL_TIE = "combined-transition matching"
 _FLOW_TIE = "weak-transition matching"
 
 
-def _solve(solve, tol: float, context: str | None):
-    """(solve(tol), near_tie), where near_tie says that solve failed at tol
-    but succeeds at _NEAR_TIE_FACTOR * tol.  A question without a near-tie
-    context (termination) is solved once and is never a near tie."""
-    result = solve(tol)
-    near_tie = (context is not None and result is None
-                and solve(_NEAR_TIE_FACTOR * tol) is not None)
-    return result, near_tie
+def _solve(solve, tol: float):
+    """(solve(tol, loose), near_tie), where near_tie says that the program
+    fails at tol but passes at loose = _NEAR_TIE_FACTOR * tol, decided from
+    its one phase-1 solve.  A termination question ignores loose, so it is
+    never a near tie."""
+    try:
+        return solve(tol, _NEAR_TIE_FACTOR * tol), False
+    except lp.NearTie:
+        return None, True
 
 
 def _packed(ints, floats) -> bytes:
@@ -211,17 +263,20 @@ class _Matcher:
     move is answered by a combined move, in 'weak' mode by a weak move, which
     for a strict tau move takes at least one real internal step.
 
-    holds() solves each distinct question once.  A key holds exactly what the
+    holds() solves each distinct program once.  A key holds exactly what the
     question's linear program reads, with floats compared bit for bit, so a
-    hit is the same program and so the same answer.  Keys are packed into
+    hit is the same program and so the same answer.  A strong key holds only
+    the blocks in play, and a weak key names its source's flows by their
+    shape (see _Flows.shape), so a split elsewhere, or a source whose flows
+    look alike, finds the verdict already known.  Keys are packed into
     bytes and only the verdict is kept, never a witness: keys built of small
     tuples raised the peak memory of repeated 54-node teleportation checks by
     2.5 MB, as the interpreter keeps freed small tuples for reuse.  A verdict
     is True, False, or _NEAR_TIE for a failure within _NEAR_TIE_FACTOR of the
     tolerance, which warns again on every hit, as a fresh solve would.
     witness() solves afresh and returns the hull weights or the flow.  The
-    reachable set of each source and the termination groups of each owner
-    are kept for the matcher's lifetime.
+    reachable set and flows of each source and the termination groups of
+    each owner are kept for the matcher's lifetime.
     """
 
     _NEAR_TIE = "near tie"
@@ -232,19 +287,26 @@ class _Matcher:
         self.tol = tol
         self.known: dict = {}
         self.reach: dict = {}
+        self.flows: dict = {}
         self.ends: dict = {}
 
-    def _reachable(self, node: int) -> list:
-        nodes = self.reach.get(node)
-        if nodes is None:
-            nodes = self.reach[node] = _reachable(self.lts, node)
-        return nodes
+    def _flows(self, node: int, label):
+        """The _Flows of `node` under `label`, and its shape."""
+        got = self.flows.get((node, label))
+        if got is None:
+            nodes = self.reach.get(node)
+            if nodes is None:
+                nodes = self.reach[node] = _reachable(self.lts, node)
+            flows = _Flows(self.lts, node, label, nodes)
+            got = self.flows[(node, label)] = flows, flows.shape()
+        return got
 
     def question(self, node: int, owner: int | None, requirement: tuple, partition: Partition,
                  strict: bool = False):
-        """(memo key, solve at a tolerance, near-tie context, constraint
-        count of the linear program) of one question: can `node` meet
-        `requirement`?  Only a termination requirement reads `owner`."""
+        """(memo key, solve(tol, loose) with loose as for lp.feasible, near-tie
+        context, constraint count of the linear program) of one question:
+        can `node` meet `requirement`?  Only a termination requirement reads
+        `owner`."""
         action, vec = requirement
         if action is None:
             # weak_terminates_in reads no partition, only which nodes reachable
@@ -253,35 +315,44 @@ class _Matcher:
             if ends is None:
                 ends = self.ends[owner] = _terminal_groups(self.lts, owner,
                                                            range(self.lts.node_count))
-            nodes = self._reachable(node)
-            return ((node, _packed([v for v in nodes if ends[v] == 0], ())),
-                    lambda t: _flow_feasible(self.lts, node, TAU_HAT, ends, [1.0], t, nodes),
+            flows, shape = self._flows(node, TAU_HAT)
+            nodes = flows.nodes
+            return (shape + b"end" + _packed([i for i, v in enumerate(nodes) if ends[v] == 0], ()),
+                    lambda t, loose: flows.solve(ends, [1.0], t),
                     None, len(nodes) + 1)
         if self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
-            return (_packed((len(vec),), [x for vector in (vec, *points) for x in vector]),
-                    lambda t: lp.convex_hull_member(points, list(vec), t) if points else None,
-                    _HULL_TIE, 1 + len(vec))
+            if not points:
+                # no move with the action: no program, whatever vec is
+                return b"", lambda t, loose: None, _HULL_TIE, 0
+            # only the blocks that vec or a point touches: the rows of the
+            # others are all zero with a zero right-hand side, which phase 1
+            # never pivots on, so splits elsewhere leave the key alone
+            table = np.array((vec, *points))
+            table = table[:, table.any(axis=0)]
+            return (_packed((table.shape[1],), ()) + table.tobytes(),
+                    lambda t, loose: lp.convex_hull_member(table[1:], table[0], t, loose),
+                    _HULL_TIE, 1 + table.shape[1])
         label = (TAU_STRICT if strict else TAU_HAT) if isinstance(action, Tau) else action
-        nodes = self._reachable(node)
+        flows, shape = self._flows(node, label)
+        nodes = flows.nodes
         block_of = partition.block_of
-        # the absorption groups in the order _flow_feasible writes their rows,
+        # the absorption groups in the order _Flows.program writes their rows,
         # renumbered by rank so that splits elsewhere leave the key alone
         groups = sorted({block_of[v] for v in nodes}
                         | {g for g, t in enumerate(vec) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
-        key = (node, label, _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups]))
+        key = shape + _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups])
         # one conservation row per reachable node and phase, one row per group
         phases = 1 if isinstance(action, Tau) else 2
-        return (key,
-                lambda t: _flow_feasible(self.lts, node, label, block_of, list(vec), t, nodes),
+        return (key, lambda t, loose: flows.solve(block_of, list(vec), t, loose),
                 _FLOW_TIE, phases * len(nodes) + len(groups))
 
     def ask(self, question) -> bool:
         key, solve, context, _ = question
         verdict = self.known.get(key)
         if verdict is None:
-            result, near_tie = _solve(solve, self.tol, context)
+            result, near_tie = _solve(solve, self.tol)
             verdict = self._NEAR_TIE if near_tie else result is not None
             self.known[key] = verdict
         if verdict is self._NEAR_TIE:
@@ -295,7 +366,7 @@ class _Matcher:
     def witness(self, node: int, action: Action, vec: tuple, partition: Partition,
                 strict: bool = False):
         _, solve, context, _ = self.question(node, None, (action, vec), partition, strict)
-        result, near_tie = _solve(solve, self.tol, context)
+        result, near_tie = _solve(solve, self.tol)
         if near_tie:
             _warn_near_tie(context)
         return result

@@ -191,7 +191,7 @@ class TestBisim:
         assert "sound" in capsys.readouterr().err  # caveat printed
 
     def test_numerical_failure_exit_2(self, monkeypatch, capsys):
-        def fail(prog, tol=lp.TOL):
+        def fail(prog, tol=lp.TOL, loose=None):
             raise lp.NumericalFailure("pivot budget exhausted (50000)")
 
         monkeypatch.setattr(lp, "feasible", fail)

@@ -3,70 +3,86 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
-from qccs.lp import LinearProgram, _pivot, convex_hull_member, feasible
+from qccs.lp import (
+    MAX_PIVOTS, PIVOT_EPS, TOL, LinearProgram, NearTie, NumericalFailure, _phase1, _pivot,
+    convex_hull_member, feasible,
+)
 
 from helpers import exact_hull_member
 
 
-def verify(lp, witness, tol=1e-7):
-    for coeffs, rhs in lp.constraints:
-        lhs = sum(c * witness[v] for v, c in coeffs.items())
-        assert abs(lhs - rhs) <= 10 * tol
-    assert all(v >= -tol for v in witness.values())
+def verify(prog, witness, tol=1e-7):
+    assert np.all(np.abs(prog.a @ witness - prog.b) <= 10 * tol)
+    assert np.all(witness >= -tol)
 
 
 class TestFeasible:
     def test_single_equation(self):
-        lp = LinearProgram(["x"])
-        lp.constrain({"x": 1.0}, 1.0)
-        w = feasible(lp)
-        assert w is not None and abs(w["x"] - 1.0) < 1e-9
+        w = feasible(LinearProgram([[1.0]], [1.0]))  # x = 1
+        assert w is not None and abs(w[0] - 1.0) < 1e-9
 
     def test_infeasible_pair(self):
-        lp = LinearProgram(["x", "y"])
-        lp.constrain({"x": 1.0, "y": 1.0}, 1.0)
-        lp.constrain({"x": 1.0, "y": -1.0}, 3.0)
-        assert feasible(lp) is None  # needs y = -1 < 0
+        prog = LinearProgram([[1.0, 1.0],    # x + y = 1
+                              [1.0, -1.0]],  # x - y = 3
+                             [1.0, 3.0])
+        assert feasible(prog) is None  # needs y = -1 < 0
 
     def test_witness_reverifies(self):
-        lp = LinearProgram(["a", "b", "c"])
-        lp.constrain({"a": 1.0, "b": 2.0}, 2.0)
-        lp.constrain({"b": 1.0, "c": 1.0}, 1.5)
-        w = feasible(lp)
+        prog = LinearProgram([[1.0, 2.0, 0.0],   # a + 2b = 2
+                              [0.0, 1.0, 1.0]],  # b + c = 1.5
+                             [2.0, 1.5])
+        w = feasible(prog)
         assert w is not None
-        verify(lp, w)
+        verify(prog, w)
 
     def test_negative_rhs(self):
-        lp = LinearProgram(["x", "y"])
-        lp.constrain({"x": -1.0, "y": 1.0}, -2.0)
-        w = feasible(lp)
+        prog = LinearProgram([[-1.0, 1.0]], [-2.0])  # -x + y = -2
+        w = feasible(prog)
         assert w is not None
-        verify(lp, w)
+        verify(prog, w)
 
     def test_no_constraints(self):
-        lp = LinearProgram(["x"])
-        assert feasible(lp) == {"x": 0.0}
+        w = feasible(LinearProgram(np.zeros((0, 1)), np.zeros(0)))
+        assert w.tolist() == [0.0]
 
     def test_empty_row_infeasible(self):
-        lp = LinearProgram(["x"])
-        lp.constrain({}, 0.5)
-        assert feasible(lp) is None
+        assert feasible(LinearProgram([[0.0]], [0.5])) is None  # 0 = 0.5
 
     def test_redundant_rows(self):
-        lp = LinearProgram(["x", "y"])
-        lp.constrain({"x": 1.0, "y": 1.0}, 1.0)
-        lp.constrain({"x": 2.0, "y": 2.0}, 2.0)
-        w = feasible(lp)
+        prog = LinearProgram([[1.0, 1.0],   # x + y = 1
+                              [2.0, 2.0]],  # 2x + 2y = 2
+                             [1.0, 2.0])
+        w = feasible(prog)
         assert w is not None
-        verify(lp, w)
+        verify(prog, w)
 
-    def test_objective_minimised(self):
-        lp = LinearProgram(["x", "y"], objective={"x": 1.0})
-        lp.constrain({"x": 1.0, "y": 1.0}, 1.0)
-        w = feasible(lp)
-        assert w is not None and abs(w["x"]) < 1e-9 and abs(w["y"] - 1.0) < 1e-9
+    def test_program_is_left_unchanged(self):
+        a, b = np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([-0.5, 1.0])
+        prog = LinearProgram(a.copy(), b.copy())
+        assert feasible(prog) is not None
+        assert np.array_equal(prog.a, a) and np.array_equal(prog.b, b)
+
+    def test_tracer_views(self):
+        # perfbench/tracer.py digests and counts programs through these
+        prog = LinearProgram([[1.0, -0.0], [0.5, 2.0]], [1.0, 0.25])
+        assert prog.variables == [0, 1]
+        assert prog.constraints == [([1.0, -0.0], 1.0), ([0.5, 2.0], 0.25)]
+        assert prog.objective is None
+
+    def test_near_tie_is_decided_from_one_solve(self):
+        # x + y = 1 and x + y = 1 + d: phase 1 leaves a residual of d
+        for d, verdict in ((0.5 * TOL, "feasible"), (2 * TOL, "near tie"),
+                           (20 * TOL, "infeasible")):
+            prog = LinearProgram([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0 + d])
+            assert (feasible(prog, TOL) is not None) == (verdict == "feasible")
+            if verdict == "near tie":
+                with pytest.raises(NearTie):
+                    feasible(prog, TOL, 10 * TOL)
+            else:
+                assert (feasible(prog, TOL, 10 * TOL) is None) == (verdict == "infeasible")
 
     def test_agreement_with_scipy_on_random_systems(self):
         rng = np.random.default_rng(0)
@@ -81,15 +97,13 @@ class TestFeasible:
                 b = a @ x0
             else:
                 b = np.round(rng.normal(size=m), 2)
-            lp = LinearProgram([f"x{j}" for j in range(n)])
-            for i in range(m):
-                lp.constrain({f"x{j}": a[i, j] for j in range(n)}, b[i])
-            mine = feasible(lp)
+            prog = LinearProgram(a, b)
+            mine = feasible(prog)
             ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=[(0, None)] * n,
                           method="highs")
             assert (mine is not None) == ref.success
             if mine is not None:
-                verify(lp, mine)
+                verify(prog, mine)
                 agree += 1
         assert agree >= 30
 
@@ -162,3 +176,110 @@ class TestPivot:
                 assert np.array_equal(mine, ref)
                 assert np.array_equal(np.signbit(mine), np.signbit(ref))
                 assert basis_mine == basis_ref
+
+
+def bland_by_loops(tableau, basis, n, pivot, ties):
+    """The phase-1 loops that _phase1's vectorized choice replaced: reduced
+    costs row by row, the entering column by a scan of the reduced costs, the
+    leaving row by a scan of the rows.  Counts ratio ties in ties[0]."""
+    m, width = tableau.shape
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    z = cost.copy()
+    for r, b in enumerate(basis):
+        if abs(cost[b]) > 0:
+            z -= cost[b] * tableau[r, :-1]
+    count = 0
+    while True:
+        col = -1
+        for j in range(width - 1):
+            if z[j] < -PIVOT_EPS:
+                col = j
+                break
+        if col < 0:
+            return
+        row, best = -1, np.inf
+        for r in range(m):
+            a = tableau[r, col]
+            if a > PIVOT_EPS:
+                ratio = tableau[r, -1] / a
+                ties[0] += bool(row >= 0 and abs(ratio - best) <= PIVOT_EPS)
+                if ratio < best - PIVOT_EPS or (
+                    abs(ratio - best) <= PIVOT_EPS and (row < 0 or basis[r] < basis[row])
+                ):
+                    best = ratio
+                    row = r
+        if row < 0:
+            raise NumericalFailure("objective unbounded below; malformed feasibility system")
+        pivot(tableau, basis, row, col)
+        z -= z[col] * tableau[row, :-1]
+        count += 1
+        if count > MAX_PIVOTS:
+            raise NumericalFailure(f"pivot budget exhausted ({MAX_PIVOTS})")
+
+
+class TestBland:
+    def test_vectorized_choice_matches_loops_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        ties, pivots, signed_zeros = [0], 0, 0
+        for _ in range(300):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+            # grid values make ratio ties; signed zeros among the zeros
+            a = rng.choice([0.0, -0.0, 0.0, -0.0, 0.25, 0.5, 1.0, 2.0, -1.0, -0.5], size=(m, n))
+            b = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=m)
+            start = np.hstack([a, np.eye(m), b[:, None]])
+            runs = []
+            for choose in ("loops", "vectorized"):
+                tableau, basis, steps = start.copy(), list(range(n, n + m)), []
+
+                def recorded(tableau, basis, row, col):
+                    _pivot(tableau, basis, row, col)
+                    steps.append((row, col, list(basis)))
+
+                if choose == "loops":
+                    bland_by_loops(tableau, basis, n, recorded, ties)
+                else:
+                    with monkeypatch.context() as patch:
+                        patch.setattr("qccs.lp._pivot", recorded)
+                        _phase1(tableau, basis, n)
+                runs.append((tableau, steps))
+            (ref, ref_steps), (mine, my_steps) = runs
+            assert my_steps == ref_steps
+            assert np.array_equal(mine, ref)
+            assert np.array_equal(np.signbit(mine), np.signbit(ref))
+            pivots += len(ref_steps)
+            signed_zeros += int(np.sum((ref == 0) & np.signbit(ref)))
+        assert ties[0] > 200 and pivots > 800 and signed_zeros > 300, (ties, pivots, signed_zeros)
+
+
+class TestHullSupport:
+    def test_dropping_untouched_blocks_changes_no_bit(self):
+        # the blocks that neither the target nor any point touches give rows
+        # of zeros with a zero right-hand side; the weights without them are
+        # the same floats, signed zeros included
+        rng = np.random.default_rng(13)
+        compared, negative_zeros, dropped = 0, 0, 0
+        for _ in range(400):
+            blocks, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            points = np.zeros((k, blocks))
+            for p in points:
+                touched = rng.choice(blocks, size=int(rng.integers(1, 4)), replace=True)
+                np.add.at(p, touched, 1.0 / len(touched))
+            if rng.random() < 0.7:
+                weights = rng.integers(0, 3, size=k)
+                weights[0] += weights.sum() == 0
+                target = weights / weights.sum() @ points
+            else:
+                target = points[0].copy()
+                target[int(rng.integers(0, blocks))] += 0.25
+                target /= target.sum()
+            keep = np.vstack([target, points]).any(axis=0)
+            dropped += int(blocks - keep.sum())
+            full = convex_hull_member(points, target)
+            kept = convex_hull_member(points[:, keep], target[keep])
+            assert (full is None) == (kept is None)
+            if full is not None:
+                assert np.array(full).tobytes() == np.array(kept).tobytes()
+                compared += 1
+                negative_zeros += sum(1 for w in full if w == 0 and np.signbit(w))
+        assert compared > 250 and negative_zeros > 20 and dropped > 500, (
+            compared, negative_zeros, dropped)
