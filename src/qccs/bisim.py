@@ -77,15 +77,6 @@ def class_vector(targets, partition: Partition) -> tuple:
     return tuple(vec)
 
 
-def weak_reach_feasible(lts, source: int, label, target, partition: Partition,
-                        tol: float = lp.TOL):
-    """Flow witness for `source ==label==> some nu with class vector target`
-    (per-block mass), or None when no adversary can realise it.  `label` is
-    TAU_HAT, TAU_STRICT or a visible Action."""
-    return _Flows(lts, source, label, _reachable(lts, source)).solve(
-        partition.block_of, list(target), tol)
-
-
 def _reachable(lts, source: int) -> list:
     seen = {source}
     stack = [source]
@@ -115,6 +106,13 @@ class _Flows:
     absorbing node.  Rows: conservation per node in phase 1, then in phase 2,
     then one row per group.  Only a visible label has the x, z columns and
     phase 2; its phase-1 mass is all absorbed at `label` edges.
+
+    Under TAU_STRICT the unit at the source must take a real internal move,
+    so the source absorbs only mass that flowed back into it.  With a tau
+    edge back to the source, the source absorbs, and a bound row after the
+    conservation rows asks its outflow to be 1 + r_s: the column r_s, after
+    the flows, is returned mass that moves on again, so the absorption is
+    the inflow less r_s.  With no edge back, the source does not absorb.
     """
 
     def __init__(self, lts, source: int, label, nodes: list):
@@ -124,9 +122,13 @@ class _Flows:
         row_of = {v: r for r, v in enumerate(nodes)}
         self.source_row = row_of[source]
         self.phase2 = phase2 = len(nodes) if two_phase else 0
+        self.bound = label == TAU_STRICT and any(
+            v == source for _, _, tg in tau_edges for v, _ in tg)
+        # the rows before the group rows
+        self.height = phase2 + len(nodes) + self.bound
         x0 = len(tau_edges)
         z0 = x0 + len(act_edges)
-        self.width = z0 + (len(tau_edges) if two_phase else 0)
+        self.width = z0 + (len(tau_edges) if two_phase else 0) + self.bound
 
         # conservation per node: inflow + injected - outflow - absorption = 0,
         # with the injected unit moved to the right-hand side; an edge's
@@ -152,6 +154,12 @@ class _Flows:
             flow(act_edges, x0, 0, True, False)
             flow(act_edges, x0, phase2, False, True)
             flow(tau_edges, z0, phase2, True, True)
+        if self.bound:
+            # the bound row: -outflow + r_s = -1
+            out = [col for col, (u, _, _) in enumerate(tau_edges) if u == source]
+            rows += [len(nodes)] * (len(out) + 1)
+            cols += out + [self.width - 1]
+            vals += [-1.0] * len(out) + [1.0]
         self.entries = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                         np.array(vals))
 
@@ -181,17 +189,17 @@ class _Flows:
         """The positions in `nodes` of the nodes that may absorb: group_of[v],
         read for `nodes` only, is the absorption group of v, or None when v
         may not absorb."""
-        # the unit at the source must take a real internal move under TAU_STRICT
-        strict_source = self.source if self.label == TAU_STRICT else None
+        # under TAU_STRICT, a source with no edge back absorbs nothing
+        barred = self.source if self.label == TAU_STRICT and not self.bound else None
         return [r for r, v in enumerate(self.nodes)
-                if group_of[v] is not None and v != strict_source]
+                if group_of[v] is not None and v != barred]
 
     def program(self, group_of, targets) -> lp.LinearProgram:
         nodes, phase2 = self.nodes, self.phase2
         groups = sorted({g for g in (group_of[v] for v in nodes) if g is not None}
                         | {g for g, t in enumerate(targets) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
-        first_group = phase2 + len(nodes)
+        first_group = self.height
         absorb = self.absorbing(group_of)
         a = np.zeros((first_group + len(groups), self.width + len(absorb)))
         rows, cols, vals = self.entries
@@ -203,6 +211,8 @@ class _Flows:
         a[[first_group + rank[group_of[nodes[r]]] for r in absorb], cols] = 1.0
         b = np.zeros(len(a))
         b[self.source_row] = -1.0
+        if self.bound:
+            b[len(nodes)] = -1.0
         b[first_group:] = [targets[g] if g < len(targets) else 0.0 for g in groups]
         return lp.LinearProgram(a, b)
 
@@ -216,21 +226,16 @@ class _Flows:
         names = ([f"y_{u}_{k}" for u, k, _ in tau_edges]
                  + [f"x_{u}_{k}" for u, k, _ in act_edges]
                  + [f"z_{u}_{k}" for u, k, _ in tau_edges if self.two_phase]
+                 + [f"r_{self.source}"] * self.bound
                  + [f"a_{self.nodes[r]}" for r in self.absorbing(group_of)])
         return dict(zip(names, x.tolist()))
 
 
-def weak_terminates_in(lts, source: int, stuck_rep: int, tol: float = lp.TOL):
-    """Can `source` internally evolve, with probability one, into stuck
-    configurations whose context equals that of `stuck_rep`?"""
-    nodes = _reachable(lts, source)
-    return _Flows(lts, source, TAU_HAT, nodes).solve(
-        _terminal_groups(lts, stuck_rep, nodes), [1.0], tol)
-
-
 def _terminal_groups(lts, stuck_rep: int, nodes: list) -> dict:
-    """Absorption groups of weak_terminates_in: group 0 for the stuck nodes
-    whose context equals that of `stuck_rep`, None for the rest."""
+    """Absorption groups of a termination question: can a node internally
+    evolve, with probability one, into stuck configurations whose context
+    equals that of `stuck_rep`?  Group 0 for those stuck nodes, None for the
+    rest."""
     ends = set(lts.terminal_matches(stuck_rep))
     return {v: 0 if v in ends else None for v in nodes}
 
@@ -309,8 +314,9 @@ class _Matcher:
         `owner`."""
         action, vec = requirement
         if action is None:
-            # weak_terminates_in reads no partition, only which nodes reachable
-            # from `node` may absorb; owners with equal contexts share programs
+            # a termination question reads no partition, only which nodes
+            # reachable from `node` may absorb; owners with equal contexts
+            # share programs
             ends = self.ends.get(owner)
             if ends is None:
                 ends = self.ends[owner] = _terminal_groups(self.lts, owner,
@@ -319,7 +325,7 @@ class _Matcher:
             nodes = flows.nodes
             return (shape + b"end" + _packed([i for i, v in enumerate(nodes) if ends[v] == 0], ()),
                     lambda t, loose: flows.solve(ends, [1.0], t),
-                    None, len(nodes) + 1)
+                    None, flows.height + 1)
         if self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
             if not points:
@@ -343,10 +349,8 @@ class _Matcher:
                         | {g for g, t in enumerate(vec) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
         key = shape + _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups])
-        # one conservation row per reachable node and phase, one row per group
-        phases = 1 if isinstance(action, Tau) else 2
         return (key, lambda t, loose: flows.solve(block_of, list(vec), t, loose),
-                _FLOW_TIE, phases * len(nodes) + len(groups))
+                _FLOW_TIE, flows.height + len(groups))
 
     def ask(self, question) -> bool:
         key, solve, context, _ = question
@@ -459,10 +463,11 @@ def _first_split(matcher: _Matcher, partition: Partition):
 
 def _refine(matcher: _Matcher, partition: Partition) -> Partition:
     """Split blocks until stable, asking `matcher` whether members meet each
-    requirement."""
+    requirement.  The blocks of the result are numbered by lowest member, so
+    no output depends on the order of the splits."""
     while split := _first_split(matcher, partition):
         partition = partition.split(*split)
-    return partition
+    return Partition(_compact(partition.block_of))
 
 
 def _matchings_for_pair(matcher: _Matcher, i: int, j: int, partition: Partition,
@@ -482,7 +487,7 @@ def _matchings_for_pair(matcher: _Matcher, i: int, j: int, partition: Partition,
                 "class_vector": list(vec),
             }
             if isinstance(w, list):
-                entry["weights"] = [round(x, 12) for x in w]
+                entry["weights"] = [round(x, 12) + 0.0 for x in w]
                 entry["partners"] = [
                     [[n, p] for n, p in tg] for tg in lts.successors(b, action)
                 ]

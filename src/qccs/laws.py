@@ -208,9 +208,6 @@ class LawsReport:
         }
 
 
-LAWS = ("sum-commutative", "sum-idempotent", "sum-associative", "sum-unit", "parallel-unit")
-
-
 def _law_instances(e, f, g):
     return {
         "sum-commutative": (Sum(e, f), Sum(f, e)),

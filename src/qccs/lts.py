@@ -567,9 +567,6 @@ class Lts:
     def terminal_equal(self, i: int, j: int) -> bool:
         return context_equal(self.nodes[i].context, self.nodes[j].context)
 
-    def find(self, config: Configuration):
-        return self.index.find(config.key, config.context)
-
     @cached_property
     def _stuck_index(self) -> tuple:
         """(index, node ids): the stuck nodes' contexts filed under their

@@ -5,12 +5,13 @@ partial trace and operator application are the density-matrix references
 for the factored state kernel; the free-variable
 oracle re-states the defining clauses; the brute-force bisimilarity oracle
 enumerates every equivalence relation and decides hull membership with exact
-rational arithmetic; the reference refinement loop solves every matching
-question afresh.
+rational arithmetic; BisimOracle decides strong, weak and eq from the
+definitions, with its own linear programs solved by scipy's HiGHS.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from qccs import lp
+from scipy.optimize import linprog
+
 from qccs import syntax as S
-from qccs.bisim import TAU_HAT, class_vector, weak_reach_feasible, weak_terminates_in
 from qccs.frontend import elaborate, parse
-from qccs.lts import Tau
+from qccs.lts import TAU, Tau
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -31,6 +32,11 @@ def corpus_configs(name: str, *configs: str) -> list:
     """The named configurations of corpus/<name>.qccs, from one elaboration."""
     elab = elaborate(parse((CORPUS / f"{name}.qccs").read_text(encoding="utf-8")))
     return [elab.configs[c] for c in configs]
+
+
+def node_of(graph, config):
+    """The node id of `config` in an explored graph, or None."""
+    return graph.index.find(config.key, config.context)
 
 
 # -- index-level linear algebra oracles --
@@ -152,15 +158,16 @@ class SyntheticLts:
     edges_exact: list  # edges_exact[i] = [(action, ((j, Fraction), ...)), ...]
     labels: list       # context label per node
 
+    def __post_init__(self):
+        self.edges = [[(action, tuple((j, float(p)) for j, p in targets))
+                       for action, targets in row] for row in self.edges_exact]
+
     @property
     def node_count(self) -> int:
         return self.n
 
     def node_edges(self, i: int):
-        return [
-            (action, tuple((j, float(p)) for j, p in targets))
-            for action, targets in self.edges_exact[i]
-        ]
+        return self.edges[i]
 
     def stuck(self, i: int) -> bool:
         return not self.edges_exact[i]
@@ -173,8 +180,7 @@ class SyntheticLts:
                 and self.terminal_equal(j, i))
 
     def successors(self, i: int, action):
-        return [tuple((j, float(p)) for j, p in tg)
-                for a, tg in self.edges_exact[i] if a == action]
+        return [tg for a, tg in self.edges[i] if a == action]
 
 
 def random_synthetic_lts(rng, max_nodes: int = 6, actions=("a", "b", "t")) -> SyntheticLts:
@@ -318,43 +324,192 @@ def oracle_strong_bisimilar(slts: SyntheticLts, left: int, right: int) -> bool:
     return False
 
 
-# -- partition refinement without memoized verdicts --
+# -- strong, weak and eq by their definitions, apart from qccs.bisim and qccs.lp --
 
 
-def _reference_holds(lts, member, owner, kind, action, vec, partition, tol, mode) -> bool:
-    if kind == "termination":
-        return weak_terminates_in(lts, member, owner, tol) is not None
-    if mode == "strong":
-        points = [class_vector(tg, partition) for tg in lts.successors(member, action)]
-        return bool(points) and lp.convex_hull_member(points, list(vec), tol) is not None
-    label = TAU_HAT if isinstance(action, Tau) else action
-    return weak_reach_feasible(lts, member, label, vec, partition, tol) is not None
+def _by_lowest_member(block_of) -> list:
+    """block_of renumbered so that blocks are numbered by lowest member."""
+    remap: dict = {}
+    return [remap.setdefault(b, len(remap)) for b in block_of]
 
 
-def reference_refine(lts, partition, mode: str, tol: float):
-    """The partition bisim._refine returns, by the same restart scan, asking
-    every matching question of the LP layer again each time it comes up."""
-    while True:
-        changed = False
-        for block_id, members in enumerate(partition.blocks()):
-            if len(members) < 2:
-                continue
-            for owner in members:
-                conditions = [("move", action, class_vector(targets, partition))
-                              for action, targets in lts.node_edges(owner)]
-                if mode != "strong" and lts.stuck(owner):
-                    conditions.append(("termination", None, None))
-                for kind, action, vec in conditions:
-                    sat = {m for m in members
-                           if _reference_holds(lts, m, owner, kind, action, vec,
-                                               partition, tol, mode)}
-                    if sat and len(sat) < len(members):
-                        partition = partition.split(block_id, sat)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-        if not changed:
-            return partition
+def _stages(action, strict: bool):
+    """A weak move as (steps, last stage).  Each step is (stage, label, next
+    stage), with label None for a tau edge.  Mass enters at stage 0 and stops
+    only in the last stage: tau* for a tau move, tau tau* for a strict one,
+    and tau* a tau* for a visible action a."""
+    if not isinstance(action, Tau):
+        return ((0, None, 0), (0, action, 1), (1, None, 1)), 1
+    if strict:
+        return ((0, None, 1), (1, None, 1)), 1
+    return ((0, None, 0),), 0
+
+
+class BisimOracle:
+    """Strong and weak bisimilarity and `eq` by their definitions, read off
+    node_edges, stuck and terminal_equal alone.
+
+    A node meets a move (action, class vector) of another node by a combined
+    move (strong), or by a weak move (weak): a flow of mass 1 along the
+    product of the graph with the move's stages (see _stages) that stops in
+    each block with the move's mass.  A stuck owner, in weak mode, also asks
+    to reach, internally and with probability one, stuck nodes of its
+    context.  Each round splits every block by which of its members' moves
+    and terminations each member meets, until no block splits.  The
+    programs go to scipy's HiGHS, and each distinct program is solved once
+    per oracle.  `eq` takes the weak partition and asks each move of one
+    node to be met by the other with a strict move for tau.
+    """
+
+    def __init__(self, lts, tol: float = 1e-7):
+        self.lts, self.tol = lts, tol
+        self.known: dict = {}
+        self.products: dict = {}
+        self.partitions: dict = {}
+
+    def feasible(self, a, b) -> bool:
+        """Is a @ x = b for some x >= 0, within the tolerance?"""
+        key = struct.pack("2q", *a.shape) + a.tobytes() + b.tobytes()
+        if key not in self.known:
+            res = linprog(np.zeros(a.shape[1]), A_eq=a, b_eq=b, bounds=(0, None),
+                          method="highs", options={"primal_feasibility_tolerance": self.tol})
+            if res.status not in (0, 2):
+                raise RuntimeError(f"HiGHS: {res.message}")
+            self.known[key] = res.status == 0
+        return self.known[key]
+
+    def lifted(self, targets, block_of) -> list:
+        vec = [0.0] * (max(block_of) + 1)
+        for v, p in targets:
+            vec[block_of[v]] += p
+        return vec
+
+    def combined(self, member, action, vec, block_of) -> bool:
+        """Is vec a convex combination of member's `action` moves, lifted to
+        blocks?  Rows: the weights sum to one, then one per block that vec or
+        a move touches."""
+        points = [self.lifted(tg, block_of) for a, tg in self.lts.node_edges(member)
+                  if a == action]
+        if len(points) < 2:
+            # the weight of one move is 1
+            return bool(points) and max(abs(p - v) for p, v in zip(points[0], vec)) <= self.tol
+        table = np.array([vec, *points]).T
+        table = table[table.any(axis=1)]
+        return self.feasible(np.vstack([np.ones(len(points)), table[:, 1:]]),
+                             np.concatenate([[1.0], table[:, 0]]))
+
+    def product(self, member, steps):
+        """The states (node, stage) reachable from (member, 0) along `steps`,
+        in breadth-first order, and the conservation array: one row per
+        state, one column per edge of the product, -1 where mass leaves a
+        state and +p where it arrives."""
+        got = self.products.get((member, steps))
+        if got is None:
+            states, index, edges = [(member, 0)], {(member, 0): 0}, []
+            for i, (v, stage) in enumerate(states):
+                for action, targets in self.lts.node_edges(v):
+                    label = None if isinstance(action, Tau) else action
+                    for after in (t for s, l, t in steps if s == stage and l == label):
+                        out = []
+                        for w, p in targets:
+                            if (w, after) not in index:
+                                index[(w, after)] = len(states)
+                                states.append((w, after))
+                            out.append((index[(w, after)], p))
+                        edges.append((i, out))
+            flows = np.zeros((len(states), len(edges)))
+            for col, (i, out) in enumerate(edges):
+                flows[i, col] -= 1.0
+                for j, p in out:
+                    flows[j, col] += p
+            got = self.products[(member, steps)] = states, flows
+        return got
+
+    def reaches(self, member, steps, last, group_of, targets) -> bool:
+        """Can mass 1 at member move along `steps` and stop in stage `last`,
+        at nodes v with group_of(v) not None, with targets[g] stopped in group
+        g?  Rows: conservation per state, then one per group."""
+        states, flows = self.product(member, steps)
+        stops = [(i, group_of(v)) for i, (v, stage) in enumerate(states)
+                 if stage == last and group_of(v) is not None]
+        groups = sorted({g for _, g in stops})
+        if any(abs(t) > self.tol for g, t in enumerate(targets) if g not in groups):
+            return False  # mass due in a group it cannot reach: a zero row
+        row = {g: len(states) + r for r, g in enumerate(groups)}
+        a = np.zeros((len(states) + len(groups), flows.shape[1] + len(stops)))
+        a[:len(states), :flows.shape[1]] = flows
+        for col, (i, g) in enumerate(stops, flows.shape[1]):
+            a[i, col] = -1.0
+            a[row[g], col] = 1.0
+        b = np.zeros(len(a))
+        b[0] = -1.0
+        b[len(states):] = [targets[g] if g < len(targets) else 0.0 for g in groups]
+        return self.feasible(a, b)
+
+    def requirements(self, owner, block_of, mode) -> list:
+        out = [(action, self.lifted(tg, block_of)) for action, tg in self.lts.node_edges(owner)]
+        if mode == "weak" and self.lts.stuck(owner):
+            out.append((None, None))
+        return out
+
+    def meets(self, member, owner, requirement, block_of, mode) -> bool:
+        action, vec = requirement
+        lts = self.lts
+        if action is None:
+            return self.reaches(member, *_stages(TAU, False),
+                                lambda v: 0 if lts.stuck(v) and lts.terminal_equal(v, owner)
+                                else None, [1.0])
+        if mode == "strong":
+            return self.combined(member, action, vec, block_of)
+        return self.reaches(member, *_stages(action, False), block_of.__getitem__, vec)
+
+    def partition(self, mode: str) -> list:
+        """The coarsest stable partition as block_of, blocks numbered by
+        lowest member.  Strong mode starts from the stuck nodes grouped by
+        context, each joining the lowest head equal to it, and one block for
+        the rest; weak mode starts from one block."""
+        if mode in self.partitions:
+            return self.partitions[mode]
+        lts, n = self.lts, self.lts.node_count
+        block_of = [0] * n
+        if mode == "strong":
+            heads = []
+            for v in range(n):
+                if lts.stuck(v):
+                    head = next((h for h in heads if lts.terminal_equal(h, v)), v)
+                    if head == v:
+                        heads.append(v)
+                    block_of[v] = head + 1
+        block_of = _by_lowest_member(block_of)
+        while True:
+            signature = []
+            for m in range(n):
+                owners = [u for u in range(n) if block_of[u] == block_of[m]]
+                signature.append((block_of[m], tuple(
+                    self.meets(m, u, r, block_of, mode) for u in owners
+                    for r in self.requirements(u, block_of, mode))))
+            refined = _by_lowest_member(signature)
+            if refined == block_of:
+                self.partitions[mode] = block_of
+                return block_of
+            block_of = refined
+
+    def equivalent(self, mode: str, left: int, right: int) -> bool:
+        """The verdict of mode 'strong', 'weak' or 'eq' on the pair."""
+        if mode == "eq":
+            return self.eq(left, right)
+        block_of = self.partition(mode)
+        return block_of[left] == block_of[right]
+
+    def eq(self, left: int, right: int) -> bool:
+        """Each move of one node is met by a weak move of the other over the
+        weak partition, strict for tau, and two stuck nodes have equal
+        contexts."""
+        block_of = self.partition("weak")
+        lts = self.lts
+        for owner, partner in ((left, right), (right, left)):
+            for action, targets in lts.node_edges(owner):
+                if not self.reaches(partner, *_stages(action, True), block_of.__getitem__,
+                                    self.lifted(targets, block_of)):
+                    return False
+        return not (lts.stuck(left) and lts.stuck(right) and not lts.terminal_equal(left, right))

@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
-from qccs import linalg
-from qccs.bisim import Partition, strong_bisim, weak_reach_feasible
+from qccs import linalg, lp
+from qccs.bisim import Partition, _Matcher, strong_bisim
 from qccs.context import make_context
 from qccs.demo import verify_teleport
 from qccs.laws import (
@@ -25,7 +25,7 @@ from qccs.syntax import (
     QInput, QOutput, Restrict, Sum, Unitary, Var,
 )
 
-from helpers import corpus_configs, oracle_strong_bisimilar, random_synthetic_lts
+from helpers import corpus_configs, node_of, oracle_strong_bisimilar, random_synthetic_lts
 
 C = Chan("c", False)
 QC = Chan("qc", True)
@@ -114,15 +114,16 @@ class TestAcceptance:
         stay feasible and overweight targets do not."""
         graph = build_lts(corpus_configs("weak_example", "C")[0])
         c = graph.initial[0]
-        c5 = graph.find(cfg(Nil(), ("q",), dm(KET_PLUS)))
-        c6 = graph.find(cfg(Nil(), ("q",), dm(KET_MINUS)))
+        c5 = node_of(graph, cfg(Nil(), ("q",), dm(KET_PLUS)))
+        c6 = node_of(graph, cfg(Nil(), ("q",), dm(KET_MINUS)))
         singles = Partition(list(range(graph.node_count)))
         label = QOut(QC, "q")
+        matcher = _Matcher(graph, "weak", lp.TOL)
 
         def feas(m5, m6):
             vec = [0.0] * graph.node_count
             vec[c5], vec[c6] = m5, m6
-            return weak_reach_feasible(graph, c, label, tuple(vec), singles)
+            return matcher.witness(c, label, tuple(vec), singles)
 
         figs = (feas(0.5, 0.5) is not None      # fig 1
                 and feas(1.0, 0.0) is not None  # fig 2

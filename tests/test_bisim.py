@@ -4,25 +4,23 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from qccs import bisim, linalg, lp
-from qccs.bisim import (
-    TAU_HAT, TAU_STRICT, Partition, class_vector,
-    equality_check, strong_bisim, weak_bisim, weak_reach_feasible,
-    weak_terminates_in,
-)
+from qccs.bisim import Partition, class_vector, equality_check, strong_bisim, weak_bisim
 from qccs.context import make_context
 from qccs.demo import build_teleport
+from qccs.frontend import elaborate, parse
 from qccs.linalg import GATE_I, GATE_X, KET0, KET1, KET_PLUS, KET_MINUS, OBS_M01, dm
-from qccs.lts import TAU, Configuration, QOut, build_lts, format_action
+from qccs.lts import TAU, Configuration, QOut, Tau, build_lts, format_action
 from qccs.syntax import (
     Chan, Cmp, Const, COutput, If, Measure, Nil, QOutput, Restrict, Sum,
     Unitary, Var,
 )
 
 from helpers import (
-    SyntheticLts, corpus_configs, exact_class_vector, exact_hull_member,
-    oracle_strong_bisimilar, random_synthetic_lts, reference_refine,
+    CORPUS, BisimOracle, SyntheticLts, corpus_configs, exact_class_vector,
+    exact_hull_member, node_of, oracle_strong_bisimilar, random_synthetic_lts,
 )
 from test_system import corrupted_teleport
 
@@ -41,6 +39,13 @@ def pair_lts(t1, ctx1, t2, ctx2):
     return graph, graph.initial[0], graph.initial[1]
 
 
+def weak_move(graph, source, action, target, partition, strict=False):
+    """The flow of a weak move of `source` by `action` with the class vector
+    `target` over `partition`, strict for tau when `strict`, or None."""
+    return bisim._Matcher(graph, "weak", lp.TOL).witness(source, action, tuple(target),
+                                                         partition, strict)
+
+
 class TestStrongExamples:
     def test_class_vector(self):
         partition = Partition([0, 0, 1, 2])
@@ -55,15 +60,15 @@ class TestStrongExamples:
                        for m in res.witness if "weights" in m]
         assert [0.5, 0.5] in weight_sets
 
-    def test_choice_witness_keeps_its_signed_zero_weight(self):
+    def test_choice_witness_prints_no_signed_zero(self):
         # the simplex leaves -0.0 on one partner of node 0's tau move; the
-        # witness JSON has always printed it as -0.0
+        # witness JSON prints it as 0.0
         left, right = corpus_configs("choice", "Left", "Right")
         graph = build_lts([left, right])
         res = strong_bisim(graph, graph.initial[0], graph.initial[1])
         weights = next(m["weights"] for m in res.witness
                        if m["from"] == "left" and m["action"] == "tau")
-        assert weights == [1.0, 0.0] and np.signbit(weights[1])
+        assert weights == [1.0, 0.0] and not np.signbit(weights).any()
 
     def test_intro_pair_distinguished_by_terminal_context(self):
         p = COutput(C, Const(0.0), Nil())
@@ -133,8 +138,8 @@ class TestWeakFigures:
     def setup_method(self):
         self.graph = build_lts(corpus_configs("weak_example", "C")[0])
         self.c = self.graph.initial[0]
-        self.c5 = self.graph.find(cfg(Nil(), ("q",), dm(KET_PLUS)))
-        self.c6 = self.graph.find(cfg(Nil(), ("q",), dm(KET_MINUS)))
+        self.c5 = node_of(self.graph, cfg(Nil(), ("q",), dm(KET_PLUS)))
+        self.c6 = node_of(self.graph, cfg(Nil(), ("q",), dm(KET_MINUS)))
         self.singletons = Partition(list(range(self.graph.node_count)))
         self.label = QOut(QC, "q")
 
@@ -145,8 +150,7 @@ class TestWeakFigures:
         return tuple(vec)
 
     def query(self, m5, m6):
-        return weak_reach_feasible(
-            self.graph, self.c, self.label, self.target(m5, m6), self.singletons)
+        return weak_move(self.graph, self.c, self.label, self.target(m5, m6), self.singletons)
 
     def test_fig1_half_half(self):
         assert self.query(0.5, 0.5) is not None
@@ -172,8 +176,7 @@ class TestWeakFigures:
         vec = [0.0] * self.graph.node_count
         vec[self.c5] = 0.5
         vec[self.c] = 0.5  # the start node is never a qc!q target
-        assert weak_reach_feasible(
-            self.graph, self.c, self.label, tuple(vec), self.singletons) is None
+        assert weak_move(self.graph, self.c, self.label, vec, self.singletons) is None
 
     def test_fig1_decomposition_reverifies(self):
         # the (1/2, 1/2) target forces all first-step flow through the
@@ -196,8 +199,7 @@ class TestWeakFigures:
                 vec[self.c5] = 1.0
             else:
                 vec[self.c6] = 1.0
-            assert weak_reach_feasible(
-                self.graph, succ, self.label, tuple(vec), self.singletons) is not None
+            assert weak_move(self.graph, succ, self.label, vec, self.singletons) is not None
 
     def test_fig3_decomposition_splits_between_branches(self):
         w = self.query(0.75, 0.25)
@@ -267,22 +269,26 @@ class TestWeakBisim:
                                Nil(), make_context(("q",), dm(KET0)))
         assert not weak_bisim(graph, i, j).equivalent
 
-    def test_weak_terminates_in(self):
+    def test_internal_termination(self):
+        def terminates(graph, source, stuck):
+            # can source internally evolve, with probability one, into stuck
+            # configurations whose context equals that of `stuck`?
+            return bisim._Matcher(graph, "weak", lp.TOL).holds(
+                source, stuck, (None, None), Partition([0] * graph.node_count))
+
         # internal termination cannot cross the visible output in the figure
         graph = build_lts(corpus_configs("weak_example", "C")[0])
         c = graph.initial[0]
-        c5 = graph.find(cfg(Nil(), ("q",), dm(KET_PLUS)))
-        assert weak_terminates_in(graph, c, c5) is None
+        c5 = node_of(graph, cfg(Nil(), ("q",), dm(KET_PLUS)))
+        assert not terminates(graph, c, c5)
         # a pure internal chain does terminate with probability one
         term = Unitary(GATE_X, ("q",), Unitary(GATE_X, ("q",), Nil()))
         chain = build_lts(cfg(term, ("q",), dm(KET0)))
         terminal = next(i for i in range(chain.node_count) if chain.stuck(i))
-        assert weak_terminates_in(chain, chain.initial[0], terminal) is not None
+        assert terminates(chain, chain.initial[0], terminal)
         # and an off-path terminal is unreachable
-        other = build_lts(cfg(Nil(), ("q",), dm(KET1)))
         joint = build_lts([cfg(term, ("q",), dm(KET0)), cfg(Nil(), ("q",), dm(KET1))])
-        bad_terminal = joint.initial[1]
-        assert weak_terminates_in(joint, joint.initial[0], bad_terminal) is None
+        assert not terminates(joint, joint.initial[0], joint.initial[1])
 
 
 class TestEquality:
@@ -356,10 +362,8 @@ class TestMultiActionCharacterization:
                 if getattr(a, "chan", None) == D:
                     self.d_out = a
         self.singles = Partition(list(range(self.graph.node_count)))
-        self.t0 = self.graph.find(
-            Configuration(Nil(), make_context(("q",), dm(KET0))))
-        self.t1 = self.graph.find(
-            Configuration(Nil(), make_context(("q",), dm(KET1))))
+        self.t0 = node_of(self.graph, Configuration(Nil(), make_context(("q",), dm(KET0))))
+        self.t1 = node_of(self.graph, Configuration(Nil(), make_context(("q",), dm(KET1))))
 
     def _two_step_feasible(self, start, end_vec):
         """start ==c!0==> mu, then every support point ==d!0==> its share."""
@@ -375,8 +379,7 @@ class TestMultiActionCharacterization:
                     continue
                 # each intermediate node must complete its share of the end
                 share = tuple(x * mass for x in self._unit_target(node, end_vec))
-                if weak_reach_feasible(self.graph, node, self.d_out, share,
-                                       self.singles) is None:
+                if weak_move(self.graph, node, self.d_out, share, self.singles) is None:
                     ok = False
                     break
             if ok:
@@ -420,12 +423,12 @@ class TestWeakQueryLabels:
     def test_tau_hat_allows_empty_move(self):
         graph = build_lts(cfg(Nil(), ("q",), dm(KET0)))
         part = Partition([0])
-        assert weak_reach_feasible(graph, 0, TAU_HAT, (1.0,), part) is not None
+        assert weak_move(graph, 0, TAU, (1.0,), part) is not None
 
     def test_tau_strict_needs_a_real_move(self):
         graph = build_lts(cfg(Nil(), ("q",), dm(KET0)))
         part = Partition([0])
-        assert weak_reach_feasible(graph, 0, TAU_STRICT, (1.0,), part) is None
+        assert weak_move(graph, 0, TAU, (1.0,), part, strict=True) is None
 
     def test_tau_strict_through_chain(self):
         term = Unitary(GATE_X, ("q",), Unitary(GATE_X, ("q",), Nil()))
@@ -434,7 +437,25 @@ class TestWeakQueryLabels:
         terminal = next(i for i in range(graph.node_count) if graph.stuck(i))
         vec = [0.0] * graph.node_count
         vec[terminal] = 1.0
-        assert weak_reach_feasible(graph, 0, TAU_STRICT, tuple(vec), part)
+        assert weak_move(graph, 0, TAU, vec, part, strict=True)
+
+    def test_tau_strict_source_absorbs_only_returned_mass(self):
+        # node 0's tau move returns half its mass to node 0: after the first
+        # step, at most half can stop there
+        half = Fraction(1, 2)
+        graph = SyntheticLts(2, [[(TAU, ((0, half), (1, half)))], []], [0, 0])
+        part = Partition([0, 1])
+        flow = weak_move(graph, 0, TAU, (0.5, 0.5), part, strict=True)
+        assert flow == {"y_0_0": 1.0, "r_0": 0.0, "a_0": 0.5, "a_1": 0.5}
+        assert weak_move(graph, 0, TAU, (0.75, 0.25), part, strict=True) is None
+        assert weak_move(graph, 0, TAU, (0.75, 0.25), part) is not None
+
+    def test_eq_is_reflexive_on_a_tau_cycle_through_the_source(self):
+        graph = SyntheticLts(2, [[(TAU, ((0, Fraction(1)),))], [(TAU, ((1, Fraction(1)),))]],
+                             [0, 0])
+        result = equality_check(graph, 0, 0)
+        assert result.equivalent
+        assert [m["flow"] for m in result.witness] == [{"y_0_0": 1.0, "a_0": 1.0}] * 2
 
 
 def seeded_systems() -> list:
@@ -443,41 +464,115 @@ def seeded_systems() -> list:
     return [random_synthetic_lts(rng, max_nodes=6, actions=("a", "b", TAU)) for _ in range(40)]
 
 
+def saturated_systems() -> list:
+    """Seeded systems, each with one more node: a copy of node 0 that also
+    makes, as plain moves, weak moves of node 0 (an action then tau, or tau
+    then an action).  The copy is weakly bisimilar to node 0, and a checker
+    finds that only through the tau flows around the action."""
+    rng = np.random.default_rng(99)
+    out = []
+    while len(out) < 12:
+        slts = random_synthetic_lts(rng, max_nodes=5, actions=("a", "b", TAU))
+        edges = slts.edges_exact
+        moves = list(edges[0])
+        for action, targets in edges[0]:
+            for x, p in targets:
+                for after, onward in edges[x]:
+                    if isinstance(after, Tau):
+                        # the action, then tau from x
+                        mass = {v: q for v, q in targets if v != x}
+                        for v, q in onward:
+                            mass[v] = mass.get(v, 0) + p * q
+                        moves.append((action, tuple(sorted(mass.items()))))
+                    elif isinstance(action, Tau) and len(targets) == 1:
+                        # tau to x, then the action of x
+                        moves.append((after, onward))
+        moves = list(dict.fromkeys(moves))
+        if len(moves) > len(edges[0]):
+            out.append(SyntheticLts(slts.n + 1, edges + [moves], slts.labels + [slts.labels[0]]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def seeded_oracles() -> list:
+    """The seeded systems, each with one oracle that the tests share."""
+    return [(slts, BisimOracle(slts, lp.TOL)) for slts in seeded_systems()]
+
+
+class TestEquivalenceProperties:
+    @pytest.mark.parametrize("checker", [strong_bisim, weak_bisim, equality_check])
+    def test_reflexive_and_symmetric_on_seeded_systems(self, checker, seeded_oracles):
+        # on every node and ordered pair; each verdict is also the oracle's
+        for slts, oracle in seeded_oracles:
+            results = [[checker(slts, i, j) for j in range(slts.n)] for i in range(slts.n)]
+            for i in range(slts.n):
+                assert results[i][i].equivalent, (slts.edges_exact, i)
+                for j in range(i + 1, slts.n):
+                    verdict = results[i][j].equivalent
+                    assert verdict == results[j][i].equivalent, (slts.edges_exact, i, j)
+                    assert verdict == oracle.equivalent(results[i][j].mode, i, j)
+
+
 class TestMemoizedRefinement:
     """Memoized matching verdicts change no partition, verdict, counterexample
-    or witness, and the refinement solves each distinct program about once."""
+    or witness, and the refinement solves each distinct program about once.
+    The reference is helpers.BisimOracle, which shares no code with bisim or
+    lp."""
 
     CHECKERS = (strong_bisim, weak_bisim, equality_check)
 
-    def assert_matches_reference(self, monkeypatch, graph, left, right) -> list:
-        reference = {}
+    def assert_matches_oracle(self, monkeypatch, graph, left, right, oracle=None) -> list:
+        """The checkers' partitions are the oracle's, block for block, and
+        their eq verdict is its verdict; run on the oracle's partition, they
+        print the same JSON.  Returns the three verdicts."""
+        oracle = oracle or BisimOracle(graph, lp.TOL)
 
-        def refine_once(matcher, partition):
-            # weak_bisim and equality_check refine the same start partition in
-            # 'weak' mode, so the slow loop runs once per mode
-            mode = matcher.mode
-            if mode not in reference:
-                reference[mode] = reference_refine(matcher.lts, partition, mode, matcher.tol)
-            return reference[mode]
+        def oracle_refine(matcher, partition):
+            return Partition(list(oracle.partition(matcher.mode)))
 
         verdicts = []
         for checker in self.CHECKERS:
-            fast = checker(graph, left, right)
+            mine = checker(graph, left, right)
             with monkeypatch.context() as patch:
-                patch.setattr(bisim, "_refine", refine_once)
-                slow = checker(graph, left, right)
-            assert fast.partition.block_of == slow.partition.block_of, checker.__name__
-            assert fast.equivalent == slow.equivalent, checker.__name__
-            assert fast.to_json() == slow.to_json(), checker.__name__
-            verdicts.append(fast.equivalent)
+                patch.setattr(bisim, "_refine", oracle_refine)
+                fed = checker(graph, left, right)
+            assert mine.partition.block_of == fed.partition.block_of, checker.__name__
+            assert mine.to_json() == fed.to_json(), checker.__name__
+            verdicts.append(mine.equivalent)
+        assert verdicts[2] == oracle.eq(left, right)
         return verdicts
 
-    def test_matches_reference_on_random_systems_with_tau(self, monkeypatch):
+    def test_matches_reference_on_random_systems_with_tau(self, monkeypatch, seeded_oracles):
         verdicts = []
-        for slts in seeded_systems():
-            verdicts += self.assert_matches_reference(monkeypatch, slts, 0, slts.n - 1)
+        for slts, oracle in seeded_oracles:
+            verdicts += self.assert_matches_oracle(monkeypatch, slts, 0, slts.n - 1, oracle)
         # both outcomes occur, so splits and witnesses are both compared
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_matches_reference_on_saturated_systems(self, monkeypatch):
+        for slts in saturated_systems():
+            verdicts = self.assert_matches_oracle(monkeypatch, slts, 0, slts.n - 1)
+            assert verdicts[1:] == [True, True], slts.edges_exact
+
+    def test_matches_reference_on_corpus_directives(self, monkeypatch):
+        checked = 0
+        for path in sorted(CORPUS.glob("*.qccs")):
+            elab = elaborate(parse(path.read_text(encoding="utf-8")))
+            for _, left, right in elab.checks:
+                graph = build_lts([elab.configs[left], elab.configs[right]], policy=elab.policy)
+                self.assert_matches_oracle(monkeypatch, graph, *graph.initial)
+                checked += 1
+        assert checked == 3
+
+    def test_matches_reference_on_phase_flipped_teleport(self, monkeypatch):
+        graph = build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])
+        assert self.assert_matches_oracle(monkeypatch, graph, *graph.initial) == [
+            False, False, False]
+
+    def test_matches_reference_on_swapped_teleport(self, monkeypatch):
+        graph = build_lts([build_teleport(0.6, 0.8), corrupted_teleport(0.6, 0.8)])
+        assert self.assert_matches_oracle(monkeypatch, graph, *graph.initial) == [
+            False, False, False]
 
     def test_witness_agrees_with_verdict_on_random_systems_with_tau(self, monkeypatch):
         # refinement asks for memoized verdicts and witnesses are solved
@@ -500,12 +595,6 @@ class TestMemoizedRefinement:
             strong_bisim(slts, 0, slts.n - 1)
             weak_bisim(slts, 0, slts.n - 1)
         assert min(asked.values()) > 100, asked
-
-    def test_matches_reference_on_teleport_pairs(self, monkeypatch):
-        for right in (build_teleport(0.6, -0.8), corrupted_teleport(0.6, 0.8)):
-            graph = build_lts([build_teleport(0.6, 0.8), right])
-            assert self.assert_matches_reference(monkeypatch, graph, *graph.initial) == [
-                False, False, False]
 
     def test_weak_teleport_solves_each_program_about_once(self, monkeypatch):
         # a question is a program and the tolerance it is solved at.  A failed

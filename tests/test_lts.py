@@ -20,7 +20,7 @@ from qccs.syntax import (
     WellformednessError,
 )
 
-from helpers import corpus_configs, lift_oracle, ptrace_oracle
+from helpers import corpus_configs, lift_oracle, node_of, ptrace_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -368,7 +368,7 @@ class TestStateIndex:
             graph = build_lts(configs)
             assert graph.initial[fill:] == (fill, fill + 1, fill)
             assert graph.nodes[fill].context is first
-            assert graph.find(configs[-1]) == fill
+            assert node_of(graph, configs[-1]) == fill
             merged = Distribution([(x, 1 / len(configs)) for x in configs]).items()
             assert [(x.context, round(p * len(configs))) for x, p in merged[fill:]] == [
                 (first, 2), (second, 1)]
@@ -422,13 +422,13 @@ class TestStateIndex:
             ids = reference_intern(configs)
             graph = build_lts(configs)
             assert list(graph.initial) == ids
-            assert [graph.find(c) for c in configs] == ids
+            assert [node_of(graph, c) for c in configs] == ids
             weights = rng.dirichlet(np.ones(len(configs)))
             merged = Distribution(list(zip(configs, weights))).items()
             expected: dict = {}
             for c, j, p in zip(configs, ids, weights):
                 expected[j] = expected.get(j, 0.0) + p
-            assert [graph.find(c) for c, _ in merged] == list(expected)
+            assert [node_of(graph, c) for c, _ in merged] == list(expected)
             np.testing.assert_allclose([p for _, p in merged], list(expected.values()))
             # approx_equal against a scan, on a reordering and on a reweighting
             dist = Distribution(list(zip(configs, weights)))
@@ -446,7 +446,7 @@ class TestStateIndex:
         for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
             graph = build_lts([roots[k] for k in order])
             assert graph.node_count == reference.node_count
-            to_ref = [reference.find(n) for n in graph.nodes]
+            to_ref = [node_of(reference, n) for n in graph.nodes]
             assert sorted(to_ref) == list(range(reference.node_count))
             assert [to_ref[graph.initial[k]] for k in range(4)] == [
                 reference.initial[k] for k in order]
