@@ -8,7 +8,8 @@ adversaries realising the move.  One _Matcher builds every matching question,
 for refinement, for witnesses and for `eq`'s strict round.  Refinement asks
 it for verdicts, memoized under keys that hold exactly what the question's
 linear program reads, so each distinct program is solved once; witnesses
-are solved afresh.  _first_split finds the next split by a restart scan.
+are solved afresh.  _refine keeps a worklist of blocks to examine and
+re-examines a block only when a block that its questions read has split.
 
 One generator, _requirements, lists what a node asks of its block.
 Refinement splits on it, and a `distinguished` verdict is explained by the
@@ -37,7 +38,7 @@ def _warn_near_tie(context: str) -> None:
         f"{context} decided within {_NEAR_TIE_FACTOR:g}x of the tolerance; "
         "prefer exact-probability inputs",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
@@ -278,7 +279,10 @@ class _Matcher:
     tuples raised the peak memory of repeated 54-node teleportation checks by
     2.5 MB, as the interpreter keeps freed small tuples for reuse.  A verdict
     is True, False, or _NEAR_TIE for a failure within _NEAR_TIE_FACTOR of the
-    tolerance, which warns again on every hit, as a fresh solve would.
+    tolerance.  A near tie warns once per question per check: ask() and
+    witness() warn on a key's first near tie only, and a new check builds a
+    new matcher, which warns again.  So the warnings do not depend on how
+    often refinement asks.
     witness() solves afresh and returns the hull weights or the flow.  The
     reachable set and flows of each source and the termination groups of
     each owner are kept for the matcher's lifetime.
@@ -294,6 +298,7 @@ class _Matcher:
         self.reach: dict = {}
         self.flows: dict = {}
         self.ends: dict = {}
+        self.warned: set = set()
 
     def _flows(self, node: int, label):
         """The _Flows of `node` under `label`, and its shape."""
@@ -360,19 +365,24 @@ class _Matcher:
             verdict = self._NEAR_TIE if near_tie else result is not None
             self.known[key] = verdict
         if verdict is self._NEAR_TIE:
-            _warn_near_tie(context)
+            self._warn_once(key, context)
             return False
         return verdict
+
+    def _warn_once(self, key: bytes, context: str) -> None:
+        if key not in self.warned:
+            self.warned.add(key)
+            _warn_near_tie(context)
 
     def holds(self, node: int, owner: int, requirement: tuple, partition: Partition) -> bool:
         return self.ask(self.question(node, owner, requirement, partition))
 
     def witness(self, node: int, action: Action, vec: tuple, partition: Partition,
                 strict: bool = False):
-        _, solve, context, _ = self.question(node, None, (action, vec), partition, strict)
+        key, solve, context, _ = self.question(node, None, (action, vec), partition, strict)
         result, near_tie = _solve(solve, self.tol)
         if near_tie:
-            _warn_near_tie(context)
+            self._warn_once(key, context)
         return result
 
 
@@ -446,27 +456,84 @@ def _compact(block_of: list) -> list:
     return out
 
 
-def _first_split(matcher: _Matcher, partition: Partition):
-    """The first requirement that some but not all members of a block meet,
-    as (block id, members meeting it), or None when the partition is stable.
-    Blocks, owners and each owner's requirements are scanned in order."""
-    for block_id, members in enumerate(partition.blocks()):
-        if len(members) < 2:
-            continue
-        for owner in members:
-            for requirement in _requirements(matcher, owner, partition):
-                sat = {m for m in members if matcher.holds(m, owner, requirement, partition)}
-                if sat and len(sat) < len(members):
-                    return block_id, sat
+def _split_of(matcher: _Matcher, members: list, partition: Partition):
+    """The members meeting the first requirement that some but not all
+    members of a block meet, or None when the block is stable.  Owners are
+    taken in member order, each with its requirements in order.  A
+    requirement already tried is skipped: two moves with the same action
+    and class vector bits ask the same of every member, whoever owns them,
+    and termination is tried once per owner."""
+    if len(members) < 2:
+        return None
+    tried = set()
+    for owner in members:
+        for requirement in _requirements(matcher, owner, partition):
+            action, vec = requirement
+            same = (None, owner) if action is None else (action, _packed((), vec))
+            if same in tried:
+                continue
+            tried.add(same)
+            sat = {m for m in members if matcher.holds(m, owner, requirement, partition)}
+            if sat and len(sat) < len(members):
+                return sat
     return None
+
+
+def _predecessors(lts) -> list:
+    """preds[v]: the nodes with an edge into v."""
+    preds = [[] for _ in range(lts.node_count)]
+    for u in range(lts.node_count):
+        for v in {v for _, targets in lts.node_edges(u) for v, _ in targets}:
+            preds[v].append(u)
+    return preds
+
+
+def _readers(preds: list, members: list, transitive: bool) -> set:
+    """The nodes whose questions read the block of `members`: their direct
+    predecessors, or, when `transitive`, every node that reaches one."""
+    if not transitive:
+        return {u for v in members for u in preds[v]}
+    seen = set(members)
+    stack = list(members)
+    while stack:
+        for u in preds[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def _refine(matcher: _Matcher, partition: Partition) -> Partition:
     """Split blocks until stable, asking `matcher` whether members meet each
-    requirement.  The blocks of the result are numbered by lowest member, so
-    no output depends on the order of the splits."""
-    while split := _first_split(matcher, partition):
-        partition = partition.split(*split)
+    requirement.  A worklist holds the blocks to examine, at first all of
+    them; _split_of examines one.  A split of block B re-queues B, the fresh
+    block, and every block holding a node whose questions read B: a direct
+    predecessor of a member of B (strong), or any node that can reach one
+    (weak).  No other block's questions change, so no other block can split.
+    The queued block whose lowest member is highest goes next: build_lts
+    numbers nodes in exploration order, so the blocks further down the
+    graph settle first, and the weak questions above them, whose keys hold
+    the block of every reachable node, then find their verdicts known.  The
+    blocks of the result are numbered by lowest member, so no output
+    depends on the order of the splits."""
+    members = partition.blocks()
+    queue = set(range(len(members)))
+    preds = None
+    while queue:
+        block_id = max(queue, key=lambda b: members[b][0])
+        queue.remove(block_id)
+        sat = _split_of(matcher, members[block_id], partition)
+        if sat is None:
+            continue
+        partition = partition.split(block_id, sat)
+        split = members[block_id]
+        members[block_id] = [m for m in split if m in sat]
+        members.append([m for m in split if m not in sat])
+        if preds is None:
+            preds = _predecessors(matcher.lts)
+        queue.update(partition.block_of[u]
+                     for u in _readers(preds, split, matcher.mode != "strong"))
+        queue.update((block_id, len(members) - 1))
     return Partition(_compact(partition.block_of))
 
 

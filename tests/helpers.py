@@ -7,6 +7,8 @@ oracle re-states the defining clauses; the brute-force bisimilarity oracle
 enumerates every equivalence relation and decides hull membership with exact
 rational arithmetic; BisimOracle decides strong, weak and eq from the
 definitions, with its own linear programs solved by scipy's HiGHS.
+restart_scan is the exception: the refinement loop that bisim's worklist
+replaced, kept to compare split orders where they could matter.
 """
 
 from __future__ import annotations
@@ -322,6 +324,31 @@ def oracle_strong_bisimilar(slts: SyntheticLts, left: int, right: int) -> bool:
         if block_of[left] == block_of[right] and valid(partition):
             return True
     return False
+
+
+# -- the restart scan that refinement used before its worklist --
+
+
+def restart_scan(matcher, partition, requirements) -> list:
+    """Refinement by the restart scan: take blocks in id order, owners in
+    member order and each owner's `requirements(matcher, owner, partition)`
+    in order; split on the first requirement that some but not all members
+    meet, by partition.split, and scan again from the first block.  Returns
+    the stable block_of, numbered by lowest member.  A reference for split
+    order only: it asks `matcher`, so it shares every program with the code
+    under test."""
+    def first_split():
+        for block_id, members in enumerate(partition.blocks()):
+            for owner in members if len(members) > 1 else ():
+                for requirement in requirements(matcher, owner, partition):
+                    sat = {m for m in members if matcher.holds(m, owner, requirement, partition)}
+                    if sat and len(sat) < len(members):
+                        return block_id, sat
+        return None
+
+    while split := first_split():
+        partition = partition.split(*split)
+    return _by_lowest_member(partition.block_of)
 
 
 # -- strong, weak and eq by their definitions, apart from qccs.bisim and qccs.lp --
