@@ -6,10 +6,11 @@ transitions are convex-hull membership over class vectors, weak transitions
 are two-phase flow problems whose feasible flows correspond exactly to
 adversaries realising the move.  One _Matcher builds every matching question,
 for refinement, for witnesses and for `eq`'s strict round.  Refinement asks
-it for verdicts, memoized under keys that hold exactly what the question's
-linear program reads, so each distinct program is solved once; witnesses
-are solved afresh.  _refine keeps a worklist of blocks to examine and
-re-examines a block only when a block that its questions read has split.
+it for verdicts and witnesses ask it for moves, both read from one memo
+under keys that hold exactly what the question's linear program reads, so
+a check solves each distinct program once.  _refine keeps a worklist of
+blocks to examine and re-examines a block only when a block that its
+questions read has split.
 
 One generator, _requirements, lists what a node asks of its block.
 Refinement splits on it, and a `distinguished` verdict is explained by the
@@ -31,15 +32,6 @@ from .lts import Action, Tau, format_action
 
 # a failure that passes at this multiple of the tolerance warns as a near tie
 _NEAR_TIE_FACTOR = 10.0
-
-
-def _warn_near_tie(context: str) -> None:
-    warnings.warn(
-        f"{context} decided within {_NEAR_TIE_FACTOR:g}x of the tolerance; "
-        "prefer exact-probability inputs",
-        RuntimeWarning,
-        stacklevel=4,
-    )
 
 
 # weak-transition labels: a visible Action, or one of these sentinels
@@ -217,46 +209,17 @@ class _Flows:
         b[first_group:] = [targets[g] if g < len(targets) else 0.0 for g in groups]
         return lp.LinearProgram(a, b)
 
-    def solve(self, group_of, targets, tol: float, loose: float | None = None):
-        """The flow as {variable name: value}, or None; `loose` as for
-        lp.feasible."""
-        x = lp.feasible(self.program(group_of, targets), tol, loose)
-        if x is None:
-            return None
+    def names(self, group_of) -> list:
+        """The variable name of each column of program(group_of, ...)."""
         tau_edges, act_edges = self._edges()
-        names = ([f"y_{u}_{k}" for u, k, _ in tau_edges]
-                 + [f"x_{u}_{k}" for u, k, _ in act_edges]
-                 + [f"z_{u}_{k}" for u, k, _ in tau_edges if self.two_phase]
-                 + [f"r_{self.source}"] * self.bound
-                 + [f"a_{self.nodes[r]}" for r in self.absorbing(group_of)])
-        return dict(zip(names, x.tolist()))
-
-
-def _terminal_groups(lts, stuck_rep: int, nodes: list) -> dict:
-    """Absorption groups of a termination question: can a node internally
-    evolve, with probability one, into stuck configurations whose context
-    equals that of `stuck_rep`?  Group 0 for those stuck nodes, None for the
-    rest."""
-    ends = set(lts.terminal_matches(stuck_rep))
-    return {v: 0 if v in ends else None for v in nodes}
+        return ([f"y_{u}_{k}" for u, k, _ in tau_edges]
+                + [f"x_{u}_{k}" for u, k, _ in act_edges]
+                + [f"z_{u}_{k}" for u, k, _ in tau_edges if self.two_phase]
+                + [f"r_{self.source}"] * self.bound
+                + [f"a_{self.nodes[r]}" for r in self.absorbing(group_of)])
 
 
 # -- matching questions --
-
-_HULL_TIE = "combined-transition matching"
-_FLOW_TIE = "weak-transition matching"
-
-
-def _solve(solve, tol: float):
-    """(solve(tol, loose), near_tie), where near_tie says that the program
-    fails at tol but passes at loose = _NEAR_TIE_FACTOR * tol, decided from
-    its one phase-1 solve.  A termination question ignores loose, so it is
-    never a near tie."""
-    try:
-        return solve(tol, _NEAR_TIE_FACTOR * tol), False
-    except lp.NearTie:
-        return None, True
-
 
 def _packed(ints, floats) -> bytes:
     """The ints and the bit patterns of the floats, as one memo key."""
@@ -269,36 +232,36 @@ class _Matcher:
     move is answered by a combined move, in 'weak' mode by a weak move, which
     for a strict tau move takes at least one real internal step.
 
-    holds() solves each distinct program once.  A key holds exactly what the
-    question's linear program reads, with floats compared bit for bit, so a
-    hit is the same program and so the same answer.  A strong key holds only
-    the blocks in play, and a weak key names its source's flows by their
+    answer() solves each distinct program once and keeps what the solve
+    returned; holds() and witness() both read it.  A key holds exactly what
+    the question's linear program reads, with floats compared bit for bit,
+    so a hit is the same program and so the same answer.  A strong key holds
+    only the blocks in play, and a weak key names its source's flows by their
     shape (see _Flows.shape), so a split elsewhere, or a source whose flows
-    look alike, finds the verdict already known.  Keys are packed into
-    bytes and only the verdict is kept, never a witness: keys built of small
-    tuples raised the peak memory of repeated 54-node teleportation checks by
-    2.5 MB, as the interpreter keeps freed small tuples for reuse.  A verdict
-    is True, False, or _NEAR_TIE for a failure within _NEAR_TIE_FACTOR of the
-    tolerance.  A near tie warns once per question per check: ask() and
-    witness() warn on a key's first near tie only, and a new check builds a
-    new matcher, which warns again.  So the warnings do not depend on how
-    often refinement asks.
-    witness() solves afresh and returns the hull weights or the flow.  The
-    reachable set and flows of each source and the termination groups of
+    look alike, finds the answer already known.  So a weak answer is kept as
+    the bare flow array, and witness() names its columns after the asking
+    node's own flows.  Keys are packed into bytes: keys built of small tuples
+    raised the peak memory of repeated 54-node teleportation checks by
+    2.5 MB, as the interpreter keeps freed small tuples for reuse.  Keeping
+    each answer, not only its verdict, left their peak RSS at 40.3-40.4 MB
+    and raised the law suite's from 43.2 to 43.4 MB (perfbench medians of 10
+    runs, 2-core x86 VM).  A failure within _NEAR_TIE_FACTOR of the
+    tolerance is a near tie: its answer is None, and its key goes into
+    `near_ties` when it is solved, so once per question per check, however
+    often refinement and witnesses ask.
+    The reachable set and flows of each source and the termination groups of
     each owner are kept for the matcher's lifetime.
     """
-
-    _NEAR_TIE = "near tie"
 
     def __init__(self, lts, mode: str, tol: float):
         self.lts = lts
         self.mode = mode
         self.tol = tol
         self.known: dict = {}
+        self.near_ties: list = []
         self.reach: dict = {}
         self.flows: dict = {}
         self.ends: dict = {}
-        self.warned: set = set()
 
     def _flows(self, node: int, label):
         """The _Flows of `node` under `label`, and its shape."""
@@ -313,29 +276,31 @@ class _Matcher:
 
     def question(self, node: int, owner: int | None, requirement: tuple, partition: Partition,
                  strict: bool = False):
-        """(memo key, solve(tol, loose) with loose as for lp.feasible, near-tie
-        context, constraint count of the linear program) of one question:
-        can `node` meet `requirement`?  Only a termination requirement reads
-        `owner`."""
+        """(memo key, solve(tol, loose) with loose as for lp.feasible,
+        constraint count of the linear program) of one question: can `node`
+        meet `requirement`?  Only a termination requirement reads `owner`."""
         action, vec = requirement
         if action is None:
-            # a termination question reads no partition, only which nodes
-            # reachable from `node` may absorb; owners with equal contexts
-            # share programs
+            # can `node` internally evolve, with probability one, into stuck
+            # configurations whose context equals the owner's?  They absorb,
+            # as group 0, and no other node does.  The question reads no
+            # partition, so owners with equal contexts share programs; it
+            # takes no loose tolerance, so it is never a near tie
             ends = self.ends.get(owner)
             if ends is None:
-                ends = self.ends[owner] = _terminal_groups(self.lts, owner,
-                                                           range(self.lts.node_count))
+                matches = set(self.lts.terminal_matches(owner))
+                ends = self.ends[owner] = [0 if v in matches else None
+                                           for v in range(self.lts.node_count)]
             flows, shape = self._flows(node, TAU_HAT)
             nodes = flows.nodes
             return (shape + b"end" + _packed([i for i, v in enumerate(nodes) if ends[v] == 0], ()),
-                    lambda t, loose: flows.solve(ends, [1.0], t),
-                    None, flows.height + 1)
+                    lambda t, loose: lp.feasible(flows.program(ends, [1.0]), t),
+                    flows.height + 1)
         if self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
             if not points:
                 # no move with the action: no program, whatever vec is
-                return b"", lambda t, loose: None, _HULL_TIE, 0
+                return b"", lambda t, loose: None, 0
             # only the blocks that vec or a point touches: the rows of the
             # others are all zero with a zero right-hand side, which phase 1
             # never pivots on, so splits elsewhere leave the key alone
@@ -343,9 +308,8 @@ class _Matcher:
             table = table[:, table.any(axis=0)]
             return (_packed((table.shape[1],), ()) + table.tobytes(),
                     lambda t, loose: lp.convex_hull_member(table[1:], table[0], t, loose),
-                    _HULL_TIE, 1 + table.shape[1])
-        label = (TAU_STRICT if strict else TAU_HAT) if isinstance(action, Tau) else action
-        flows, shape = self._flows(node, label)
+                    1 + table.shape[1])
+        flows, shape = self._flows(node, _weak_label(action, strict))
         nodes = flows.nodes
         block_of = partition.block_of
         # the absorption groups in the order _Flows.program writes their rows,
@@ -354,36 +318,41 @@ class _Matcher:
                         | {g for g, t in enumerate(vec) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
         key = shape + _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups])
-        return (key, lambda t, loose: flows.solve(block_of, list(vec), t, loose),
-                _FLOW_TIE, flows.height + len(groups))
+        return (key, lambda t, loose: lp.feasible(flows.program(block_of, list(vec)), t, loose),
+                flows.height + len(groups))
 
-    def ask(self, question) -> bool:
-        key, solve, context, _ = question
-        verdict = self.known.get(key)
-        if verdict is None:
-            result, near_tie = _solve(solve, self.tol)
-            verdict = self._NEAR_TIE if near_tie else result is not None
-            self.known[key] = verdict
-        if verdict is self._NEAR_TIE:
-            self._warn_once(key, context)
-            return False
-        return verdict
-
-    def _warn_once(self, key: bytes, context: str) -> None:
-        if key not in self.warned:
-            self.warned.add(key)
-            _warn_near_tie(context)
+    def answer(self, question):
+        """What the solve of `question` returned, solved on its key's first
+        ask: hull weights, a flow array, or None for a failure or a near
+        tie."""
+        key, solve, _ = question
+        if key in self.known:
+            return self.known[key]
+        try:
+            result = solve(self.tol, _NEAR_TIE_FACTOR * self.tol)
+        except lp.NearTie:
+            result = None
+            self.near_ties.append(key)
+        self.known[key] = result
+        return result
 
     def holds(self, node: int, owner: int, requirement: tuple, partition: Partition) -> bool:
-        return self.ask(self.question(node, owner, requirement, partition))
+        return self.answer(self.question(node, owner, requirement, partition)) is not None
 
     def witness(self, node: int, action: Action, vec: tuple, partition: Partition,
                 strict: bool = False):
-        key, solve, context, _ = self.question(node, None, (action, vec), partition, strict)
-        result, near_tie = _solve(solve, self.tol)
-        if near_tie:
-            self._warn_once(key, context)
-        return result
+        """The hull weights, or the flow as {variable name: value}, of a
+        move of `node` that meets (action, vec); None when there is none."""
+        x = self.answer(self.question(node, None, (action, vec), partition, strict))
+        if x is None or self.mode == "strong":
+            return x
+        flows, _ = self._flows(node, _weak_label(action, strict))
+        return dict(zip(flows.names(partition.block_of), x.tolist()))
+
+
+def _weak_label(action: Action, strict: bool):
+    """The label of the weak move that answers a move on `action`."""
+    return (TAU_STRICT if strict else TAU_HAT) if isinstance(action, Tau) else action
 
 
 def _requirements(matcher: _Matcher, owner: int, partition: Partition):
@@ -579,8 +548,8 @@ def _counterexample(matcher: _Matcher, left: int, right: int, partition: Partiti
     for owner, partner in ((left, right), (right, left)):
         for requirement in _requirements(matcher, owner, partition):
             question = matcher.question(partner, owner, requirement, partition)
-            if not matcher.ask(question):
-                return _failed_requirement(owner, partner, requirement, question[3])
+            if matcher.answer(question) is None:
+                return _failed_requirement(owner, partner, requirement, question[2])
     return (_terminal_mismatch(matcher.lts, left, right)
             or {"reason": "nodes separated transitively during refinement"})
 
@@ -607,15 +576,42 @@ def _failed_requirement(owner: int, partner: int, requirement: tuple, rows: int)
     return out
 
 
-def _check(lts, left: int, right: int, partition: Partition, mode: str,
-           tol: float) -> BisimResult:
-    matcher = _Matcher(lts, mode, tol)
-    partition = _refine(matcher, partition)
-    if partition.block_of[left] == partition.block_of[right]:
+def _check(lts, left: int, right: int, mode: str, tol: float) -> BisimResult:
+    """Refine, then explain the verdict: a witness that matches every move of
+    both nodes, or a counterexample.  `eq` refines as weak does, then
+    answers every tau move by a strict weak move.  The near ties met warn
+    once the verdict is known, at the line that called the checker."""
+    weak = mode != "strong"
+    matcher = _Matcher(lts, "weak" if weak else "strong", tol)
+    partition = _refine(matcher, Partition([0] * lts.node_count) if weak
+                        else _initial_strong(lts))
+    witness, counter = [], None
+    if mode == "eq":
+        witness = _matchings_for_pair(matcher, left, right, partition, strict=True)
+        unmatched = next((m for m in witness if "flow" not in m), None)
+        if unmatched is not None:
+            partner = right if unmatched["from"] == "left" else left
+            counter = {
+                "pair": [unmatched["node"], partner],
+                "action": unmatched["action"],
+                "class_vector": unmatched["class_vector"],
+                "reason": "no strict weak match",
+            }
+        else:
+            counter = _terminal_mismatch(lts, left, right)
+    elif partition.block_of[left] == partition.block_of[right]:
         witness = _matchings_for_pair(matcher, left, right, partition)
+    else:
+        counter = _counterexample(matcher, left, right, partition)
+    context = "weak-transition" if weak else "combined-transition"
+    for _ in matcher.near_ties:
+        # stack: _check, the checker, its caller
+        warnings.warn(f"{context} matching decided within {_NEAR_TIE_FACTOR:g}x of the "
+                      "tolerance; prefer exact-probability inputs", RuntimeWarning,
+                      stacklevel=3)
+    if counter is None:
         return BisimResult(mode, True, left, right, partition, witness=witness)
-    return BisimResult(mode, False, left, right, partition,
-                       counterexample=_counterexample(matcher, left, right, partition))
+    return BisimResult(mode, False, left, right, partition, counterexample=counter)
 
 
 def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
@@ -624,33 +620,17 @@ def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult
     Every ordinary move must be matched by a combined move with the same
     class vector; stuck configurations must have equal contexts.
     """
-    return _check(lts, left, right, _initial_strong(lts), "strong", tol)
+    return _check(lts, left, right, "strong", tol)
 
 
 def weak_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Weak probabilistic bisimilarity: ordinary moves are matched by weak
     (tau-abstracted) moves; mutually stuck configurations need equal contexts."""
-    return _check(lts, left, right, Partition([0] * lts.node_count), "weak", tol)
+    return _check(lts, left, right, "weak", tol)
 
 
 def equality_check(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Equality: weak bisimilarity where a tau move must be answered by a weak
     move containing at least one real internal step (single top-level round
     against the weak partition)."""
-    matcher = _Matcher(lts, "weak", tol)
-    partition = _refine(matcher, Partition([0] * lts.node_count))
-    witness = _matchings_for_pair(matcher, left, right, partition, strict=True)
-    unmatched = next((m for m in witness if "flow" not in m), None)
-    if unmatched is not None:
-        partner = right if unmatched["from"] == "left" else left
-        counter = {
-            "pair": [unmatched["node"], partner],
-            "action": unmatched["action"],
-            "class_vector": unmatched["class_vector"],
-            "reason": "no strict weak match",
-        }
-    else:
-        counter = _terminal_mismatch(lts, left, right)
-    if counter is None:
-        return BisimResult("eq", True, left, right, partition, witness=witness)
-    return BisimResult("eq", False, left, right, partition, counterexample=counter)
+    return _check(lts, left, right, "eq", tol)
