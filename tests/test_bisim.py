@@ -655,7 +655,7 @@ class TestMemoizedRefinement:
                 with monkeypatch.context() as patch:
                     patch.setattr(lp, "feasible", counting)
                     checker(system, left, right)
-                for program, loose in loose_of.items():
+                for loose in loose_of.values():
                     assert sorted(loose) in ([False], [True], [False, True]), checker.__name__
                     repeats[checker.__name__] += len(loose) - 1
         # solving each witness again, as the checker once did, gave 94 strong
@@ -711,14 +711,11 @@ class TestMemoizedRefinement:
         # at the tolerance decides both.  Three asks record one near tie,
         # which the check warns for, and a second matcher, as a new check
         # builds, records it once more.
-        recorded = 0
         for _ in range(2):
             for ask, (near_ties, solves) in self.asked_three_times(
                     monkeypatch, Fraction(2, 10**7)).items():
                 assert len(near_ties) == 1, ask
                 assert solves == [lp.TOL], ask
-                recorded += len(near_ties)
-        assert recorded == 4
 
     def test_witness_of_a_warned_question_warns_no_more(self):
         graph, partition, vec = self.near_tie_system(Fraction(2, 10**7))
