@@ -21,9 +21,9 @@ from . import linalg
 from .context import ContextIndex, QContext, context_equal
 from .syntax import (
     Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew,
-    QInput, QOutput, Relabel, Restrict, Sum, Unitary, assert_wellformed,
-    canonical, eval_bool, eval_expr, fv_classical, qv, subst_classical,
-    subst_quantum, subterms,
+    QInput, QOutput, Relabel, Restrict, Sum, Unitary, alpha_key,
+    assert_wellformed, canonical, eval_bool, eval_expr, fv_classical, qv,
+    subst_classical, subst_quantum, subterms,
 )
 
 
@@ -197,15 +197,12 @@ class Configuration:
             raise BadConfiguration(f"context does not cover quantum variables {sorted(missing)}")
 
     @cached_property
-    def canonical_process(self) -> ProcessExpr:
-        return canonical(self.process)
-
-    @cached_property
     def key(self) -> tuple:
-        """What two equal configurations share exactly: the canonical term
-        and the sorted qubit names.  Their contexts need only agree within
-        ATOL, which a ContextIndex filed under this key decides."""
-        return (self.canonical_process, self.context.names)
+        """What two equal configurations share exactly: the term up to the
+        names of its bound variables (syntax.alpha_key) and the sorted qubit
+        names.  Their contexts need only agree within ATOL, which a
+        ContextIndex filed under this key decides."""
+        return (alpha_key(self.process), self.context.names)
 
     def __str__(self) -> str:
         from .frontend import pretty_print  # local import to avoid a cycle
@@ -601,7 +598,7 @@ def build_lts(
     """Breadth-first closure of `transitions` from one or more roots.
 
     The merge rule: a configuration is a new node unless an existing node
-    has the same canonical term and the same qubit names and a context
+    has an alpha-equivalent term and the same qubit names and a context
     within ATOL of its own (context_equal); then it merges into the lowest
     such node id.  The lookup goes by key, and in groups of more than a few
     nodes by cell (ContextIndex), not by a scan of every node; it finds the
@@ -831,7 +828,7 @@ def lts_to_dot(lts: Lts) -> str:
 
     lines = ["digraph lts {", "  node [shape=box, fontname=monospace];"]
     for i, node in enumerate(lts.nodes):
-        digest = hashlib.sha256(pretty_print(node.canonical_process).encode()).hexdigest()[:6]
+        digest = hashlib.sha256(pretty_print(canonical(node.process)).encode()).hexdigest()[:6]
         shape = ', peripheries=2' if lts.stuck(i) else ""
         lines.append(f'  n{i} [label="n{i}:{digest}"{shape}];')
     choice = 0

@@ -1,8 +1,19 @@
 """Process terms: constructors, free-variable functions, substitution, validity.
 
-Terms are immutable; structural equality and hashing work on every node, so
+Terms are immutable; equality is structural and works on every node, so
 terms can be used directly as dictionary keys.  Gate and measurement payloads
 compare by name plus a matrix fingerprint (see linalg.Gate).
+
+Each process node carries summaries of itself: its free quantum and
+classical variables (`qv`, `fv_classical`), its hash and its `alpha_key`.
+Each is computed on first use from the children's summaries and stored on
+the node, so it is computed at most once per node; none takes part in ==
+or repr, and the hash is the one the dataclass would compute from the
+fields.  Substitution returns every subterm in which the variable is not
+free as the same object, so a derived term shares its untouched subterms,
+and their stored summaries, with the term it came from.  A node also keeps
+the results of the substitutions made on it, so the same substitution on
+the same node returns the same term.
 
 One table knows where each of the 13 process constructors keeps its
 subterms; `subterms` and `rebuild` read it, so each traversal here spells out
@@ -11,6 +22,7 @@ only the constructors where it binds, renames or reads an expression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 
@@ -183,86 +195,168 @@ def _map_vars(e, f):
 # -- process terms --
 
 
-@dataclass(frozen=True)
-class Nil:
+class _stored:
+    """A node summary: the decorated method computes it on first use and
+    stores it in the node's __dict__, where later lookups find it first.
+    functools.cached_property does the same, but takes a lock on every
+    first use before Python 3.12, which made building an LTS slower."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, node, owner=None):
+        value = node.__dict__[self.name] = self.compute(node)
+        return value
+
+
+class _Term:
+    """Base of the 13 process constructors.  A node stores its free quantum
+    and classical variables, its hash and its alpha key, each computed from
+    its children's at most once, and the substitutions made on it."""
+
+    @_stored
+    def _qv(self) -> frozenset:
+        match self:
+            case QbitNew(qvar=q, body=b) | QInput(qvar=q, body=b):
+                return b._qv - {q}
+            case QOutput(qvar=q, body=b):
+                return b._qv | {q}
+            case Unitary(qvars=qs, body=b) | Measure(qvars=qs, body=b):
+                return b._qv | frozenset(qs)
+        kids = subterms(self)
+        if len(kids) == 1:  # an only child's set is shared
+            return kids[0]._qv
+        return frozenset().union(*[s._qv for s in kids])
+
+    @_stored
+    def _fv(self) -> frozenset:
+        match self:
+            case CInput(var=x, body=b) | Measure(var=x, body=b):
+                return b._fv - {x}
+            case COutput(expr=c, body=b) | If(cond=c, body=b):
+                return expr_vars(c) | b._fv
+        kids = subterms(self)
+        if len(kids) == 1:
+            return kids[0]._fv
+        return frozenset().union(*[s._fv for s in kids])
+
+    @_stored
+    def _substituted(self) -> dict:
+        # substitution results from this node: a body that recurs in many
+        # configurations is substituted once per variable and value
+        return {}
+
+    @_stored
+    def _hash(self) -> int:
+        return self._field_hash()
+
+    @_stored
+    def _key(self) -> "ProcessExpr":
+        if isinstance(self, _BINDERS):
+            return canonical(self)
+        if all(s._key is s for s in subterms(self)):
+            return self
+        return rebuild(self, lambda s: s._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a pickle carries the fields only: a stored hash holds only in the
+        # interpreter that computed it
+        return {k: v for k, v in self.__dict__.items() if k not in vars(_Term)}
+
+
+def _term(cls):
+    """A process constructor: a frozen dataclass whose field hash is
+    computed once and stored on the node."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _Term.__hash__
+    return cls
+
+
+@_term
+class Nil(_Term):
     pass
 
 
-@dataclass(frozen=True)
-class CInput:
+@_term
+class CInput(_Term):
     chan: Chan
     var: str
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class COutput:
+@_term
+class COutput(_Term):
     chan: Chan
     expr: ValueExpr
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class QbitNew:
+@_term
+class QbitNew(_Term):
     qvar: str
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class QInput:
+@_term
+class QInput(_Term):
     chan: Chan
     qvar: str
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class QOutput:
+@_term
+class QOutput(_Term):
     chan: Chan
     qvar: str
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class Unitary:
+@_term
+class Unitary(_Term):
     gate: Gate
     qvars: tuple
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class Measure:
+@_term
+class Measure(_Term):
     obs: Observable
     qvars: tuple
     var: str
     body: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class Sum:
+@_term
+class Sum(_Term):
     left: "ProcessExpr"
     right: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class Parallel:
+@_term
+class Parallel(_Term):
     left: "ProcessExpr"
     right: "ProcessExpr"
 
 
-@dataclass(frozen=True)
-class Relabel:
+@_term
+class Relabel(_Term):
     body: "ProcessExpr"
     fn: RelabelFn
 
 
-@dataclass(frozen=True)
-class Restrict:
+@_term
+class Restrict(_Term):
     body: "ProcessExpr"
     chans: frozenset
 
 
-@dataclass(frozen=True)
-class If:
+@_term
+class If(_Term):
     cond: BoolExpr
     body: "ProcessExpr"
 
@@ -271,6 +365,8 @@ ProcessExpr = (
     Nil | CInput | COutput | QbitNew | QInput | QOutput | Unitary | Measure
     | Sum | Parallel | Relabel | Restrict | If
 )
+
+_BINDERS = (CInput, QbitNew, QInput, Measure)
 
 
 # Per constructor: its process subterms in order, and the node rebuilt around
@@ -310,33 +406,21 @@ def rebuild(term: ProcessExpr, f) -> ProcessExpr:
     return _TABLE.get(type(term), _NOT_A_TERM)[1](term, f)
 
 
+def _checked(e) -> _Term:
+    if not isinstance(e, _Term):
+        _not_a_term(e)
+    return e
+
+
 def qv(e: ProcessExpr) -> frozenset:
     """Free quantum variables: allocation and quantum input bind them;
     quantum output, unitaries and measurements use them."""
-    match e:
-        case QbitNew(qvar=q, body=b) | QInput(qvar=q, body=b):
-            return qv(b) - {q}
-        case QOutput(qvar=q, body=b):
-            return qv(b) | {q}
-        case Unitary(qvars=qs, body=b) | Measure(qvars=qs, body=b):
-            return qv(b) | frozenset(qs)
-    out = frozenset()
-    for s in subterms(e):
-        out |= qv(s)
-    return out
+    return _checked(e)._qv
 
 
 def fv_classical(e: ProcessExpr) -> frozenset:
     """Free classical variables; input and measurement prefixes bind."""
-    match e:
-        case CInput(var=x, body=b) | Measure(var=x, body=b):
-            return fv_classical(b) - {x}
-        case COutput(expr=c, body=b) | If(cond=c, body=b):
-            return expr_vars(c) | fv_classical(b)
-    out = frozenset()
-    for s in subterms(e):
-        out |= fv_classical(s)
-    return out
+    return _checked(e)._fv
 
 
 @dataclass(frozen=True)
@@ -389,22 +473,28 @@ def is_classical(e: ProcessExpr) -> bool:
 
 
 def subst_classical(e: ProcessExpr, x: str, v: float) -> ProcessExpr:
-    """Instantiate the free classical variable x with the value v."""
+    """Instantiate the free classical variable x with the value v.  A subterm
+    in which x is not free comes back as the same object."""
 
     def value(y):
         return Const(v) if y == x else Var(y)
 
     def sub(t):
+        if x not in t._fv:
+            return t
         match t:
-            case CInput(var=y) | Measure(var=y) if y == x:
-                return t
             case COutput(chan=c, expr=ve, body=b):
                 return COutput(c, _map_vars(ve, value), sub(b))
             case If(cond=c, body=b):
                 return If(_map_vars(c, value), sub(b))
         return rebuild(t, sub)
 
-    return sub(e)
+    e = _checked(e)
+    key = (x, v, math.copysign(1.0, v))  # the sign tells -0.0 from 0.0
+    out = e._substituted.get(key)
+    if out is None:
+        out = e._substituted[key] = sub(e)
+    return out
 
 
 def _fresh_qvar(base: str, avoid) -> str:
@@ -415,19 +505,20 @@ def _fresh_qvar(base: str, avoid) -> str:
 
 
 def subst_quantum(e: ProcessExpr, q: str, r: str) -> ProcessExpr:
-    """Replace free occurrences of the quantum variable q by r.
+    """Replace free occurrences of the quantum variable q by r.  A subterm in
+    which q is not free comes back as the same object.
 
     Capture-avoiding: a binder on r enclosing a free q is renamed first.
     """
     if q == r:
-        return e
+        return _checked(e)
 
     def sub(t):
+        if q not in t._qv:
+            return t
         match t:
-            case QbitNew(qvar=p) | QInput(qvar=p) if p == q:
-                return t
-            case QbitNew(qvar=p, body=b) | QInput(qvar=p, body=b) if p == r and q in qv(b):
-                p2 = _fresh_qvar(p, qv(b) | {q, r})
+            case QbitNew(qvar=p, body=b) | QInput(qvar=p, body=b) if p == r:
+                p2 = _fresh_qvar(p, b._qv | {q, r})
                 b2 = sub(subst_quantum(b, p, p2))
                 return QbitNew(p2, b2) if isinstance(t, QbitNew) else QInput(t.chan, p2, b2)
             case QOutput(chan=c, qvar=p, body=b):
@@ -438,7 +529,12 @@ def subst_quantum(e: ProcessExpr, q: str, r: str) -> ProcessExpr:
                 return Measure(m, tuple(r if p == q else p for p in qs), x, sub(b))
         return rebuild(t, sub)
 
-    return sub(e)
+    e = _checked(e)
+    key = (q, r)  # a classical key has three parts
+    out = e._substituted.get(key)
+    if out is None:
+        out = e._substituted[key] = sub(e)
+    return out
 
 
 def canonical(e: ProcessExpr) -> ProcessExpr:
@@ -475,3 +571,15 @@ def canonical(e: ProcessExpr) -> ProcessExpr:
         return rebuild(t, lambda s: walk(s, qenv, cenv))
 
     return walk(e, {}, {})
+
+
+def alpha_key(e: ProcessExpr) -> ProcessExpr:
+    """A term that equals alpha_key(f) exactly when e and f are
+    alpha-equivalent, as canonical(e) equals canonical(f).
+
+    A binder's key is its canonical form.  Any other node binds nothing, so
+    nothing is bound above the first binder on each path, and its key is the
+    node rebuilt around its children's keys: the node itself when each child
+    is its own key.  A term that shares a subterm with another shares that
+    subterm's stored key too."""
+    return _checked(e)._key

@@ -2,8 +2,9 @@
 
 The partial-trace/lift oracles manipulate indices directly; the dense
 partial trace and operator application are the density-matrix references
-for the factored state kernel; the free-variable
-oracle re-states the defining clauses; the brute-force bisimilarity oracle
+for the factored state kernel; the free-variable oracles re-state the
+defining clauses, and hash_oracle recomputes a term's hash down the whole
+term, reading no hash stored on a node; the brute-force bisimilarity oracle
 enumerates every equivalence relation and decides hull membership with exact
 rational arithmetic; BisimOracle decides strong, weak and eq from the
 definitions, with its own linear programs solved by scipy's HiGHS.
@@ -14,7 +15,7 @@ replaced, kept to compare split orders where they could matter.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -146,6 +147,50 @@ def qv_oracle(t) -> set:
     if isinstance(t, (S.Relabel, S.Restrict, S.If)):
         return qv_oracle(t.body)
     raise TypeError(t)
+
+
+def _expr_vars_oracle(e) -> set:
+    if isinstance(e, S.Var):
+        return {e.name}
+    if isinstance(e, S.Const):
+        return set()
+    if isinstance(e, S.Not):
+        return _expr_vars_oracle(e.body)
+    return _expr_vars_oracle(e.left) | _expr_vars_oracle(e.right)
+
+
+def fv_oracle(t) -> set:
+    if isinstance(t, S.Nil):
+        return set()
+    if isinstance(t, (S.CInput, S.Measure)):
+        return fv_oracle(t.body) - {t.var}
+    if isinstance(t, S.COutput):
+        return _expr_vars_oracle(t.expr) | fv_oracle(t.body)
+    if isinstance(t, S.If):
+        return _expr_vars_oracle(t.cond) | fv_oracle(t.body)
+    if isinstance(t, (S.Sum, S.Parallel)):
+        return fv_oracle(t.left) | fv_oracle(t.right)
+    if isinstance(t, (S.QbitNew, S.QInput, S.QOutput, S.Unitary, S.Relabel, S.Restrict)):
+        return fv_oracle(t.body)
+    raise TypeError(t)
+
+
+class _Hashed:
+    """A stand-in, inside a tuple, for a value whose hash is already known."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def hash_oracle(t) -> int:
+    """The hash of a frozen dataclass, the hash of the tuple of its fields,
+    with each process child hashed by this walk rather than by its own
+    __hash__."""
+    return hash(tuple(_Hashed(hash_oracle(v)) if isinstance(v, S.ProcessExpr) else v
+                      for v in (getattr(t, f.name) for f in fields(t))))
 
 
 # -- synthetic probabilistic transition systems --

@@ -17,7 +17,7 @@ from qccs.lts import (
 from qccs.syntax import (
     Arith, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel,
     QbitNew, QInput, QOutput, Relabel, RelabelFn, Restrict, Sum, Unitary, Var,
-    WellformednessError,
+    WellformednessError, subterms,
 )
 
 from helpers import corpus_configs, lift_oracle, node_of, ptrace_oracle
@@ -464,8 +464,35 @@ class TestExploration:
         g1 = build_lts(corpus_configs("weak_example", "C")[0])
         g2 = build_lts(corpus_configs("weak_example", "C")[0])
         assert g1.node_count == g2.node_count
-        assert [n.canonical_process for n in g1.nodes] == [n.canonical_process for n in g2.nodes]
+        assert [n.key for n in g1.nodes] == [n.key for n in g2.nodes]
         assert g1.edges == g2.edges
+
+    def test_teleport_build_computes_each_summary_once(self, monkeypatch):
+        # a derived term shares its untouched subterms, and their stored
+        # summaries, with its parent: canonical walks only under the binders
+        # of new spines, and no node computes qv or fv_classical twice
+        from qccs import syntax
+        from qccs.demo import build_teleport
+
+        def size(t):
+            return 1 + sum(map(size, subterms(t)))
+
+        visited = []
+        canonical = syntax.canonical
+        monkeypatch.setattr(syntax, "canonical", lambda t: visited.append(size(t)) or canonical(t))
+        computed = {}
+        for name in ("_qv", "_fv"):
+            stored = vars(syntax._Term)[name]
+
+            def counting(node, compute=stored.compute, name=name):
+                computed.setdefault((name, id(node)), []).append(node)  # keeps ids unique
+                return compute(node)
+
+            monkeypatch.setattr(stored, "compute", counting)
+        graph = build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])
+        assert graph.node_count == 54
+        assert sum(visited) < 600, sum(visited)
+        assert computed and all(len(nodes) == 1 for nodes in computed.values())
 
     def test_weak_example_graph_shape(self):
         graph = build_lts(corpus_configs("weak_example", "C")[0])
