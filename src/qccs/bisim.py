@@ -4,13 +4,15 @@ All three run on a finite explored transition graph (anything shaped like
 lts.Lts).  Matching questions reduce to linear feasibility: combined
 transitions are convex-hull membership over class vectors, weak transitions
 are two-phase flow problems whose feasible flows correspond exactly to
-adversaries realising the move.  One _Matcher builds every matching question,
-for refinement, for witnesses and for `eq`'s strict round.  Refinement asks
-it for verdicts and witnesses ask it for moves, both read from one memo
-under keys that hold exactly what the question's linear program reads, so
-a check solves each distinct program once.  _refine keeps a worklist of
-blocks to examine and re-examines a block only when a block that its
-questions read has split.
+adversaries realising the move.  A termination requirement is one more such
+flow question, under TAU_HAT, in which only the owner's terminal matches
+absorb.  One _Matcher builds every matching question, for refinement, for
+witnesses and for `eq`'s strict round, and keys every flow question by one
+rule.  Refinement asks it for verdicts and witnesses ask it for moves, both
+read from one memo under keys that hold exactly what the question's linear
+program reads, so a check solves each distinct program once.  _refine keeps
+a worklist of blocks to examine and re-examines a block only when a block
+that its questions read has split.
 
 One generator, _requirements, lists what a node asks of its block.
 Refinement splits on it, and a `distinguished` verdict is explained by the
@@ -230,25 +232,27 @@ class _Matcher:
     """Every matching question of one check, built in one place: can `node`
     meet a requirement (see _requirements) of `owner`?  In 'strong' mode a
     move is answered by a combined move, in 'weak' mode by a weak move, which
-    for a strict tau move takes at least one real internal step.
+    for a strict tau move takes at least one real internal step.  Termination
+    is a TAU_HAT move into the owner's terminal matches.
 
     answer() solves each distinct program once and keeps what the solve
     returned; holds() and witness() both read it.  A key holds exactly what
     the question's linear program reads, with floats compared bit for bit,
     so a hit is the same program and so the same answer.  A strong key holds
     only the blocks in play, and a weak key names its source's flows by their
-    shape (see _Flows.shape), so a split elsewhere, or a source whose flows
-    look alike, finds the answer already known.  So a weak answer is kept as
-    the bare flow array, and witness() names its columns after the asking
-    node's own flows.  Keys are packed into bytes: keys built of small tuples
-    raised the peak memory of repeated 54-node teleportation checks by
-    2.5 MB, as the interpreter keeps freed small tuples for reuse.  Keeping
-    each answer, not only its verdict, left their peak RSS at 40.3-40.4 MB
-    and raised the law suite's from 43.2 to 43.4 MB (perfbench medians of 10
-    runs, 2-core x86 VM).  A failure within _NEAR_TIE_FACTOR of the
-    tolerance is a near tie: its answer is None, and its key goes into
-    `near_ties` when it is solved, so once per question per check, however
-    often refinement and witnesses ask.
+    shape (see _Flows.shape), by one rule for every flow question, so a split
+    elsewhere, or a source whose flows look alike, finds the answer already
+    known.  So a weak answer is kept as the bare flow array, and witness()
+    names its columns after the asking node's own flows.  Keys are packed
+    into bytes: keys built of small tuples raised the peak memory of
+    repeated 54-node teleportation checks by 2.5 MB, as the interpreter
+    keeps freed small tuples for reuse.  Keeping each answer, not only its
+    verdict, left their peak RSS at 40.3-40.4 MB and raised the law suite's
+    from 43.2 to 43.4 MB (perfbench medians of 10 runs, 2-core x86 VM).  A
+    failure of any question within _NEAR_TIE_FACTOR of the tolerance is a
+    near tie: its answer is None, and its key goes into `near_ties` when it
+    is solved, so once per question per check, however often refinement and
+    witnesses ask.
     The reachable set and flows of each source and the termination groups of
     each owner are kept for the matcher's lifetime.
     """
@@ -278,25 +282,23 @@ class _Matcher:
                  strict: bool = False):
         """(memo key, solve(tol, loose) with loose as for lp.feasible,
         constraint count of the linear program) of one question: can `node`
-        meet `requirement`?  Only a termination requirement reads `owner`."""
+        meet `requirement`?  Only a termination requirement reads `owner`.
+        A weak question, termination included, is keyed by its flow shape,
+        each reachable node's absorption group ranked among the groups in
+        play (-1 where it may not absorb), and those groups' targets."""
         action, vec = requirement
         if action is None:
             # can `node` internally evolve, with probability one, into stuck
             # configurations whose context equals the owner's?  They absorb,
             # as group 0, and no other node does.  The question reads no
-            # partition, so owners with equal contexts share programs; it
-            # takes no loose tolerance, so it is never a near tie
-            ends = self.ends.get(owner)
-            if ends is None:
+            # partition, so owners with equal contexts share programs
+            group_of = self.ends.get(owner)
+            if group_of is None:
                 matches = set(self.lts.terminal_matches(owner))
-                ends = self.ends[owner] = [0 if v in matches else None
-                                           for v in range(self.lts.node_count)]
-            flows, shape = self._flows(node, TAU_HAT)
-            nodes = flows.nodes
-            return (shape + b"end" + _packed([i for i, v in enumerate(nodes) if ends[v] == 0], ()),
-                    lambda t, loose: lp.feasible(flows.program(ends, [1.0]), t),
-                    flows.height + 1)
-        if self.mode == "strong":
+                group_of = self.ends[owner] = [0 if v in matches else None
+                                               for v in range(self.lts.node_count)]
+            label, targets = TAU_HAT, (1.0,)
+        elif self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
             if not points:
                 # no move with the action: no program, whatever vec is
@@ -309,16 +311,19 @@ class _Matcher:
             return (_packed((table.shape[1],), ()) + table.tobytes(),
                     lambda t, loose: lp.convex_hull_member(table[1:], table[0], t, loose),
                     1 + table.shape[1])
-        flows, shape = self._flows(node, _weak_label(action, strict))
+        else:
+            label, group_of, targets = _weak_label(action, strict), partition.block_of, vec
+        flows, shape = self._flows(node, label)
         nodes = flows.nodes
-        block_of = partition.block_of
         # the absorption groups in the order _Flows.program writes their rows,
         # renumbered by rank so that splits elsewhere leave the key alone
-        groups = sorted({block_of[v] for v in nodes}
-                        | {g for g, t in enumerate(vec) if abs(t) > 0})
+        present = {group_of[v] for v in nodes}
+        present.discard(None)
+        groups = sorted(present | {g for g, t in enumerate(targets) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
-        key = shape + _packed([rank[block_of[v]] for v in nodes], [vec[g] for g in groups])
-        return (key, lambda t, loose: lp.feasible(flows.program(block_of, list(vec)), t, loose),
+        rank[None] = -1
+        key = shape + _packed([rank[group_of[v]] for v in nodes], [targets[g] for g in groups])
+        return (key, lambda t, loose: lp.feasible(flows.program(group_of, list(targets)), t, loose),
                 flows.height + len(groups))
 
     def answer(self, question):

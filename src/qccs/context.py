@@ -74,10 +74,6 @@ class QContext:
         """The density matrix K K^dag, built afresh on every access."""
         return self.factor @ self.factor.conj().T
 
-    @property
-    def size(self) -> int:
-        return len(self.vars)
-
     def index(self, var: str) -> int:
         try:
             return self.vars.index(var)

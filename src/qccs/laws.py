@@ -320,7 +320,7 @@ def _prefix_contexts(spare: str):
 
 
 def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
-                     qubits: int = 2, modes=("strong", "weak")) -> CongruenceReport:
+                     qubits: int = 2) -> CongruenceReport:
     """For checker-established equivalent pairs (E, F), verify closure under
     prefixing, summation, classical parallel composition, and relabeling."""
     rng = np.random.default_rng(seed)
@@ -333,7 +333,7 @@ def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
         g = random_process(rng, depth, qavail)
         r = random_process(rng, depth, ("qr",), classical_only=True)
 
-        for mode in modes:
+        for mode in ("strong", "weak"):
             base = _check(mode, e, f, rng)
             report.record(f"{mode}-base", base.equivalent, pretty_print(e))
             if not base.equivalent:

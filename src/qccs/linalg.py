@@ -301,4 +301,3 @@ def computational_observable(k: int, name: str | None = None) -> Observable:
 
 
 OBS_M01 = Observable("M01", ((0.0, dm(KET0)), (1.0, dm(KET1))))
-OBS_MPM = Observable("Mpm", ((0.0, dm(KET_PLUS)), (1.0, dm(KET_MINUS))))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -251,9 +251,6 @@ class Distribution:
     def items(self):
         return self._pairs
 
-    def support(self):
-        return tuple(c for c, _ in self._pairs)
-
     def __len__(self) -> int:
         return len(self._pairs)
 
@@ -404,7 +401,7 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
             return _derive(l, ctx, fresh) + _derive(r, ctx, fresh)
 
         case Parallel(left=l, right=r):
-            return _compose_parallel(_derive(l, ctx, fresh), _derive(r, ctx, fresh), l, r, ctx)
+            return _compose_parallel(_derive(l, ctx, fresh), _derive(r, ctx, fresh), l, r)
 
         case Relabel(body=b, fn=f):
             return [_rewrap(s, lambda t: Relabel(t, f), f) for s in _derive(b, ctx, fresh)]
@@ -419,7 +416,7 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
     raise LtsError(f"bad process term {term!r}")
 
 
-def _compose_parallel(left_steps, right_steps, left_term, right_term, ctx) -> list:
+def _compose_parallel(left_steps, right_steps, left_term, right_term) -> list:
     out: list = []
     qv_left = qv(left_term)
     qv_right = qv(right_term)
@@ -446,13 +443,13 @@ def _compose_parallel(left_steps, right_steps, left_term, right_term, ctx) -> li
                         (t_out, c_out, _), = so.targets
                         out.append(_Step(TAU, [(build(t_out, si.cont(so.action.value)), c_out, 1.0)]))
             elif isinstance(so.action, QOut):
+                # a QIn _Step inputs a system in the context (see _InStep)
                 for si in in_steps:
                     if (
                         isinstance(si, _Step)
                         and isinstance(si.action, QIn)
                         and si.action.chan == so.action.chan
                         and si.action.qvar == so.action.qvar
-                        and si.targets[0][1].vars == ctx.vars  # in-context input only
                     ):
                         (t_out, c_out, _), = so.targets
                         (t_in, _, _), = si.targets
@@ -543,13 +540,11 @@ def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
 @dataclass
 class Lts:
     """Explored transition graph: configurations plus per-node edges, each
-    edge being an action and a distribution over node ids.  `index` files
-    each node's context under its configuration key, with ids = node ids."""
+    edge being an action and a distribution over node ids."""
 
     nodes: list
     edges: list  # edges[i] = [(Action, ((j, p), ...)), ...]
     initial: tuple
-    index: ContextIndex = field(repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -651,7 +646,7 @@ def build_lts(
             if edge not in edges[i]:
                 edges[i].append(edge)
 
-    return Lts(nodes, edges, tuple(initial), index)
+    return Lts(nodes, edges, tuple(initial))
 
 
 # -- trace execution --
@@ -681,37 +676,16 @@ class TraceResult:
     status: str  # 'terminated' | 'maxed'
 
 
-class _FirstScheduler:
-    def choose(self, options, rng):
-        return 0
-
-
-class _RandomScheduler:
-    def choose(self, options, rng):
-        return int(rng.integers(len(options)))
-
-
-class _ScriptScheduler:
-    def __init__(self, script):
-        self.script = list(script)
-        self.pos = 0
-
-    def choose(self, options, rng):
-        if self.pos >= len(self.script):
-            return 0
-        k = self.script[self.pos]
-        self.pos += 1
-        return k % len(options)
-
-
-def make_scheduler(spec):
-    if spec == "first" or spec is None:
-        return _FirstScheduler()
-    if spec == "random":
-        return _RandomScheduler()
-    if isinstance(spec, (list, tuple)):
-        return _ScriptScheduler(spec)
-    return spec
+def _chooser(scheduler):
+    """choose(n, rng): the index of the option taken among n (see run_trace)."""
+    if isinstance(scheduler, (list, tuple)):
+        script = iter(scheduler)
+        return lambda n, rng: next(script, 0) % n
+    if scheduler == "first":
+        return lambda n, rng: 0
+    if scheduler == "random":
+        return lambda n, rng: int(rng.integers(n))
+    raise ValueError(f"unknown scheduler {scheduler!r}")
 
 
 def run_trace(
@@ -729,29 +703,31 @@ def run_trace(
     round picks an action enabled at every support point and lifts it.  In
     sample mode probabilistic branches are resolved with the seeded RNG.
     Raises StuckError when progress stops before termination.
+
+    `scheduler` picks the action each round, and the move at a support
+    point when it has more than one with that action: "first" takes the
+    first option, "random" draws one with the seeded RNG, and a list of ints
+    names the options in turn (modulo their number), then the first once it
+    runs out.  Anything else raises ValueError.
     """
     assert_wellformed(c0.process)
-    sched = make_scheduler(scheduler)
+    choose = _chooser(scheduler)
     rng = np.random.default_rng(seed)
     steps: list = []
     current = [(c0, 1.0)]
 
     for _ in range(max_steps):
         per_point = [transitions(c, policy, fresh) for c, _ in current]
-        if all(not trs for trs in per_point):
-            if all(is_terminated(c.process) for c, _ in current):
+        common = set.intersection(*({a for a, _ in trs} for trs in per_point))
+        if not common:
+            if not any(per_point) and all(is_terminated(c.process) for c, _ in current):
                 return TraceResult(steps, current, "terminated")
-            blocked = []
-            for c, _ in current:
-                blocked.extend(blocked_actions(c, fresh))
-            raise StuckError(blocked)
+            raise StuckError([a for (c, _), trs in zip(current, per_point) if not trs
+                              for a in blocked_actions(c, fresh)])
 
-        if sample and len(current) == 1:
+        if sample:
             trs = per_point[0]
-            if not trs:
-                raise StuckError(blocked_actions(current[0][0], fresh))
-            k = sched.choose([a for a, _ in trs], rng)
-            action, dist = trs[k]
+            action, dist = trs[choose(len(trs), rng)]
             pairs = dist.items()
             probs = np.array([p for _, p in pairs])
             pick = int(rng.choice(len(pairs), p=probs / probs.sum()))
@@ -759,23 +735,13 @@ def run_trace(
             current = [(pairs[pick][0], 1.0)]
             continue
 
-        common = None
-        for trs in per_point:
-            acts = {a for a, _ in trs}
-            common = acts if common is None else (common & acts)
-        common = sorted(common or (), key=action_sort_key)
-        if not common:
-            blocked = []
-            for (c, _), trs in zip(current, per_point):
-                if not trs:
-                    blocked.extend(blocked_actions(c, fresh))
-            raise StuckError(blocked)
-        action = common[sched.choose(common, rng)]
+        actions = sorted(common, key=action_sort_key)
+        action = actions[choose(len(actions), rng)]
 
         pairs = []
         for (c, p), trs in zip(current, per_point):
             options = [dist for a, dist in trs if a == action]
-            dist = options[sched.choose(options, rng) if len(options) > 1 else 0]
+            dist = options[choose(len(options), rng) if len(options) > 1 else 0]
             for c2, q in dist.items():
                 pairs.append((c2, p * q))
         nu = Distribution(pairs)

@@ -464,14 +464,6 @@ def assert_wellformed(e: ProcessExpr) -> None:
         raise WellformednessError(violations)
 
 
-def is_classical(e: ProcessExpr) -> bool:
-    """True iff the term never changes a quantum context: no allocation,
-    quantum input, unitary or measurement anywhere (quantum output is fine)."""
-    if isinstance(e, (QbitNew, QInput, Unitary, Measure)):
-        return False
-    return all(map(is_classical, subterms(e)))
-
-
 def subst_classical(e: ProcessExpr, x: str, v: float) -> ProcessExpr:
     """Instantiate the free classical variable x with the value v.  A subterm
     in which x is not free comes back as the same object."""

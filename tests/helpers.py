@@ -25,7 +25,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from qccs import syntax as S
+from qccs.context import context_equal
 from qccs.frontend import elaborate, parse
+from qccs.linalg import KET_MINUS, KET_PLUS, Observable, dm
 from qccs.lts import TAU, Tau
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -37,9 +39,23 @@ def corpus_configs(name: str, *configs: str) -> list:
     return [elab.configs[c] for c in configs]
 
 
+OBS_MPM = Observable("Mpm", ((0.0, dm(KET_PLUS)), (1.0, dm(KET_MINUS))))
+
+
 def node_of(graph, config):
-    """The node id of `config` in an explored graph, or None."""
-    return graph.index.find(config.key, config.context)
+    """The node id of `config` in an explored graph, or None: the lowest id
+    with an equal key and a context equal within ATOL."""
+    return next((i for i, node in enumerate(graph.nodes)
+                 if node.key == config.key and context_equal(node.context, config.context)),
+                None)
+
+
+def is_classical(e) -> bool:
+    """True iff the term never changes a quantum context: no allocation,
+    quantum input, unitary or measurement anywhere (quantum output is fine)."""
+    if isinstance(e, (S.QbitNew, S.QInput, S.Unitary, S.Measure)):
+        return False
+    return all(map(is_classical, S.subterms(e)))
 
 
 # -- index-level linear algebra oracles --

@@ -149,8 +149,7 @@ class TestAcceptance:
     def test_criterion_7_congruence(self):
         """Closure of ~ and ~~ under prefix, summation, classical parallel,
         and relabeling; equality survives added summands."""
-        strong_weak = congruence_suite(pairs=50, seed=2026, depth=2, qubits=2,
-                                       modes=("strong", "weak"))
+        strong_weak = congruence_suite(pairs=50, seed=2026, depth=2, qubits=2)
         eq = equality_plus_context_suite(pairs=25, seed=2026, depth=2, qubits=2)
         checked = sum(strong_weak.checked.values()) + sum(eq.checked.values())
         ok = strong_weak.ok and eq.ok

@@ -10,11 +10,11 @@ from qccs.context import (
     new_qubit,
 )
 from qccs.linalg import (
-    ATOL, CNOT_MAT, H_MAT, I2, KET0, KET1, KET_MINUS, KET_PLUS, OBS_M01, OBS_MPM,
+    ATOL, CNOT_MAT, H_MAT, I2, KET0, KET1, KET_MINUS, KET_PLUS, OBS_M01,
     Observable, computational_observable, dm, tensor,
 )
 
-from helpers import apply_operator, lift_oracle, partial_trace, ptrace_oracle
+from helpers import OBS_MPM, apply_operator, lift_oracle, partial_trace, ptrace_oracle
 
 EPR = dm(np.array([1, 0, 0, 1]) / np.sqrt(2))
 

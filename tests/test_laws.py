@@ -8,6 +8,8 @@ from qccs.laws import (
 )
 from qccs.syntax import check_wellformed, fv_classical, qv
 
+from helpers import is_classical
+
 
 class TestGenerator:
     def test_terms_are_wellformed_by_construction(self):
@@ -24,8 +26,6 @@ class TestGenerator:
             assert fv_classical(t) == frozenset()
 
     def test_classical_only_mode(self):
-        from qccs.syntax import is_classical
-
         rng = np.random.default_rng(2)
         for _ in range(200):
             t = random_process(rng, 3, ("q0",), classical_only=True)

@@ -11,7 +11,7 @@ from qccs.linalg import (
     factor_density, tensor, trace, validate_observable,
 )
 
-from helpers import lift_oracle, ptrace_oracle
+from helpers import OBS_MPM, lift_oracle, ptrace_oracle
 
 
 def random_density(rng, n):
@@ -221,7 +221,7 @@ class TestObservable:
         assert g1 != g3
 
     def test_plus_state_observable(self):
-        assert validate_observable(linalg.OBS_MPM, 2) == []
+        assert validate_observable(OBS_MPM, 2) == []
 
     def test_two_qubit_computational(self):
         obs = linalg.computational_observable(2)

@@ -699,6 +699,79 @@ class TestRunTrace:
         assert format_action(trace.steps[0].action) == "d!1"
 
 
+def out(chan, value, body=None):
+    return COutput(chan, Const(value), body or Nil())
+
+
+class TestChooser:
+    """How a scheduler picks the action of each round, and the move of each
+    support point that has more than one move with that action."""
+
+    # c!0.c!1 + d!0.d!1, then the same choice again after either output
+    TWICE = Sum(out(C, 0, Sum(out(C, 1), out(D, 1))), out(D, 0, Sum(out(C, 1), out(D, 1))))
+
+    def actions(self, term, scheduler, vars_=(), state=None):
+        return [format_action(s.action)
+                for s in run_trace(cfg(term, vars_, state), scheduler=scheduler).steps]
+
+    def test_a_short_script_falls_back_to_the_first_option(self):
+        assert self.actions(self.TWICE, [1]) == ["d!0", "c!1"]
+        assert self.actions(self.TWICE, []) == ["c!0", "c!1"]
+
+    def test_entries_wrap_modulo_the_options(self):
+        assert self.actions(self.TWICE, [3, 2]) == ["d!0", "c!1"]
+        assert self.actions(self.TWICE, [4, 5]) == ["c!0", "d!1"]
+
+    def test_a_point_with_one_option_consumes_no_entry(self):
+        # the tau round reads entry 0 for its action; its one move reads none,
+        # so entry 1 picks the output
+        term = Unitary(GATE_X, ("q",), Sum(out(C, 0), out(D, 0)))
+        assert self.actions(term, [0, 1], ("q",), dm(KET0)) == ["tau", "d!0"]
+
+    def test_a_point_with_two_options_consumes_an_entry(self):
+        # X and H both move on tau: entry 0 picks the action, entry 1 the H
+        term = Sum(Unitary(GATE_X, ("q",), Nil()), Unitary(GATE_H, ("q",), Nil()))
+        trace = run_trace(cfg(term, ("q",), dm(KET0)), scheduler=[0, 1])
+        (final, _), = trace.final
+        assert np.allclose(final.context.rho, dm(KET_PLUS))
+
+    def test_unknown_scheduler_is_refused(self):
+        for scheduler in ("last", None, 1):
+            with pytest.raises(ValueError):
+                run_trace(cfg(Nil()), scheduler=scheduler)
+
+    @pytest.mark.parametrize("scheduler, seed, sample, steps, final", [
+        # the script: c!2 (1 of 3), the measurement (4 of 2), then per
+        # point the tau action (0) and H (3, then 1), c!0 (2), then 0
+        ([1, 4, 0, 3, 1, 2], 4, False,
+         [("c!2", None), ("tau", None), ("tau", None), ("c!0", None), ("d!3", None)],
+         [(0.5, [0.5, 0.5]), (0.5, [0.5, 0.5])]),
+        ([1, 4, 0, 3, 1, 2], 4, True,
+         [("c!2", 0), ("tau", 1), ("tau", 0), ("d!3", 0), ("c!0", 0)],
+         [(1.0, [1.0, 0.0])]),
+        ("random", 2, False,
+         [("d!3", None), ("tau", None), ("tau", None), ("c!0", None)],
+         [(0.5, [0.0, 1.0]), (0.5, [1.0, 0.0])]),
+        ("random", 2, True,
+         [("d!3", 0), ("tau", 1), ("tau", 0), ("c!0", 0)],
+         [(1.0, [1.0, 0.0])]),
+    ])
+    def test_pinned_runs(self, scheduler, seed, sample, steps, final):
+        # M01[q; x].(X[q].c!0 + H[q].c!0) || (c!2.d!3 + d!3) from |+>: the
+        # action and sampled branch of each step, and each final point's
+        # weight and diagonal, which shows whether X or H ran there
+        term = Parallel(
+            Measure(OBS_M01, ("q",), "x", Sum(Unitary(GATE_X, ("q",), out(C, 0)),
+                                              Unitary(GATE_H, ("q",), out(C, 0)))),
+            Sum(out(C, 2, out(D, 3)), out(D, 3)))
+        trace = run_trace(cfg(term, ("q",), dm(KET_PLUS)), scheduler=scheduler, seed=seed,
+                          sample=sample)
+        assert trace.status == "terminated"
+        assert [(format_action(s.action), s.sampled) for s in trace.steps] == steps
+        assert [(round(p, 9), np.round(c.context.rho.diagonal().real, 9).tolist())
+                for c, p in trace.final] == final
+
+
 class TestExports:
     def test_json_shape(self):
         graph = build_lts(corpus_configs("weak_example", "C")[0])

@@ -12,10 +12,10 @@ from qccs.syntax import (
     Parallel, QbitNew, QInput, QOutput, Relabel, RelabelFn, Restrict, Sum,
     SyntaxError_, UnboundVariable, Unitary, Var, BadRelabeling, alpha_key,
     canonical, check_wellformed, eval_bool, eval_expr, fv_classical,
-    is_classical, qv, rebuild, subst_classical, subst_quantum, subterms,
+    qv, rebuild, subst_classical, subst_quantum, subterms,
 )
 
-from helpers import fv_oracle, hash_oracle, qv_oracle
+from helpers import fv_oracle, hash_oracle, is_classical, qv_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
