@@ -211,42 +211,16 @@ class Configuration:
 
 
 class Distribution:
-    """Finite-support probability distribution over configurations.
+    """Finite-support probability distribution over configurations, merged
+    by _merge with an index of its own: a configuration merges into the
+    first earlier one within ATOL."""
 
-    A configuration merges into the first earlier one within ATOL.  A
-    distribution of more than one configuration keeps the index that found
-    those merges, for approx_equal.
-    """
-
-    __slots__ = ("_pairs", "_index")
+    __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
-        merged: list[list] = []
-        index = None
-        for config, p in pairs:
-            p = float(p)
-            if p <= 0:
-                raise BadWeights(f"probability {p} is not in (0, 1]")
-            if merged:
-                if index is None:
-                    index = ContextIndex()
-                    index.add(merged[0][0].key, merged[0][0].context)
-                j, new = index.file(config.key, config.context)
-                if not new:
-                    merged[j][1] += p
-                    continue
-            merged.append([config, p])
-        if not merged:
-            raise BadWeights("distribution must have nonempty support")
-        total = sum(p for _, p in merged)
-        if abs(total - 1.0) > linalg.ATOL:
-            raise BadWeights(f"probabilities sum to {total}, not 1")
-        self._pairs = tuple((c, p) for c, p in merged)
-        self._index = index
-
-    @staticmethod
-    def point(config: Configuration) -> "Distribution":
-        return Distribution([(config, 1.0)])
+        index = ContextIndex()
+        merged = _merge(pairs, lambda c: index.file(c.key, c.context)[0])
+        self._pairs = tuple((c, p) for c, p in merged.values())
 
     def items(self):
         return self._pairs
@@ -254,27 +228,42 @@ class Distribution:
     def __len__(self) -> int:
         return len(self._pairs)
 
-    def approx_equal(self, other: "Distribution") -> bool:
-        """Pairs each configuration, in order, with the first unpaired one of
-        `other` that is equal within ATOL and has a weight within ATOL."""
-        if len(self) != len(other):
-            return False
-        if other._index is None:
-            (c, p), = self._pairs
-            (d, q), = other._pairs
-            return (abs(p - q) <= linalg.ATOL and c.key == d.key
-                    and context_equal(c.context, d.context))
-        used = set()
-        for c, p in self._pairs:
-            j = other._index.find(c.key, c.context, lambda j: j not in used
-                                  and abs(p - other._pairs[j][1]) <= linalg.ATOL)
-            if j is None:
-                return False
-            used.add(j)
-        return True
 
-    def __str__(self) -> str:
-        return " (+) ".join(f"{p:.4g}*{c}" for c, p in self._pairs)
+def _merge(pairs, intern) -> dict:
+    """{id: [configuration, weight]}: the weights of the configurations that
+    `intern` maps to one id summed, under the first of them, in order of
+    first appearance.  Raises BadWeights unless every weight is positive and
+    they sum to 1 within ATOL."""
+    merged: dict = {}
+    for config, p in pairs:
+        p = float(p)
+        if p <= 0:
+            raise BadWeights(f"probability {p} is not in (0, 1]")
+        j = intern(config)
+        if j in merged:
+            merged[j][1] += p
+        else:
+            merged[j] = [config, p]
+    if not merged:
+        raise BadWeights("distribution must have nonempty support")
+    total = sum(p for _, p in merged.values())
+    if abs(total - 1.0) > linalg.ATOL:
+        raise BadWeights(f"probabilities sum to {total}, not 1")
+    return merged
+
+
+def _targets(merged: dict) -> tuple:
+    """A merged distribution as ((id, weight), ...) in ascending id order."""
+    return tuple(sorted((j, p) for j, (_, p) in merged.items()))
+
+
+def _seen(kept, action, targets) -> bool:
+    """Whether a kept (action, targets) move has this action, the same
+    target ids and each weight within ATOL: the one test of two equal moves."""
+    return any(a == action and len(t) == len(targets)
+               and all(j == k and abs(p - q) <= linalg.ATOL
+                       for (j, p), (k, q) in zip(t, targets))
+               for a, t in kept)
 
 
 # -- input policy and fresh names --
@@ -460,44 +449,52 @@ def _compose_parallel(left_steps, right_steps, left_term, right_term) -> list:
     return out
 
 
-def transitions(
-    config: Configuration,
-    policy: InputPolicy | None = None,
-    fresh=numbered_fresh,
-) -> list:
-    """All one-step transitions of a configuration as (action, distribution)
-    pairs, with input prefixes enumerated per the policy."""
+def _moves(config: Configuration, policy: InputPolicy | None, fresh) -> list:
+    """Each derived move of a configuration as (action, [(Configuration, p),
+    ...]), unmerged, with input prefixes enumerated per the policy."""
     policy = policy or InputPolicy()
     steps = _derive(config.process, config.context, fresh)
     open_chans = [s.chan for s in steps if not isinstance(s, _Step)]
     if open_chans and policy.closed_only:
         raise OpenConfiguration(open_chans)
 
-    result = []
+    moves = []
     for s in steps:
         if isinstance(s, _Step):
-            dist = Distribution([(Configuration(t, c2), p) for t, c2, p in s.targets])
-            result.append((s.action, dist))
+            moves.append((s.action, [(Configuration(t, c2), p) for t, c2, p in s.targets]))
         elif not s.chan.quantum:
             for v in policy.domain(s.chan):
-                result.append((CIn(s.chan, float(v)),
-                               Distribution.point(Configuration(s.cont(float(v)), config.context))))
+                moves.append((CIn(s.chan, float(v)),
+                              [(Configuration(s.cont(float(v)), config.context), 1.0)]))
         else:
             r = fresh(config.context, s.hint)
             for _, single in policy.quantum_recipes:
                 extended = ctxmod.extend_with_input(config.context, r, single)
-                result.append((QIn(s.chan, r),
-                               Distribution.point(Configuration(s.cont(r), extended))))
-
-    return _dedup_transitions(result)
+                moves.append((QIn(s.chan, r), [(Configuration(s.cont(r), extended), 1.0)]))
+    return moves
 
 
-def _dedup_transitions(trs) -> list:
-    kept = []
-    for action, dist in trs:
-        if not any(a == action and d.approx_equal(dist) for a, d in kept):
-            kept.append((action, dist))
-    return kept
+def transitions(
+    config: Configuration,
+    policy: InputPolicy | None = None,
+    fresh=numbered_fresh,
+) -> list:
+    """All one-step transitions of a configuration as (action, distribution)
+    pairs, with input prefixes enumerated per the policy.
+
+    Each distribution is merged on its own (see Distribution).  A move is
+    dropped when an earlier kept one has the same action and, with every
+    target filed in one index for the call, the same target ids with each
+    weight within ATOL: the edge rule of build_lts."""
+    index = ContextIndex()
+    kept, result = [], []
+    for action, pairs in _moves(config, policy, fresh):
+        dist = Distribution(pairs)
+        targets = _targets(_merge(dist.items(), lambda c: index.file(c.key, c.context)[0]))
+        if not _seen(kept, action, targets):
+            kept.append((action, targets))
+            result.append((action, dist))
+    return result
 
 
 def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
@@ -540,7 +537,9 @@ def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
 @dataclass
 class Lts:
     """Explored transition graph: configurations plus per-node edges, each
-    edge being an action and a distribution over node ids."""
+    edge being an action and a distribution over node ids, in ascending id
+    order.  No two edges of a node have the same action and the same target
+    ids with each weight within ATOL (the edge rule of build_lts)."""
 
     nodes: list
     edges: list  # edges[i] = [(Action, ((j, p), ...)), ...]
@@ -588,9 +587,8 @@ def build_lts(
     policy: InputPolicy | None = None,
     max_nodes: int = 4000,
     max_depth: int = 200,
-    fresh=numbered_fresh,
 ) -> Lts:
-    """Breadth-first closure of `transitions` from one or more roots.
+    """Breadth-first closure of the derived moves from one or more roots.
 
     The merge rule: a configuration is a new node unless an existing node
     has an alpha-equivalent term and the same qubit names and a context
@@ -598,8 +596,12 @@ def build_lts(
     such node id.  The lookup goes by key, and in groups of more than a few
     nodes by cell (ContextIndex), not by a scan of every node; it finds the
     node a scan in id order would, so equal states reached on different
-    paths merge.  Deterministic for a fixed policy and bounds.  Raises
-    BoundExceeded at max_nodes nodes or when a node at max_depth can move.
+    paths merge.  Each derived target is filed once, and a move's weights
+    are summed per node id.  The edge rule: a move is dropped when an
+    earlier edge of its node has the same action and the same target ids
+    with each weight within ATOL.  Deterministic for a fixed policy and
+    bounds.  Raises BoundExceeded at max_nodes nodes or when a node at
+    max_depth can move.
     """
     if isinstance(roots, Configuration):
         roots = [roots]
@@ -609,42 +611,38 @@ def build_lts(
     edges: list = []
     index = ContextIndex()
     queue: deque = deque()
+    expanded: set = set()
 
-    def intern(config: Configuration, depth: int) -> int:
+    def intern(config: Configuration, depth: int, at: int) -> int:
+        """Node id of config, new if need be, queued at depth `at` unless
+        expanded; `depth` is the expanding node's, for BoundExceeded."""
         i, new = index.file(config.key, config.context)
         if new:
             if len(nodes) >= max_nodes:
                 raise BoundExceeded("max_nodes", max_nodes, len(nodes), depth, len(queue))
             nodes.append(config)
             edges.append([])
+        if i not in expanded:
+            queue.append((i, at))
         return i
 
     initial = []
     for root in roots:
         assert_wellformed(root.process)
-        i = intern(root, 0)
-        initial.append(i)
-        queue.append((i, 0))
+        initial.append(intern(root, 0, 0))
 
-    expanded = set()
     while queue:
         i, depth = queue.popleft()
         if i in expanded:
             continue
         expanded.add(i)
-        trs = transitions(nodes[i], policy, fresh)
-        if trs and depth >= max_depth:
+        moves = _moves(nodes[i], policy, numbered_fresh)
+        if moves and depth >= max_depth:
             raise BoundExceeded("max_depth", max_depth, len(nodes), depth, len(queue))
-        for action, dist in trs:
-            weights: dict = {}
-            for config, p in dist.items():
-                j = intern(config, depth)
-                weights[j] = weights.get(j, 0.0) + p
-                if j not in expanded:
-                    queue.append((j, depth + 1))
-            edge = (action, tuple(sorted(weights.items())))
-            if edge not in edges[i]:
-                edges[i].append(edge)
+        for action, pairs in moves:
+            targets = _targets(_merge(pairs, lambda c: intern(c, depth, depth + 1)))
+            if not _seen(edges[i], action, targets):
+                edges[i].append((action, targets))
 
     return Lts(nodes, edges, tuple(initial))
 
@@ -695,7 +693,6 @@ def run_trace(
     policy: InputPolicy | None = None,
     sample: bool = False,
     max_steps: int = 500,
-    fresh=hint_fresh,
 ) -> TraceResult:
     """Execute one adversary from c0.
 
@@ -717,13 +714,13 @@ def run_trace(
     current = [(c0, 1.0)]
 
     for _ in range(max_steps):
-        per_point = [transitions(c, policy, fresh) for c, _ in current]
+        per_point = [transitions(c, policy, hint_fresh) for c, _ in current]
         common = set.intersection(*({a for a, _ in trs} for trs in per_point))
         if not common:
             if not any(per_point) and all(is_terminated(c.process) for c, _ in current):
                 return TraceResult(steps, current, "terminated")
             raise StuckError([a for (c, _), trs in zip(current, per_point) if not trs
-                              for a in blocked_actions(c, fresh)])
+                              for a in blocked_actions(c, hint_fresh)])
 
         if sample:
             trs = per_point[0]

@@ -7,12 +7,12 @@ import pytest
 from qccs import linalg
 from qccs.bisim import strong_bisim
 from qccs.context import SCAN_LIMIT, ContextIndex, QContext, context_equal, make_context
-from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, dm, tensor
+from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, Observable, dm, tensor
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
     InputPolicy, OpenConfiguration, QIn, QOut, StuckError, build_lts,
-    _complex_pairs, format_action, hint_fresh, lts_to_dot, lts_to_json,
-    run_trace, transitions,
+    _complex_pairs, _moves, format_action, hint_fresh, lts_to_dot, lts_to_json,
+    numbered_fresh, run_trace, transitions,
 )
 from qccs.syntax import (
     Arith, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel,
@@ -321,7 +321,9 @@ def reference_intern(configs) -> list:
 
 
 def reference_approx_equal(d1, d2) -> bool:
-    """Distribution.approx_equal by a scan of every pair."""
+    """Whether two distributions are equal, by a scan of every pair: each
+    configuration of d1, in order, pairs with the first unpaired one of d2
+    with the same key, a context within ATOL and a weight within ATOL."""
     if len(d1) != len(d2):
         return False
     used = set()
@@ -334,6 +336,16 @@ def reference_approx_equal(d1, d2) -> bool:
         else:
             return False
     return True
+
+
+def reference_dedup(moves) -> list:
+    """(action, distribution) moves less each one equal, by action and
+    reference_approx_equal, to an earlier kept one."""
+    kept = []
+    for a, d in moves:
+        if not any(a == a2 and reference_approx_equal(d, d2) for a2, d2 in kept):
+            kept.append((a, d))
+    return kept
 
 
 class TestStateIndex:
@@ -430,12 +442,10 @@ class TestStateIndex:
                 expected[j] = expected.get(j, 0.0) + p
             assert [node_of(graph, c) for c, _ in merged] == list(expected)
             np.testing.assert_allclose([p for _, p in merged], list(expected.values()))
-            # approx_equal against a scan, on a reordering and on a reweighting
-            dist = Distribution(list(zip(configs, weights)))
-            for other in (Distribution(list(zip(configs[::-1], weights[::-1]))),
-                          Distribution(list(zip(configs, weights[::-1])))):
-                assert dist.approx_equal(other) == reference_approx_equal(dist, other)
-            assert dist.approx_equal(Distribution(list(zip(configs[::-1], weights[::-1]))))
+            # a reordering merges into an equal distribution
+            assert reference_approx_equal(
+                Distribution(list(zip(configs, weights))),
+                Distribution(list(zip(configs[::-1], weights[::-1]))))
 
     def test_exploration_independent_of_root_order(self):
         from qccs.demo import build_teleport
@@ -453,6 +463,49 @@ class TestStateIndex:
             for i, edges in enumerate(graph.edges):
                 mapped = {(a, tuple(sorted((to_ref[j], p) for j, p in t))) for a, t in edges}
                 assert mapped == set(reference.edges[to_ref[i]])
+
+
+class TestEdgesAgreeWithTransitions:
+    def test_each_node_has_its_deduplicated_moves(self):
+        # build_lts merges and deduplicates the derived moves by node id;
+        # each node's edges must be its moves, each merged on its own,
+        # deduplicated by the pairwise scan and mapped to node ids, and so
+        # must transitions(node) be
+        from qccs.laws import SUITE_POLICY, random_density, random_process
+
+        def mapped(graph, moves):
+            out = []
+            for a, dist in moves:
+                weights: dict = {}
+                for c, p in dist.items():
+                    j = node_of(graph, c)
+                    weights[j] = weights.get(j, 0.0) + p
+                out.append((a, sorted(weights.items())))
+            return out
+
+        def same_edges(got, want):
+            return len(got) == len(want) and all(
+                a == b and [j for j, _ in t] == [k for k, _ in u]
+                and all(abs(p - q) <= 1e-12 for (_, p), (_, q) in zip(t, u))
+                for (a, t), (b, u) in zip(got, want))
+
+        rng = np.random.default_rng(23)
+        dropped = inputs = 0
+        for _ in range(120):
+            qavail = ("q0", "q1")[:int(rng.integers(1, 3))]
+            e, f = (random_process(rng, 3, qavail, allow_quantum_input=True) for _ in "ef")
+            ctx = make_context(qavail, random_density(rng, len(qavail)))
+            graph = build_lts([Configuration(t, ctx) for t in (Sum(e, e), Sum(e, f))],
+                              SUITE_POLICY)
+            for i, node in enumerate(graph.nodes):
+                moves = [(a, Distribution(pairs))
+                         for a, pairs in _moves(node, SUITE_POLICY, numbered_fresh)]
+                want = mapped(graph, reference_dedup(moves))
+                assert same_edges(graph.edges[i], want), (str(node), graph.edges[i], want)
+                assert same_edges(mapped(graph, transitions(node, SUITE_POLICY)), want)
+                dropped += len(moves) - len(want)
+                inputs += any(isinstance(a, (CIn, QIn)) for a, _ in moves)
+        assert dropped > 100 and inputs > 100, (dropped, inputs)
 
 
 class TestExploration:
@@ -544,6 +597,22 @@ class TestExploration:
                 dist = Distribution([(graph.nodes[j], p) for j, p in targets])
                 total = sum(p for _, p in dist.items())
                 assert abs(total - 1.0) < 1e-9
+
+    def test_moves_within_atol_make_one_edge(self):
+        # two measurements whose projectors differ by a 1e-12 rad rotation
+        # reach the same two nodes with weights about 6e-13 apart
+        eps = 1e-12
+        rotated = Observable("B", ((0.0, dm(np.array([np.cos(eps), np.sin(eps)]))),
+                                   (1.0, dm(np.array([-np.sin(eps), np.cos(eps)])))))
+        term = Sum(Measure(OBS_M01, ("q",), "x", Nil()), Measure(rotated, ("q",), "x", Nil()))
+        config = cfg(term, ("q",), dm(np.array([np.cos(0.3), np.sin(0.3)])))
+        (_, first), (_, second) = _moves(config, InputPolicy(), numbered_fresh)
+        gaps = [abs(p - q) for (_, p), (_, q) in zip(first, second)]
+        assert all(0 < gap <= linalg.ATOL for gap in gaps), gaps
+        graph = build_lts(config)
+        assert graph.node_count == 3
+        assert [len(edges) for edges in graph.edges] == [1, 0, 0]
+        assert len(transitions(config)) == 1
 
     def test_teleport_terminals(self):
         from qccs.demo import build_teleport
@@ -989,17 +1058,13 @@ def _direct_interp(config, policy):
 def _transition_sets_equal(got, want) -> bool:
     if len(got) != len(want):
         # the engine deduplicates; retry after deduplicating the oracle side
-        deduped = []
-        for a, d in want:
-            if not any(a == a2 and d.approx_equal(d2) for a2, d2 in deduped):
-                deduped.append((a, d))
-        want = deduped
+        want = reference_dedup(want)
         if len(got) != len(want):
             return False
     used = set()
     for a, d in got:
         for k, (a2, d2) in enumerate(want):
-            if k not in used and a == a2 and d.approx_equal(d2):
+            if k not in used and a == a2 and reference_approx_equal(d, d2):
                 used.add(k)
                 break
         else:
