@@ -4,15 +4,17 @@ All three run on a finite explored transition graph (anything shaped like
 lts.Lts).  Matching questions reduce to linear feasibility: combined
 transitions are convex-hull membership over class vectors, weak transitions
 are two-phase flow problems whose feasible flows correspond exactly to
-adversaries realising the move.  A termination requirement is one more such
-flow question, under TAU_HAT, in which only the owner's terminal matches
-absorb.  One _Matcher builds every matching question, for refinement, for
-witnesses and for `eq`'s strict round, and keys every flow question by one
-rule.  Refinement asks it for verdicts and witnesses ask it for moves, both
-read from one memo under keys that hold exactly what the question's linear
-program reads, so a check solves each distinct program once.  _refine keeps
-a worklist of blocks to examine and re-examines a block only when a block
-that its questions read has split.
+adversaries realising the move.  A strict internal move, which `eq` asks
+of a tau move, is the same two-phase problem with tau as its label.  A
+termination requirement is one more flow question, under TAU_HAT, in
+which only the owner's terminal matches absorb.  One _Matcher builds
+every matching question, for refinement, for witnesses and for `eq`'s
+strict round, and keys every flow question by one rule.  Refinement asks
+it for verdicts and witnesses ask it for moves, both read from one memo
+under keys that hold exactly what the question's linear program reads, so
+a check solves each distinct program once.  _refine keeps a worklist of
+blocks to examine and re-examines a block only when a block that its
+questions read has split.
 
 One generator, _requirements, lists what a node asks of its block.
 Refinement splits on it, and a `distinguished` verdict is explained by the
@@ -36,9 +38,9 @@ from .lts import Action, Tau, format_action
 _NEAR_TIE_FACTOR = 10.0
 
 
-# weak-transition labels: a visible Action, or one of these sentinels
-TAU_HAT = "tau-hat"        # zero or more internal moves
-TAU_STRICT = "tau-strict"  # at least one internal move
+# the weak-transition label of zero or more internal moves; any other label
+# is an Action, crossed once between two runs of internal moves
+TAU_HAT = "tau-hat"
 
 
 @dataclass
@@ -91,39 +93,32 @@ class _Flows:
     the absorption columns and group rows of one partition.
 
     Mass 1 enters at `source`, moves along tau edges (splitting by each
-    edge's fixed probabilities), crosses one `label` edge when the label is
-    visible, and is absorbed at nodes; absorbed mass per group must equal
+    edge's fixed probabilities), crosses one `label` edge unless the label
+    is TAU_HAT, and is absorbed at nodes; absorbed mass per group must equal
     `targets` (a negative target leaves a residual at least its size).
-    `nodes` is _reachable(lts, source).
+    `nodes` is _reachable(lts, source).  A label TAU is a strict internal
+    move: a tau edge is then also a `label` edge, so the move takes at least
+    one real internal step.
 
     Columns: a phase-1 flow y_u_k per tau edge, a flow x_u_k per `label`
     edge, a phase-2 flow z_u_k per tau edge, then an absorption a_v per
     absorbing node.  Rows: conservation per node in phase 1, then in phase 2,
-    then one row per group.  Only a visible label has the x, z columns and
-    phase 2; its phase-1 mass is all absorbed at `label` edges.
-
-    Under TAU_STRICT the unit at the source must take a real internal move,
-    so the source absorbs only mass that flowed back into it.  With a tau
-    edge back to the source, the source absorbs, and a bound row after the
-    conservation rows asks its outflow to be 1 + r_s: the column r_s, after
-    the flows, is returned mass that moves on again, so the absorption is
-    the inflow less r_s.  With no edge back, the source does not absorb.
+    then one row per group.  Only a label other than TAU_HAT has the x, z
+    columns and phase 2; its phase-1 mass is all absorbed at `label` edges.
     """
 
     def __init__(self, lts, source: int, label, nodes: list):
-        self.lts, self.source, self.label, self.nodes = lts, source, label, nodes
-        self.two_phase = two_phase = label not in (TAU_HAT, TAU_STRICT)
+        self.lts, self.label, self.nodes = lts, label, nodes
+        self.two_phase = two_phase = label != TAU_HAT
         tau_edges, act_edges = self._edges()
         row_of = {v: r for r, v in enumerate(nodes)}
         self.source_row = row_of[source]
         self.phase2 = phase2 = len(nodes) if two_phase else 0
-        self.bound = label == TAU_STRICT and any(
-            v == source for _, _, tg in tau_edges for v, _ in tg)
         # the rows before the group rows
-        self.height = phase2 + len(nodes) + self.bound
+        self.height = phase2 + len(nodes)
         x0 = len(tau_edges)
         z0 = x0 + len(act_edges)
-        self.width = z0 + (len(tau_edges) if two_phase else 0) + self.bound
+        self.width = z0 + (len(tau_edges) if two_phase else 0)
 
         # conservation per node: inflow + injected - outflow - absorption = 0,
         # with the injected unit moved to the right-hand side; an edge's
@@ -144,17 +139,11 @@ class _Flows:
 
         flow(tau_edges, 0, 0, True, True)
         if two_phase:
-            # phase 1: tau flows feed the visible edges; phase 2: visible-edge
+            # phase 1: tau flows feed the `label` edges; phase 2: their
             # output plus tau flows end in absorption
             flow(act_edges, x0, 0, True, False)
             flow(act_edges, x0, phase2, False, True)
             flow(tau_edges, z0, phase2, True, True)
-        if self.bound:
-            # the bound row: -outflow + r_s = -1
-            out = [col for col, (u, _, _) in enumerate(tau_edges) if u == source]
-            rows += [len(nodes)] * (len(out) + 1)
-            cols += out + [self.width - 1]
-            vals += [-1.0] * len(out) + [1.0]
         self.entries = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                         np.array(vals))
 
@@ -165,7 +154,7 @@ class _Flows:
             for k, (action, tg) in enumerate(self.lts.node_edges(u)):
                 if isinstance(action, Tau):
                     tau_edges.append((u, k, tg))
-                elif self.two_phase and action == self.label:
+                if self.two_phase and action == self.label:
                     act_edges.append((u, k, tg))
         return tau_edges, act_edges
 
@@ -173,9 +162,8 @@ class _Flows:
         """A digest of what the program reads besides its absorption: two
         sources with equal shapes, absorption groups and targets have the same
         program."""
-        kind = 2 if self.two_phase else (TAU_HAT, TAU_STRICT).index(self.label)
         rows, cols, vals = self.entries
-        head = _packed([kind, len(self.nodes), self.source_row, self.width,
+        head = _packed([self.two_phase, len(self.nodes), self.source_row, self.width,
                         len(rows)], ())
         return hashlib.blake2b(head + rows.tobytes() + cols.tobytes() + vals.tobytes(),
                                digest_size=16).digest()
@@ -184,10 +172,7 @@ class _Flows:
         """The positions in `nodes` of the nodes that may absorb: group_of[v],
         read for `nodes` only, is the absorption group of v, or None when v
         may not absorb."""
-        # under TAU_STRICT, a source with no edge back absorbs nothing
-        barred = self.source if self.label == TAU_STRICT and not self.bound else None
-        return [r for r, v in enumerate(self.nodes)
-                if group_of[v] is not None and v != barred]
+        return [r for r, v in enumerate(self.nodes) if group_of[v] is not None]
 
     def program(self, group_of, targets) -> lp.LinearProgram:
         nodes, phase2 = self.nodes, self.phase2
@@ -206,8 +191,6 @@ class _Flows:
         a[[first_group + rank[group_of[nodes[r]]] for r in absorb], cols] = 1.0
         b = np.zeros(len(a))
         b[self.source_row] = -1.0
-        if self.bound:
-            b[len(nodes)] = -1.0
         b[first_group:] = [targets[g] if g < len(targets) else 0.0 for g in groups]
         return lp.LinearProgram(a, b)
 
@@ -217,7 +200,6 @@ class _Flows:
         return ([f"y_{u}_{k}" for u, k, _ in tau_edges]
                 + [f"x_{u}_{k}" for u, k, _ in act_edges]
                 + [f"z_{u}_{k}" for u, k, _ in tau_edges if self.two_phase]
-                + [f"r_{self.source}"] * self.bound
                 + [f"a_{self.nodes[r]}" for r in self.absorbing(group_of)])
 
 
@@ -231,9 +213,10 @@ def _packed(ints, floats) -> bytes:
 class _Matcher:
     """Every matching question of one check, built in one place: can `node`
     meet a requirement (see _requirements) of `owner`?  In 'strong' mode a
-    move is answered by a combined move, in 'weak' mode by a weak move, which
-    for a strict tau move takes at least one real internal step.  Termination
-    is a TAU_HAT move into the owner's terminal matches.
+    move is answered by a combined move, in 'weak' mode by a weak move: a
+    tau move by a TAU_HAT move, or, when strict, by a weak move labelled tau
+    itself, which takes at least one real internal step.  Termination is a
+    TAU_HAT move into the owner's terminal matches.
 
     answer() solves each distinct program once and keeps what the solve
     returned; holds() and witness() both read it.  A key holds exactly what
@@ -356,8 +339,9 @@ class _Matcher:
 
 
 def _weak_label(action: Action, strict: bool):
-    """The label of the weak move that answers a move on `action`."""
-    return (TAU_STRICT if strict else TAU_HAT) if isinstance(action, Tau) else action
+    """The label of the weak move that answers a move on `action`: TAU_HAT
+    for a tau move unless `strict`, else the action itself."""
+    return TAU_HAT if isinstance(action, Tau) and not strict else action
 
 
 def _requirements(matcher: _Matcher, owner: int, partition: Partition):

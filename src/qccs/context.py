@@ -259,8 +259,8 @@ class ContextIndex:
 
     Ids count from 0 in filing order.  matches() yields, in ascending order,
     the ids under a key whose contexts context_equal accepts against the
-    query; find() returns the first, the lowest id within ATOL.  file() files
-    a context unless find() has an answer: the one rule by which a new state
+    query.  file() returns the first of them, the lowest id within ATOL, or
+    files the context when there is none: the one rule by which a new state
     merges into the lowest-id equal one.  A lookup in a group of up to
     SCAN_LIMIT contexts compares them all.  In a larger group it compares only
     the contexts in the query's `cell` and the two next to it: the group's
@@ -298,8 +298,9 @@ class ContextIndex:
         return self._append(group, ctx)
 
     def file(self, key, ctx: QContext) -> tuple:
-        """(find(key, ctx), False) if that is an id, else (add(key, ctx), True),
-        hashing the key once when it is known."""
+        """(the lowest id within ATOL of ctx under key, False) if there is
+        one, else (add(key, ctx), True), hashing the key once when it is
+        known."""
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = [[], None]
@@ -316,6 +317,3 @@ class ContextIndex:
         for i in () if group is None else self._candidates(group, ctx):
             if (accept is None or accept(i)) and context_equal(self._contexts[i], ctx):
                 yield i
-
-    def find(self, key, ctx: QContext, accept=None) -> int | None:
-        return next(self.matches(key, ctx, accept), None)

@@ -830,26 +830,34 @@ class Elaboration:
     checks: list   # (mode, left, right)
 
 
+def _over_qubits(m) -> bool:
+    """Is m square, with a side that is a power of two?"""
+    d = m.shape[0]
+    return m.shape == (d, d) and d > 0 and d & (d - 1) == 0
+
+
 def elaborate(source: SourceFile) -> Elaboration:
     """Validate declarations and build runnable configurations.
 
-    Gates must be unitary, measurements must satisfy the spectral-form
-    invariants, configuration states must be density matrices, and each
-    configuration's context must cover the process's free quantum variables.
+    Gates and measurement projectors must be square matrices over qubits,
+    gates must be unitary, measurements must satisfy the spectral-form
+    invariants, each configuration's process must be well formed
+    (check_wellformed), configuration states must be density matrices, and
+    each configuration's context must cover the process's free quantum
+    variables.
     """
     for name, gate in source.gates.items():
         if name in linalg.BUILTIN_GATES:
             continue
-        d = gate.matrix.shape[0]
-        if gate.matrix.shape != (d, d) or d != 2 ** linalg.qubit_count(d):
+        if not _over_qubits(gate.matrix):
             raise ElaborationError(f"gate {name}: matrix must be square over qubits")
         if not linalg.is_unitary(gate.matrix):
             raise ElaborationError(f"gate {name}: matrix is not unitary")
 
     for name, obs in source.observables.items():
-        dim = obs.outcomes[0][1].shape[0]
-        linalg.qubit_count(dim)
-        problems = linalg.validate_observable(obs, dim)
+        if not _over_qubits(obs.outcomes[0][1]):
+            raise ElaborationError(f"measurement {name}: projectors must be square over qubits")
+        problems = linalg.validate_observable(obs, obs.dim)
         if problems:
             raise ElaborationError(f"measurement {name}: {', '.join(problems)}")
 

@@ -186,8 +186,12 @@ class Gate:
         object.__setattr__(self, "key", _digest(self.matrix))
 
     @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
     def arity(self) -> int:
-        return qubit_count(self.matrix.shape[0])
+        return qubit_count(self.dim)
 
     def __str__(self) -> str:
         return self.name
@@ -209,8 +213,8 @@ class Observable:
         )
 
     @property
-    def arity(self) -> int:
-        return qubit_count(self.outcomes[0][1].shape[0])
+    def dim(self) -> int:
+        return self.outcomes[0][1].shape[0]
 
     def __str__(self) -> str:
         return self.name

@@ -53,7 +53,8 @@ class OpenConfiguration(LtsError):
 
 class BoundExceeded(LtsError):
     """An exploration bound was hit; says how far exploration got: the nodes
-    interned, the depth of the node being expanded and the queue length."""
+    interned, the depth of the node being expanded and the number of nodes
+    waiting to be expanded."""
 
     def __init__(self, which, limit, nodes, depth, queued):
         self.which = which
@@ -497,7 +498,7 @@ def transitions(
     return result
 
 
-def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
+def blocked_actions(config: Configuration) -> list:
     """Actions of the unrestricted inner behaviour that restriction filters
     out at this configuration (diagnostic for stuck reports)."""
     blocked: list = []
@@ -505,7 +506,8 @@ def blocked_actions(config: Configuration, fresh=numbered_fresh) -> list:
     def strip(term):
         match term:
             case Restrict(body=b, chans=chans):
-                inner = _derive(b, config.context, fresh)
+                # actions name no fresh qubit, so any namer serves
+                inner = _derive(b, config.context, numbered_fresh)
                 for s in inner:
                     if s.chan not in chans:
                         continue
@@ -611,18 +613,16 @@ def build_lts(
     edges: list = []
     index = ContextIndex()
     queue: deque = deque()
-    expanded: set = set()
 
     def intern(config: Configuration, depth: int, at: int) -> int:
-        """Node id of config, new if need be, queued at depth `at` unless
-        expanded; `depth` is the expanding node's, for BoundExceeded."""
+        """Node id of config; a new node is queued at depth `at`.  `depth`
+        is the expanding node's, for BoundExceeded."""
         i, new = index.file(config.key, config.context)
         if new:
             if len(nodes) >= max_nodes:
                 raise BoundExceeded("max_nodes", max_nodes, len(nodes), depth, len(queue))
             nodes.append(config)
             edges.append([])
-        if i not in expanded:
             queue.append((i, at))
         return i
 
@@ -633,9 +633,6 @@ def build_lts(
 
     while queue:
         i, depth = queue.popleft()
-        if i in expanded:
-            continue
-        expanded.add(i)
         moves = _moves(nodes[i], policy, numbered_fresh)
         if moves and depth >= max_depth:
             raise BoundExceeded("max_depth", max_depth, len(nodes), depth, len(queue))
@@ -720,7 +717,7 @@ def run_trace(
             if not any(per_point) and all(is_terminated(c.process) for c, _ in current):
                 return TraceResult(steps, current, "terminated")
             raise StuckError([a for (c, _), trs in zip(current, per_point) if not trs
-                              for a in blocked_actions(c, hint_fresh)])
+                              for a in blocked_actions(c)])
 
         if sample:
             trs = per_point[0]

@@ -425,7 +425,7 @@ def fv_classical(e: ProcessExpr) -> frozenset:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # 'output-then-use' | 'parallel-overlap' | 'duplicate-qvar'
+    kind: str  # 'output-then-use' | 'parallel-overlap' | 'duplicate-qvar' | 'arity'
     path: tuple
     detail: str
 
@@ -435,7 +435,8 @@ class Violation:
 
 
 def check_wellformed(e: ProcessExpr) -> list:
-    """Validity constraints of the no-cloning discipline.
+    """Validity constraints of the no-cloning discipline, and that each gate
+    or measurement is given as many qubits as it acts on.
 
     Returns the violations found (empty list means the term is valid);
     each one carries the child-index path of the offending subterm.
@@ -451,6 +452,9 @@ def check_wellformed(e: ProcessExpr) -> list:
                                      f"components share {{{', '.join(sorted(shared))}}}"))
             case Unitary(qvars=qs) | Measure(qvars=qs) if len(set(qs)) != len(qs):
                 out.append(Violation("duplicate-qvar", path, f"repeated name in [{', '.join(qs)}]"))
+            case Unitary(gate=op, qvars=qs) | Measure(obs=op, qvars=qs) if op.dim != 2 ** len(qs):
+                out.append(Violation("arity", path, f"{op} has dimension {op.dim}, "
+                                     f"applied to [{', '.join(qs)}]"))
         for k, s in enumerate(subterms(t)):
             walk(s, path + (k,))
 

@@ -53,6 +53,45 @@ class TestCheck:
         assert code == 2
 
 
+class TestBadShapes:
+    # a gate or measurement must act on qubits, and on as many as it is
+    # given: `check` lists each fault, and the other commands stop with an
+    # error that names the first
+    CASES = {
+        "gate-dimension": (
+            "gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+            "config A = < G[q].nil ; q = |0> >\n",
+            ["gate G: matrix must be square over qubits"]),
+        "measurement-dimension": (
+            "measure M = { 0: [[1, 0, 0], [0, 0, 0], [0, 0, 0]],"
+            " 1: [[0, 0, 0], [0, 1, 0], [0, 0, 1]] }\n"
+            "config A = < M[q; x].nil ; q = |0> >\n",
+            ["measurement M: projectors must be square over qubits"]),
+        "gate-arity": (
+            "process P = CNOT[q].nil\n"
+            "config A = < P ; q = |0> >\n",
+            ["process P: arity at root: CNOT has dimension 4, applied to [q]",
+             "config A: invalid process: arity at root: CNOT has dimension 4, applied to [q]"]),
+        "measurement-arity": (
+            "measure M = { 0: |0><0|, 1: |1><1| }\n"
+            "process P = M[q, r; x].nil\n"
+            "config A = < P ; q, r = |00> >\n",
+            ["process P: arity at root: M has dimension 2, applied to [q, r]",
+             "config A: invalid process: arity at root: M has dimension 2, applied to [q, r]"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reported_without_traceback(self, tmp_path, capsys, case):
+        text, problems = self.CASES[case]
+        f = tmp_path / "shape.qccs"
+        f.write_text(text)
+        assert run_cli("check", str(f)) == (1, "".join(f"{f}: {p}\n" for p in problems))
+        for argv in (["lts"], ["run"], ["bisim", "--left", "A", "--right", "A"]):
+            capsys.readouterr()
+            assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {problems[-1]}\n", argv
+
+
 class TestLts:
     def test_json_output(self):
         code, out = run_cli("lts", WEAK, "--config", "C")
@@ -175,6 +214,19 @@ class TestBisim:
         assert code == 0
         code, _ = run_cli("bisim", str(f), "--left", "A", "--right", "B", "--mode", "eq")
         assert code == 1
+
+    def test_eq_witness_names_the_first_internal_step(self):
+        # a strict tau move crosses one tau edge as its labelled step x_u_k
+        code, out = run_cli("bisim", CHOICE, "--left", "Left", "--right", "Right",
+                            "--mode", "eq", "--json")
+        assert code == 0
+        assert [m["flow"] for m in json.loads(out)["witness"]] == [
+            {"x_1_0": 1.0, "a_2": 1.0},
+            {"x_1_1": 1.0, "a_3": 1.0},
+            {"x_1_0": 0.5, "x_1_1": 0.5, "a_2": 0.5, "a_3": 0.5},
+            {"x_0_0": 1.0, "a_2": 1.0},
+            {"x_0_1": 1.0, "a_3": 1.0},
+        ]
 
     def test_open_input_refused_without_flag(self, tmp_path, capsys):
         f = tmp_path / "open.qccs"

@@ -362,7 +362,7 @@ class TestStateIndex:
         for ctx in fillers:
             index.add("k", ctx)
         assert index.add("k", near) == SCAN_LIMIT
-        assert index.find("k", far) == SCAN_LIMIT
+        assert next(index.matches("k", far)) == SCAN_LIMIT
         # the same through Distribution and exploration
         configs = [Configuration(Nil(), c) for c in (*fillers, near, far)]
         assert len(Distribution([(c, 1 / len(configs)) for c in configs])) == SCAN_LIMIT + 1
@@ -579,6 +579,13 @@ class TestExploration:
             build_lts(cfg(term, ("q",), dm(KET0)), max_nodes=2)
         assert (err.value.nodes, err.value.depth, err.value.queued) == (2, 0, 1)
         assert str(err.value) == "exploration exceeded max_nodes=2 (2 nodes, depth 0, 1 queued)"
+
+    def test_max_nodes_bound_counts_waiting_nodes(self):
+        # both summands reach node 1; once it is expanded, no node waits
+        p = Unitary(GATE_H, ("q",), Unitary(GATE_X, ("q",), Nil()))
+        with pytest.raises(BoundExceeded) as err:
+            build_lts(cfg(Sum(p, p), ("q",), dm(KET0)), max_nodes=2)
+        assert (err.value.nodes, err.value.depth, err.value.queued) == (2, 1, 0)
 
     def test_max_depth_bound(self):
         term = Unitary(GATE_H, ("q",), Unitary(GATE_H, ("q",), Unitary(GATE_H, ("q",), Nil())))

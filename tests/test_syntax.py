@@ -88,6 +88,11 @@ class TestWellformed:
         t = Unitary(GATE_CNOT, ("q", "q"), Nil())
         assert [v.kind for v in check_wellformed(t)] == ["duplicate-qvar"]
 
+    def test_arity(self):
+        t = Sum(Unitary(GATE_CNOT, ("q",), Nil()), Measure(OBS_M01, ("q", "r"), "x", Nil()))
+        report = check_wellformed(t)
+        assert [(v.kind, v.path) for v in report] == [("arity", (0,)), ("arity", (1,))]
+
     def test_nested_violation_path(self):
         bad = QOutput(QC, "q", u("q"))
         t = Sum(Nil(), bad)
