@@ -1,13 +1,16 @@
 """Decision procedures for strong/weak probabilistic bisimilarity and equality.
 
-All three run on a finite explored transition graph (anything shaped like
-lts.Lts).  Matching questions reduce to linear feasibility: combined
-transitions are convex-hull membership over class vectors, weak transitions
-are two-phase flow problems whose feasible flows correspond exactly to
-adversaries realising the move.  A strict internal move, which `eq` asks
-of a tau move, is the same two-phase problem with tau as its label.  A
-termination requirement is one more flow question, under TAU_HAT, in
-which only the owner's terminal matches absorb.  One _Matcher builds
+All three run on a finite explored transition graph: anything with the
+node_count, node_edges, stuck, successors and terminal of lts.Lts.
+Matching questions reduce to linear feasibility: combined transitions are
+convex-hull membership over class vectors, weak transitions are two-phase
+flow problems whose feasible flows correspond exactly to adversaries
+realising the move.  A strict internal move, which `eq` asks of a tau move,
+is the same two-phase problem with tau as its label.  A termination
+requirement is one more flow question, under TAU_HAT, in which only the
+stuck nodes of the owner's terminal class absorb.  Every checker compares
+stuck contexts only through these classes (lts.Lts.terminal), so the stuck
+states it treats as equal form an equivalence relation.  One _Matcher builds
 every matching question, for refinement, for witnesses and for `eq`'s
 strict round, and keys every flow question by one rule.  Refinement asks
 it for verdicts and witnesses ask it for moves, both read from one memo
@@ -216,7 +219,7 @@ class _Matcher:
     move is answered by a combined move, in 'weak' mode by a weak move: a
     tau move by a TAU_HAT move, or, when strict, by a weak move labelled tau
     itself, which takes at least one real internal step.  Termination is a
-    TAU_HAT move into the owner's terminal matches.
+    TAU_HAT move into the owner's terminal class.
 
     answer() solves each distinct program once and keeps what the solve
     returned; holds() and witness() both read it.  A key holds exactly what
@@ -237,7 +240,7 @@ class _Matcher:
     is solved, so once per question per check, however often refinement and
     witnesses ask.
     The reachable set and flows of each source and the termination groups of
-    each owner are kept for the matcher's lifetime.
+    each terminal class are kept for the matcher's lifetime.
     """
 
     def __init__(self, lts, mode: str, tol: float):
@@ -265,21 +268,21 @@ class _Matcher:
                  strict: bool = False):
         """(memo key, solve(tol, loose) with loose as for lp.feasible,
         constraint count of the linear program) of one question: can `node`
-        meet `requirement`?  Only a termination requirement reads `owner`.
+        meet `requirement`?  Only a termination requirement reads `owner`,
+        and only its terminal class.
         A weak question, termination included, is keyed by its flow shape,
         each reachable node's absorption group ranked among the groups in
         play (-1 where it may not absorb), and those groups' targets."""
         action, vec = requirement
         if action is None:
             # can `node` internally evolve, with probability one, into stuck
-            # configurations whose context equals the owner's?  They absorb,
-            # as group 0, and no other node does.  The question reads no
-            # partition, so owners with equal contexts share programs
-            group_of = self.ends.get(owner)
+            # configurations of the owner's terminal class?  They absorb, as
+            # group 0, and no other node does.  The question reads no
+            # partition, so the owners of one class share programs
+            end = self.lts.terminal[owner]
+            group_of = self.ends.get(end)
             if group_of is None:
-                matches = set(self.lts.terminal_matches(owner))
-                group_of = self.ends[owner] = [0 if v in matches else None
-                                               for v in range(self.lts.node_count)]
+                group_of = self.ends[end] = [0 if t == end else None for t in self.lts.terminal]
             label, targets = TAU_HAT, (1.0,)
         elif self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
@@ -386,22 +389,8 @@ class BisimResult:
 
 
 def _initial_strong(lts) -> Partition:
-    """One block for the nodes that can move, and blocks of stuck nodes: in
-    id order, a stuck node not yet placed heads a new block, which takes
-    every unplaced stuck node whose context equals the head's.  So each stuck
-    node joins the lowest head within ATOL of it."""
-    block_of = [-1] * lts.node_count
-    active = 0
-    for v in range(lts.node_count):
-        if lts.stuck(v) and block_of[v] < 0:
-            block_of[v] = active
-            for u in lts.terminal_matches(v, lambda u: u > v and block_of[u] < 0):
-                block_of[u] = active
-            active += 1
-    for v in range(lts.node_count):
-        if block_of[v] < 0:
-            block_of[v] = active
-    return Partition(_compact(block_of))
+    """One block for the nodes that can move, and one per terminal class."""
+    return Partition(_compact([-1 if t is None else t for t in lts.terminal]))
 
 
 def _compact(block_of: list) -> list:
@@ -420,14 +409,15 @@ def _split_of(matcher: _Matcher, members: list, partition: Partition):
     taken in member order, each with its requirements in order.  A
     requirement already tried is skipped: two moves with the same action
     and class vector bits ask the same of every member, whoever owns them,
-    and termination is tried once per owner."""
+    and termination is tried once per terminal class."""
     if len(members) < 2:
         return None
     tried = set()
     for owner in members:
         for requirement in _requirements(matcher, owner, partition):
             action, vec = requirement
-            same = (None, owner) if action is None else (action, _packed((), vec))
+            same = ((None, matcher.lts.terminal[owner]) if action is None
+                    else (action, _packed((), vec)))
             if same in tried:
                 continue
             tried.add(same)
@@ -523,7 +513,7 @@ def _matchings_for_pair(matcher: _Matcher, i: int, j: int, partition: Partition,
 
 
 def _terminal_mismatch(lts, left: int, right: int) -> dict | None:
-    if lts.stuck(left) and lts.stuck(right) and not lts.terminal_equal(left, right):
+    if lts.stuck(left) and lts.stuck(right) and lts.terminal[left] != lts.terminal[right]:
         return {"pair": [left, right], "reason": "terminal contexts differ"}
     return None
 
@@ -607,14 +597,15 @@ def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult
     """Strong probabilistic bisimilarity by partition refinement.
 
     Every ordinary move must be matched by a combined move with the same
-    class vector; stuck configurations must have equal contexts.
+    class vector; stuck configurations must be in one terminal class.
     """
     return _check(lts, left, right, "strong", tol)
 
 
 def weak_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:
     """Weak probabilistic bisimilarity: ordinary moves are matched by weak
-    (tau-abstracted) moves; mutually stuck configurations need equal contexts."""
+    (tau-abstracted) moves; mutually stuck configurations need one terminal
+    class."""
     return _check(lts, left, right, "weak", tol)
 
 

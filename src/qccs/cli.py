@@ -92,14 +92,18 @@ def _policy(elab, open_inputs: bool) -> InputPolicy:
 
 def cmd_check(args) -> int:
     source = _load(args.file)
-    problems = []
+    problems, faulty = [], set()
     for name, proc in source.processes.items():
         for v in check_wellformed(proc):
             problems.append(f"process {name}: {v}")
+            faulty.add(id(proc))
     try:
         elaborate(source)
     except ElaborationError as exc:
-        problems.append(str(exc))
+        # a configuration whose process is a faulty declared one (the parser
+        # inlines a reference as the same object) repeats its faults
+        if exc.config is None or id(source.configs[exc.config].process) not in faulty:
+            problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"{args.file}: {p}")
@@ -253,8 +257,10 @@ def cmd_laws(args) -> int:
             print(f"  FAIL {f.law} sample {f.sample}: {f.left}  vs  {f.right}")
     if args.mutate:
         # a mutated run is expected to surface failures; report them and exit 1
+        # on stderr under --json, so that stdout stays one JSON document
         print(f"mutation run: checker caught {len(report.failures)} of "
-              f"{sum(report.checked.values())} mutated instances")
+              f"{sum(report.checked.values())} mutated instances",
+              file=sys.stderr if args.json else sys.stdout)
         return 1 if report.failures else 0
     return 0 if report.ok else 1
 

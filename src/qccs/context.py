@@ -257,11 +257,11 @@ SCAN_LIMIT = 4
 class ContextIndex:
     """Contexts filed under caller-given keys, looked up by context_equal.
 
-    Ids count from 0 in filing order.  matches() yields, in ascending order,
-    the ids under a key whose contexts context_equal accepts against the
-    query.  file() returns the first of them, the lowest id within ATOL, or
-    files the context when there is none: the one rule by which a new state
-    merges into the lowest-id equal one.  A lookup in a group of up to
+    Ids count from 0 in filing order.  file() is the one lookup: it returns
+    the lowest id under the key within ATOL of the query, or files the query
+    when there is none.  It is the merge rule by which a new state merges
+    into the lowest-id equal one, and by which a stuck node joins its
+    terminal class (lts.Lts.terminal).  A lookup in a group of up to
     SCAN_LIMIT contexts compares them all.  In a larger group it compares only
     the contexts in the query's `cell` and the two next to it: the group's
     contexts are bucketed by cell at its first such lookup.
@@ -282,25 +282,10 @@ class ContextIndex:
         c = ctx.cell
         return sorted(cells.get(c - 1, []) + cells.get(c, []) + cells.get(c + 1, []))
 
-    def _append(self, group: list, ctx: QContext) -> int:
-        i = len(self._contexts)
-        self._contexts.append(ctx)
-        group[0].append(i)
-        if group[1] is not None:
-            group[1].setdefault(ctx.cell, []).append(i)
-        return i
-
-    def add(self, key, ctx: QContext) -> int:
-        """File ctx under key; returns its id."""
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = [[], None]
-        return self._append(group, ctx)
-
     def file(self, key, ctx: QContext) -> tuple:
-        """(the lowest id within ATOL of ctx under key, False) if there is
-        one, else (add(key, ctx), True), hashing the key once when it is
-        known."""
+        """(the lowest id under key within ATOL of ctx, False) if there is
+        one, else (the new id of ctx, now filed under key, True), hashing the
+        key once when it is known."""
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = [[], None]
@@ -308,12 +293,9 @@ class ContextIndex:
             for i in self._candidates(group, ctx):
                 if context_equal(self._contexts[i], ctx):
                     return i, False
-        return self._append(group, ctx), True
-
-    def matches(self, key, ctx: QContext, accept=None):
-        """Ids under key within ATOL of ctx, ascending; `accept(id)` filters
-        candidates before any context is compared."""
-        group = self._groups.get(key)
-        for i in () if group is None else self._candidates(group, ctx):
-            if (accept is None or accept(i)) and context_equal(self._contexts[i], ctx):
-                yield i
+        i = len(self._contexts)
+        self._contexts.append(ctx)
+        group[0].append(i)
+        if group[1] is not None:
+            group[1].setdefault(ctx.cell, []).append(i)
+        return i, True

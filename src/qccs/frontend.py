@@ -39,7 +39,12 @@ class ParseError(Exception):
 
 
 class ElaborationError(Exception):
-    pass
+    """A declaration that does not elaborate; `config` names the
+    configuration at fault, or is None for a gate, measurement or check."""
+
+    def __init__(self, message: str, config: str | None = None):
+        super().__init__(message)
+        self.config = config
 
 
 # -- tokenizer --
@@ -867,23 +872,23 @@ def elaborate(source: SourceFile) -> Elaboration:
         if violations:
             raise ElaborationError(
                 f"config {name}: invalid process: "
-                + "; ".join(str(v) for v in violations))
+                + "; ".join(str(v) for v in violations), name)
         free = qv(decl.process)
         missing = free - set(decl.vars)
         if missing:
             raise ElaborationError(
-                f"config {name}: context does not declare {sorted(missing)}")
+                f"config {name}: context does not declare {sorted(missing)}", name)
         if decl.state is None:
             ctx = make_context((), np.array([[1.0 + 0j]]))
         else:
             try:
                 ctx = make_context(decl.vars, decl.state)
             except Exception as exc:
-                raise ElaborationError(f"config {name}: {exc}") from exc
+                raise ElaborationError(f"config {name}: {exc}", name) from exc
         try:
             configs[name] = Configuration(decl.process, ctx)
         except Exception as exc:
-            raise ElaborationError(f"config {name}: {exc}") from exc
+            raise ElaborationError(f"config {name}: {exc}", name) from exc
 
     for mode, left, right in source.checks:
         for side in (left, right):

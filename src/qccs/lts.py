@@ -18,7 +18,7 @@ import numpy as np
 
 from . import context as ctxmod
 from . import linalg
-from .context import ContextIndex, QContext, context_equal
+from .context import ContextIndex, QContext
 from .syntax import (
     Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew,
     QInput, QOutput, Relabel, Restrict, Sum, Unitary, alpha_key,
@@ -541,7 +541,9 @@ class Lts:
     """Explored transition graph: configurations plus per-node edges, each
     edge being an action and a distribution over node ids, in ascending id
     order.  No two edges of a node have the same action and the same target
-    ids with each weight within ATOL (the edge rule of build_lts)."""
+    ids with each weight within ATOL (the edge rule of build_lts).  The
+    checkers read it through node_count, node_edges, stuck, successors and
+    terminal alone."""
 
     nodes: list
     edges: list  # edges[i] = [(Action, ((j, p), ...)), ...]
@@ -557,28 +559,24 @@ class Lts:
     def stuck(self, i: int) -> bool:
         return not self.edges[i]
 
-    def terminal_equal(self, i: int, j: int) -> bool:
-        return context_equal(self.nodes[i].context, self.nodes[j].context)
-
     @cached_property
-    def _stuck_index(self) -> tuple:
-        """(index, node ids): the stuck nodes' contexts filed under their
-        sorted names, and the node id of each index id."""
-        index, ids = ContextIndex(), []
+    def terminal(self) -> tuple:
+        """terminal[i]: None when node i can move, else the lowest stuck node
+        of its terminal class.  Stuck nodes are filed in id order under their
+        qubit names by the merge rule (ContextIndex.file), so each joins the
+        lowest earlier head within ATOL of its context, or heads a class of
+        its own.  The checkers read stuck contexts only through these
+        classes, so equal stuck states are an equivalence relation."""
+        index, heads, out = ContextIndex(), [], []
         for i, node in enumerate(self.nodes):
-            if self.stuck(i):
-                index.add(node.context.names, node.context)
-                ids.append(i)
-        return index, ids
-
-    def terminal_matches(self, i: int, accept=None):
-        """The stuck nodes whose contexts equal node i's within ATOL, in
-        ascending id order; `accept(node)` filters them before any context
-        is compared."""
-        index, ids = self._stuck_index
-        ctx = self.nodes[i].context
-        keep = None if accept is None else (lambda j: accept(ids[j]))
-        return (ids[j] for j in index.matches(ctx.names, ctx, keep))
+            if not self.stuck(i):
+                out.append(None)
+                continue
+            j, new = index.file(node.context.names, node.context)
+            if new:
+                heads.append(i)
+            out.append(heads[j])
+        return tuple(out)
 
     def successors(self, i: int, action: Action) -> list:
         return [targets for a, targets in self.edges[i] if a == action]

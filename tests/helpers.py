@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -235,12 +236,13 @@ class SyntheticLts:
     def stuck(self, i: int) -> bool:
         return not self.edges_exact[i]
 
-    def terminal_equal(self, i: int, j: int) -> bool:
-        return self.labels[i] == self.labels[j]
-
-    def terminal_matches(self, i: int, accept=None):
-        return (j for j in range(self.n) if self.stuck(j) and (accept is None or accept(j))
-                and self.terminal_equal(j, i))
+    @cached_property
+    def terminal(self) -> tuple:
+        """None for a node that can move, else the lowest stuck node with its
+        label."""
+        first: dict = {}
+        return tuple(first.setdefault(self.labels[i], i) if self.stuck(i) else None
+                     for i in range(self.n))
 
     def successors(self, i: int, action):
         return [tg for a, tg in self.edges[i] if a == action]
@@ -364,7 +366,7 @@ def oracle_strong_bisimilar(slts: SyntheticLts, left: int, right: int) -> bool:
                 for y in members:
                     if x == y:
                         continue
-                    if slts.stuck(x) and not slts.terminal_equal(x, y):
+                    if slts.stuck(x) and slts.labels[x] != slts.labels[y]:
                         return False
                     for action, targets in slts.edges_exact[x]:
                         vec = exact_class_vector(targets, block_of)
@@ -435,15 +437,15 @@ def _stages(action, strict: bool):
 
 class BisimOracle:
     """Strong and weak bisimilarity and `eq` by their definitions, read off
-    node_edges, stuck and terminal_equal alone.
+    node_edges, stuck and terminal alone.
 
     A node meets a move (action, class vector) of another node by a combined
     move (strong), or by a weak move (weak): a flow of mass 1 along the
     product of the graph with the move's stages (see _stages) that stops in
     each block with the move's mass.  A stuck owner, in weak mode, also asks
     to reach, internally and with probability one, stuck nodes of its
-    context.  Each round splits every block by which of its members' moves
-    and terminations each member meets, until no block splits.  The
+    terminal class.  Each round splits every block by which of its members'
+    moves and terminations each member meets, until no block splits.  The
     programs go to scipy's HiGHS, and each distinct program is solved once
     per oracle.  `eq` takes the weak partition and asks each move of one
     node to be met by the other with a strict move for tau.
@@ -545,8 +547,8 @@ class BisimOracle:
         lts = self.lts
         if action is None:
             return self.reaches(member, *_stages(TAU, False),
-                                lambda v: 0 if lts.stuck(v) and lts.terminal_equal(v, owner)
-                                else None, [1.0])
+                                lambda v: 0 if lts.stuck(v)
+                                and lts.terminal[v] == lts.terminal[owner] else None, [1.0])
         if mode == "strong":
             return self.combined(member, action, vec, block_of)
         return self.reaches(member, *_stages(action, False), block_of.__getitem__, vec)
@@ -554,8 +556,8 @@ class BisimOracle:
     def partition(self, mode: str) -> list:
         """The coarsest stable partition as block_of, blocks numbered by
         lowest member.  Strong mode starts from the stuck nodes grouped by
-        context, each joining the lowest head equal to it, and one block for
-        the rest; weak mode starts from one block."""
+        terminal class, each joining the lowest head of its class, and one
+        block for the rest; weak mode starts from one block."""
         if mode in self.partitions:
             return self.partitions[mode]
         lts, n = self.lts, self.lts.node_count
@@ -564,7 +566,7 @@ class BisimOracle:
             heads = []
             for v in range(n):
                 if lts.stuck(v):
-                    head = next((h for h in heads if lts.terminal_equal(h, v)), v)
+                    head = next((h for h in heads if lts.terminal[h] == lts.terminal[v]), v)
                     if head == v:
                         heads.append(v)
                     block_of[v] = head + 1
@@ -591,8 +593,8 @@ class BisimOracle:
 
     def eq(self, left: int, right: int) -> bool:
         """Each move of one node is met by a weak move of the other over the
-        weak partition, strict for tau, and two stuck nodes have equal
-        contexts."""
+        weak partition, strict for tau, and two stuck nodes are in one
+        terminal class."""
         block_of = self.partition("weak")
         lts = self.lts
         for owner, partner in ((left, right), (right, left)):
@@ -600,4 +602,5 @@ class BisimOracle:
                 if not self.reaches(partner, *_stages(action, True), block_of.__getitem__,
                                     self.lifted(targets, block_of)):
                     return False
-        return not (lts.stuck(left) and lts.stuck(right) and not lts.terminal_equal(left, right))
+        return not (lts.stuck(left) and lts.stuck(right)
+                    and lts.terminal[left] != lts.terminal[right])

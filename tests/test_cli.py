@@ -55,41 +55,55 @@ class TestCheck:
 
 class TestBadShapes:
     # a gate or measurement must act on qubits, and on as many as it is
-    # given: `check` lists each fault, and the other commands stop with an
-    # error that names the first
+    # given: `check` lists each fault once, a declared process's under its
+    # own name, and the other commands stop with an error that names the
+    # first configuration it spoils
     CASES = {
         "gate-dimension": (
             "gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
             "config A = < G[q].nil ; q = |0> >\n",
-            ["gate G: matrix must be square over qubits"]),
+            "gate G: matrix must be square over qubits",
+            "gate G: matrix must be square over qubits"),
         "measurement-dimension": (
             "measure M = { 0: [[1, 0, 0], [0, 0, 0], [0, 0, 0]],"
             " 1: [[0, 0, 0], [0, 1, 0], [0, 0, 1]] }\n"
             "config A = < M[q; x].nil ; q = |0> >\n",
-            ["measurement M: projectors must be square over qubits"]),
+            "measurement M: projectors must be square over qubits",
+            "measurement M: projectors must be square over qubits"),
         "gate-arity": (
             "process P = CNOT[q].nil\n"
             "config A = < P ; q = |0> >\n",
-            ["process P: arity at root: CNOT has dimension 4, applied to [q]",
-             "config A: invalid process: arity at root: CNOT has dimension 4, applied to [q]"]),
+            "process P: arity at root: CNOT has dimension 4, applied to [q]",
+            "config A: invalid process: arity at root: CNOT has dimension 4, applied to [q]"),
         "measurement-arity": (
             "measure M = { 0: |0><0|, 1: |1><1| }\n"
             "process P = M[q, r; x].nil\n"
             "config A = < P ; q, r = |00> >\n",
-            ["process P: arity at root: M has dimension 2, applied to [q, r]",
-             "config A: invalid process: arity at root: M has dimension 2, applied to [q, r]"]),
+            "process P: arity at root: M has dimension 2, applied to [q, r]",
+            "config A: invalid process: arity at root: M has dimension 2, applied to [q, r]"),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_reported_without_traceback(self, tmp_path, capsys, case):
-        text, problems = self.CASES[case]
+        text, problem, error = self.CASES[case]
         f = tmp_path / "shape.qccs"
         f.write_text(text)
-        assert run_cli("check", str(f)) == (1, "".join(f"{f}: {p}\n" for p in problems))
+        assert run_cli("check", str(f)) == (1, f"{f}: {problem}\n")
         for argv in (["lts"], ["run"], ["bisim", "--left", "A", "--right", "A"]):
             capsys.readouterr()
             assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
-            assert capsys.readouterr().err == f"error: {problems[-1]}\n", argv
+            assert capsys.readouterr().err == f"error: {error}\n", argv
+
+    def test_config_fault_outside_a_declared_process_is_kept(self, tmp_path):
+        # a configuration that wraps a faulty declared process is not that
+        # process, so its own line stays
+        f = tmp_path / "wrapped.qccs"
+        f.write_text("process P = CNOT[q].nil\n"
+                     "config A = < P || nil ; q = |0> >\n")
+        fault = "arity at 0: CNOT has dimension 4, applied to [q]"
+        assert run_cli("check", str(f)) == (1, (
+            f"{f}: process P: arity at root: CNOT has dimension 4, applied to [q]\n"
+            f"{f}: config A: invalid process: {fault}\n"))
 
 
 class TestLts:
@@ -276,6 +290,12 @@ class TestLaws:
         code, out = run_cli("laws", "--samples", "5", "--seed", "2", "--mutate")
         assert code == 1
         assert "caught" in out
+
+    def test_mutation_run_keeps_json_stdout_one_document(self, capsys):
+        code, out = run_cli("laws", "--samples", "3", "--seed", "0", "--mutate", "--json")
+        assert code == 1
+        assert json.loads(out)["failures"]
+        assert capsys.readouterr().err.startswith("mutation run: checker caught ")
 
 
 class TestDemo:

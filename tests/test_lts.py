@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qccs import linalg
-from qccs.bisim import strong_bisim
+from qccs.bisim import equality_check, strong_bisim, weak_bisim
 from qccs.context import SCAN_LIMIT, ContextIndex, QContext, context_equal, make_context
+from qccs.frontend import elaborate, parse
 from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, Observable, dm, tensor
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
@@ -20,7 +21,7 @@ from qccs.syntax import (
     WellformednessError, subterms,
 )
 
-from helpers import corpus_configs, lift_oracle, node_of, ptrace_oracle
+from helpers import CORPUS, corpus_configs, lift_oracle, node_of, ptrace_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -359,10 +360,9 @@ class TestStateIndex:
         # distant states fill the group past SCAN_LIMIT, so lookups go by cell
         fillers = [diag_context(k / 10) for k in range(SCAN_LIMIT)]
         index = ContextIndex()
-        for ctx in fillers:
-            index.add("k", ctx)
-        assert index.add("k", near) == SCAN_LIMIT
-        assert next(index.matches("k", far)) == SCAN_LIMIT
+        assert [index.file("k", ctx) for ctx in fillers] == [(i, True) for i in range(SCAN_LIMIT)]
+        assert index.file("k", near) == (SCAN_LIMIT, True)
+        assert index.file("k", far) == (SCAN_LIMIT, False)
         # the same through Distribution and exploration
         configs = [Configuration(Nil(), c) for c in (*fillers, near, far)]
         assert len(Distribution([(c, 1 / len(configs)) for c in configs])) == SCAN_LIMIT + 1
@@ -387,15 +387,63 @@ class TestStateIndex:
 
     def test_stuck_grouping_takes_lowest_head(self):
         # three stuck nodes, the last within ATOL of both others: it joins the
-        # first one's block, so it is strongly bisimilar to it and not to C
+        # first one's terminal class, so every checker relates it to A and
+        # not to C, and `eq` stays inside weak bisimilarity
         a, b, c = (diag_context(0.5 + k * 0.6 * linalg.ATOL) for k in range(3))
         never = If(Cmp("=", Const(0.0), Const(1.0)), Nil())
         graph = build_lts([Configuration(Nil(), a), Configuration(Nil(), c),
                            Configuration(never, b)])
         assert graph.node_count == 3
-        assert strong_bisim(graph, 0, 2).equivalent
-        assert not strong_bisim(graph, 1, 2).equivalent
-        assert not strong_bisim(graph, 0, 1).equivalent
+        assert graph.terminal == (0, 1, 0)
+        for check in (strong_bisim, weak_bisim, equality_check):
+            assert check(graph, 0, 2).equivalent, check
+            assert not check(graph, 1, 2).equivalent, check
+            assert not check(graph, 0, 1).equivalent, check
+        assert equality_check(graph, 1, 2).counterexample == {
+            "pair": [1, 2], "reason": "terminal contexts differ"}
+        for left in range(3):
+            for right in range(3):
+                assert (not equality_check(graph, left, right).equivalent
+                        or weak_bisim(graph, left, right).equivalent)
+
+    def test_termination_absorbs_at_the_owners_class(self):
+        # B joins A's class, though C is within ATOL of it too: a node that
+        # moves internally into C does not meet B's termination requirement
+        a, b, c = (diag_context(0.5 + k * 0.6 * linalg.ATOL) for k in range(3))
+        never = If(Cmp("=", Const(0.0), Const(1.0)), Nil())
+        graph = build_lts([Configuration(Nil(), a), Configuration(Nil(), c),
+                           Configuration(never, b),
+                           Configuration(Unitary(linalg.GATE_I, ("q",), Nil()), c)])
+        assert graph.terminal == (0, 1, 0, None)
+        assert graph.edges[3] == [(TAU, ((1, 1.0),))]
+        assert weak_bisim(graph, 1, 3).equivalent
+        result = weak_bisim(graph, 2, 3)
+        assert not result.equivalent
+        assert (result.counterexample["pair"], result.counterexample["kind"]) == (
+            [2, 3], "termination")
+
+    def test_terminal_classes_agree_with_pairwise_equality(self):
+        # away from within-ATOL chains, two stuck nodes share a terminal
+        # class exactly when their contexts are equal
+        from qccs.demo import build_teleport
+
+        graphs = [build_lts(build_teleport(1.0, 0.0)),
+                  build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])]
+        for path in sorted(CORPUS.glob("*.qccs")):
+            elab = elaborate(parse(path.read_text(encoding="utf-8")))
+            for policy in (elab.policy, elab.policy.open()):
+                graphs.append(build_lts(list(elab.configs.values()), policy=policy))
+        pairs = 0
+        for graph in graphs:
+            stuck = [i for i in range(graph.node_count) if graph.stuck(i)]
+            assert [i for i, t in enumerate(graph.terminal) if t is not None] == stuck
+            for i in stuck:
+                assert graph.terminal[graph.terminal[i]] == graph.terminal[i] <= i
+                for j in stuck:
+                    pairs += 1
+                    assert (graph.terminal[i] == graph.terminal[j]) == context_equal(
+                        graph.nodes[i].context, graph.nodes[j].context), (i, j)
+        assert pairs > 100
 
     def test_agrees_with_pairwise_reference(self):
         rng = np.random.default_rng(17)
