@@ -102,8 +102,8 @@ def cmd_check(args) -> int:
     except ElaborationError as exc:
         # a configuration whose process is a faulty declared one (the parser
         # inlines a reference as the same object) repeats its faults
-        if exc.config is None or id(source.configs[exc.config].process) not in faulty:
-            problems.append(str(exc))
+        problems += [message for message, config in exc.faults
+                     if config is None or id(source.configs[config].process) not in faulty]
     if problems:
         for p in problems:
             print(f"{args.file}: {p}")

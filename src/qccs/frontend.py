@@ -21,7 +21,7 @@ from .lts import Configuration, InputPolicy
 from .syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
     Parallel, ProcessExpr, QbitNew, QInput, QOutput, Relabel, RelabelFn,
-    Restrict, Sum, Unitary, Var, check_wellformed, qv,
+    Restrict, Sum, Unitary, Var, check_wellformed, qv, subterms,
 )
 
 HEADER = "#qccs 1"
@@ -39,12 +39,14 @@ class ParseError(Exception):
 
 
 class ElaborationError(Exception):
-    """A declaration that does not elaborate; `config` names the
-    configuration at fault, or is None for a gate, measurement or check."""
+    """Declarations that do not elaborate.  `faults` holds a (message,
+    config) pair per fault, gates first, then measurements, configurations
+    and checks; `config` names the configuration at fault, or is None for a
+    gate, measurement or check.  The message is the first fault's."""
 
-    def __init__(self, message: str, config: str | None = None):
-        super().__init__(message)
-        self.config = config
+    def __init__(self, faults):
+        self.faults = tuple(faults)
+        super().__init__(self.faults[0][0])
 
 
 # -- tokenizer --
@@ -841,6 +843,14 @@ def _over_qubits(m) -> bool:
     return m.shape == (d, d) and d > 0 and d & (d - 1) == 0
 
 
+def _applies(term: ProcessExpr, ops: set) -> bool:
+    """Does term apply a gate or measurement whose id is in ops?"""
+    match term:
+        case Unitary(gate=op) | Measure(obs=op) if id(op) in ops:
+            return True
+    return any(_applies(t, ops) for t in subterms(term))
+
+
 def elaborate(source: SourceFile) -> Elaboration:
     """Validate declarations and build runnable configurations.
 
@@ -849,51 +859,51 @@ def elaborate(source: SourceFile) -> Elaboration:
     invariants, each configuration's process must be well formed
     (check_wellformed), configuration states must be density matrices, and
     each configuration's context must cover the process's free quantum
-    variables.
+    variables.  Each declaration's first fault is recorded, and one
+    ElaborationError lists them all.  A configuration that applies an
+    operator not square over qubits is not checked for arity, which could
+    only repeat that operator's fault.
     """
+    faults, misshapen = [], set()
     for name, gate in source.gates.items():
         if name in linalg.BUILTIN_GATES:
             continue
         if not _over_qubits(gate.matrix):
-            raise ElaborationError(f"gate {name}: matrix must be square over qubits")
-        if not linalg.is_unitary(gate.matrix):
-            raise ElaborationError(f"gate {name}: matrix is not unitary")
+            faults.append((f"gate {name}: matrix must be square over qubits", None))
+            misshapen.add(id(gate))
+        elif not linalg.is_unitary(gate.matrix):
+            faults.append((f"gate {name}: matrix is not unitary", None))
 
     for name, obs in source.observables.items():
         if not _over_qubits(obs.outcomes[0][1]):
-            raise ElaborationError(f"measurement {name}: projectors must be square over qubits")
-        problems = linalg.validate_observable(obs, obs.dim)
-        if problems:
-            raise ElaborationError(f"measurement {name}: {', '.join(problems)}")
+            faults.append((f"measurement {name}: projectors must be square over qubits", None))
+            misshapen.add(id(obs))
+        elif problems := linalg.validate_observable(obs, obs.dim):
+            faults.append((f"measurement {name}: {', '.join(problems)}", None))
 
     configs = {}
     for name, decl in source.configs.items():
-        violations = check_wellformed(decl.process)
+        violations = [] if _applies(decl.process, misshapen) else check_wellformed(decl.process)
+        missing = qv(decl.process) - set(decl.vars)
         if violations:
-            raise ElaborationError(
-                f"config {name}: invalid process: "
-                + "; ".join(str(v) for v in violations), name)
-        free = qv(decl.process)
-        missing = free - set(decl.vars)
-        if missing:
-            raise ElaborationError(
-                f"config {name}: context does not declare {sorted(missing)}", name)
-        if decl.state is None:
-            ctx = make_context((), np.array([[1.0 + 0j]]))
+            faults.append((f"config {name}: invalid process: "
+                           + "; ".join(str(v) for v in violations), name))
+        elif missing:
+            faults.append((f"config {name}: context does not declare {sorted(missing)}", name))
         else:
             try:
-                ctx = make_context(decl.vars, decl.state)
+                ctx = (make_context((), np.array([[1.0 + 0j]])) if decl.state is None
+                       else make_context(decl.vars, decl.state))
+                configs[name] = Configuration(decl.process, ctx)
             except Exception as exc:
-                raise ElaborationError(f"config {name}: {exc}", name) from exc
-        try:
-            configs[name] = Configuration(decl.process, ctx)
-        except Exception as exc:
-            raise ElaborationError(f"config {name}: {exc}", name) from exc
+                faults.append((f"config {name}: {exc}", name))
 
     for mode, left, right in source.checks:
         for side in (left, right):
-            if side not in configs:
-                raise ElaborationError(f"check references unknown config {side!r}")
+            if side not in source.configs:
+                faults.append((f"check references unknown config {side!r}", None))
+    if faults:
+        raise ElaborationError(faults)
 
     domains = tuple(
         (source.channels[name], values) for name, values in source.domains.items()

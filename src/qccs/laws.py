@@ -35,6 +35,9 @@ SUITE_POLICY = InputPolicy(
     closed_only=False,
 )
 
+SUITE_DEPTH = 2   # term depth of the congruence suites' random processes
+SUITE_QUBITS = 2  # and the most free qubits they hold
+
 
 def random_value_expr(rng, cvars, depth: int = 1):
     if depth > 0 and rng.random() < 0.3:
@@ -319,19 +322,18 @@ def _prefix_contexts(spare: str):
     ]
 
 
-def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
-                     qubits: int = 2) -> CongruenceReport:
+def congruence_suite(pairs: int = 20, seed: int = 0) -> CongruenceReport:
     """For checker-established equivalent pairs (E, F), verify closure under
     prefixing, summation, classical parallel composition, and relabeling."""
     rng = np.random.default_rng(seed)
     report = CongruenceReport(pairs, seed)
     spare = "qs"
     for _ in range(pairs):
-        qavail = tuple(f"q{i}" for i in range(rng.integers(1, qubits + 1)))
-        e = random_process(rng, depth, qavail)
+        qavail = tuple(f"q{i}" for i in range(rng.integers(1, SUITE_QUBITS + 1)))
+        e = random_process(rng, SUITE_DEPTH, qavail)
         f = equivalent_rewrite(rng, e)
-        g = random_process(rng, depth, qavail)
-        r = random_process(rng, depth, ("qr",), classical_only=True)
+        g = random_process(rng, SUITE_DEPTH, qavail)
+        r = random_process(rng, SUITE_DEPTH, ("qr",), classical_only=True)
 
         for mode in ("strong", "weak"):
             base = _check(mode, e, f, rng)
@@ -354,16 +356,15 @@ def congruence_suite(pairs: int = 20, seed: int = 0, depth: int = 2,
     return report
 
 
-def equality_plus_context_suite(pairs: int = 10, seed: int = 1, depth: int = 2,
-                                qubits: int = 2) -> CongruenceReport:
+def equality_plus_context_suite(pairs: int = 10, seed: int = 1) -> CongruenceReport:
     """Equal processes stay weakly bisimilar under any added summand."""
     rng = np.random.default_rng(seed)
     report = CongruenceReport(pairs, seed)
     for _ in range(pairs):
-        qavail = tuple(f"q{i}" for i in range(rng.integers(1, qubits + 1)))
-        e = random_process(rng, depth, qavail)
+        qavail = tuple(f"q{i}" for i in range(rng.integers(1, SUITE_QUBITS + 1)))
+        e = random_process(rng, SUITE_DEPTH, qavail)
         f = equivalent_rewrite(rng, e)
-        g = random_process(rng, depth, qavail)
+        g = random_process(rng, SUITE_DEPTH, qavail)
         eq = _check("eq", e, f, rng)
         report.record("eq-base", eq.equivalent, pretty_print(e))
         if not eq.equivalent:

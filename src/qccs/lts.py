@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,10 +67,21 @@ class BoundExceeded(LtsError):
 
 
 class StuckError(LtsError):
-    def __init__(self, blocked):
+    """A run stopped before it terminated.  `blocked`: the actions that
+    restriction filters out at the support points that cannot move.
+    `enabled`, when every point can move but no action at all of them: each
+    point's probability and its actions, sorted by action_sort_key."""
+
+    def __init__(self, blocked, enabled=()):
         self.blocked = tuple(blocked)
-        labels = ", ".join(format_action(a) for a in self.blocked) or "none"
-        super().__init__(f"execution is stuck; blocked actions: {labels}")
+        self.enabled = tuple(enabled)
+        if self.enabled:
+            points = "; ".join(f"{', '.join(map(format_action, actions))} (p={p:.4g})"
+                               for p, actions in self.enabled)
+            detail = f"no action is enabled at every support point; enabled at each: {points}"
+        else:
+            detail = "blocked actions: " + (", ".join(map(format_action, self.blocked)) or "none")
+        super().__init__(f"execution is stuck; {detail}")
 
 
 # -- actions --
@@ -78,73 +89,66 @@ class StuckError(LtsError):
 
 @dataclass(frozen=True)
 class Tau:
-    pass
+    """The internal action; its `chan` is None."""
+
+    chan = None
 
 
 @dataclass(frozen=True)
-class CIn:
+class _Visible:
+    """A visible action: a channel, then the payload its kind defines.  Each
+    kind's class constants give the channel kind it needs (QUANTUM), its
+    mark between channel and payload (MARK) and its place in
+    action_sort_key (RANK).  Restriction and relabelling read only `chan`."""
+
     chan: Chan
+
+    def __post_init__(self):
+        if self.chan.quantum != self.QUANTUM:
+            kinds = ("classical", "quantum")
+            raise LtsError(f"{kinds[self.QUANTUM]} action on "
+                           f"{kinds[self.chan.quantum]} channel {self.chan}")
+
+    @property
+    def payload(self):
+        """The value of a classical action, the qubit name of a quantum one."""
+        return self.qvar if self.QUANTUM else self.value
+
+
+@dataclass(frozen=True)
+class CIn(_Visible):
+    """Classical input c?v of the value v."""
+
     value: float
-
-    def __post_init__(self):
-        if self.chan.quantum:
-            raise LtsError(f"classical action on quantum channel {self.chan}")
+    QUANTUM, MARK, RANK = False, "?", 1
 
 
 @dataclass(frozen=True)
-class COut:
-    chan: Chan
+class COut(_Visible):
+    """Classical output c!v of the value v."""
+
     value: float
-
-    def __post_init__(self):
-        if self.chan.quantum:
-            raise LtsError(f"classical action on quantum channel {self.chan}")
+    QUANTUM, MARK, RANK = False, "!", 2
 
 
 @dataclass(frozen=True)
-class QIn:
-    chan: Chan
-    qvar: str
+class QIn(_Visible):
+    """Quantum input c?q of the qubit named q."""
 
-    def __post_init__(self):
-        if not self.chan.quantum:
-            raise LtsError(f"quantum action on classical channel {self.chan}")
+    qvar: str
+    QUANTUM, MARK, RANK = True, "?", 3
 
 
 @dataclass(frozen=True)
-class QOut:
-    chan: Chan
-    qvar: str
+class QOut(_Visible):
+    """Quantum output c!q of the qubit named q."""
 
-    def __post_init__(self):
-        if not self.chan.quantum:
-            raise LtsError(f"quantum action on classical channel {self.chan}")
+    qvar: str
+    QUANTUM, MARK, RANK = True, "!", 4
 
 
 Action = Tau | CIn | COut | QIn | QOut
 TAU = Tau()
-
-
-def channel_of(action: Action) -> Chan | None:
-    match action:
-        case Tau():
-            return None
-        case CIn(chan=c) | COut(chan=c) | QIn(chan=c) | QOut(chan=c):
-            return c
-
-
-def relabel_action(action: Action, fn) -> Action:
-    match action:
-        case Tau():
-            return action
-        case CIn(chan=c, value=v):
-            return CIn(fn.apply(c), v)
-        case COut(chan=c, value=v):
-            return COut(fn.apply(c), v)
-        case QIn(chan=c, qvar=q):
-            return QIn(fn.apply(c), q)
-        case QOut(chan=c, qvar=q):
-            return QOut(fn.apply(c), q)
 
 
 def _fmt_value(v: float) -> str:
@@ -155,30 +159,16 @@ def format_action(action) -> str:
     match action:
         case Tau():
             return "tau"
-        case CIn(chan=c, value=v):
-            return f"{c.name}?{_fmt_value(v)}"
-        case COut(chan=c, value=v):
-            return f"{c.name}!{_fmt_value(v)}"
-        case QIn(chan=c, qvar=q):
-            return f"{c.name}?{q}"
-        case QOut(chan=c, qvar=q):
-            return f"{c.name}!{q}"
-        case _:
-            return str(action)
+        case _Visible(chan=c, payload=p):
+            return f"{c.name}{action.MARK}{p if action.QUANTUM else _fmt_value(p)}"
+    return str(action)
 
 
-def action_sort_key(action: Action):
-    match action:
-        case Tau():
-            return (0, "", "", 0.0)
-        case CIn(chan=c, value=v):
-            return (1, c.name, "", v)
-        case COut(chan=c, value=v):
-            return (2, c.name, "", v)
-        case QIn(chan=c, qvar=q):
-            return (3, c.name, q, 0.0)
-        case QOut(chan=c, qvar=q):
-            return (4, c.name, q, 0.0)
+def action_sort_key(action: Action) -> tuple:
+    """Tau, then c?v, c!v, c?q and c!q, each by channel name and payload."""
+    if isinstance(action, Tau):
+        return (0,)
+    return (action.RANK, action.chan.name, action.payload)
 
 
 # -- configurations and distributions --
@@ -319,14 +309,15 @@ def hint_fresh(ctx: QContext, hint: str | None = None) -> str:
 
 @dataclass
 class _Step:
-    """A derived concrete transition: action plus (term, context, prob) targets."""
+    """A derived concrete transition: action plus (term, context, prob)
+    targets.  Its `chan` is its action's, None for tau."""
 
     action: Action
     targets: list
 
     @property
     def chan(self) -> Chan | None:
-        return channel_of(self.action)
+        return self.action.chan
 
 
 @dataclass
@@ -344,9 +335,11 @@ class _InStep:
 
 def _rewrap(step, wrap, fn=None):
     """`step` with each target term t replaced by wrap(t), and its channel
-    renamed by the relabelling `fn` when one is given."""
+    (tau has none) renamed by the relabelling `fn` when one is given."""
     if isinstance(step, _Step):
-        action = step.action if fn is None else relabel_action(step.action, fn)
+        action = step.action
+        if fn is not None and action.chan is not None:
+            action = replace(action, chan=fn.apply(action.chan))
         return _Step(action, [(wrap(t), c2, p) for t, c2, p in step.targets])
     chan = step.chan if fn is None else fn.apply(step.chan)
     return _InStep(chan, step.hint, lambda x: wrap(step.cont(x)))
@@ -425,25 +418,20 @@ def _compose_parallel(left_steps, right_steps, left_term, right_term) -> list:
 
     def communicate(out_steps, in_steps, build):
         for so in out_steps:
-            if not isinstance(so, _Step):
+            if not (isinstance(so, _Step) and isinstance(so.action, (COut, QOut))):
                 continue
+            (t_out, c_out, _), = so.targets
             if isinstance(so.action, COut):
-                for si in in_steps:
-                    if isinstance(si, _InStep) and si.chan == so.action.chan:
-                        (t_out, c_out, _), = so.targets
-                        out.append(_Step(TAU, [(build(t_out, si.cont(so.action.value)), c_out, 1.0)]))
-            elif isinstance(so.action, QOut):
-                # a QIn _Step inputs a system in the context (see _InStep)
-                for si in in_steps:
-                    if (
-                        isinstance(si, _Step)
-                        and isinstance(si.action, QIn)
-                        and si.action.chan == so.action.chan
-                        and si.action.qvar == so.action.qvar
-                    ):
-                        (t_out, c_out, _), = so.targets
-                        (t_in, _, _), = si.targets
-                        out.append(_Step(TAU, [(build(t_out, t_in), c_out, 1.0)]))
+                # a classical output instantiates a symbolic input at its value
+                received = [si.cont(so.action.value) for si in in_steps
+                            if isinstance(si, _InStep) and si.chan == so.chan]
+            else:
+                # a quantum output meets the QIn _Step of its qubit, which
+                # inputs a system in the context (see _InStep)
+                want = QIn(so.chan, so.action.qvar)
+                received = [si.targets[0][0] for si in in_steps
+                            if isinstance(si, _Step) and si.action == want]
+            out.extend(_Step(TAU, [(build(t_out, t), c_out, 1.0)]) for t in received)
 
     communicate(left_steps, right_steps, lambda a, b: Parallel(a, b))
     communicate(right_steps, left_steps, lambda a, b: Parallel(b, a))
@@ -507,8 +495,7 @@ def blocked_actions(config: Configuration) -> list:
         match term:
             case Restrict(body=b, chans=chans):
                 # actions name no fresh qubit, so any namer serves
-                inner = _derive(b, config.context, numbered_fresh)
-                for s in inner:
+                for s in _derive(b, config.context, numbered_fresh):
                     if s.chan not in chans:
                         continue
                     if isinstance(s, _Step):
@@ -522,15 +509,9 @@ def blocked_actions(config: Configuration) -> list:
                 strip(r)
             case Relabel(body=b) | If(body=b):
                 strip(b)
-            case _:
-                pass
 
     strip(config.process)
-    seen = []
-    for a in blocked:
-        if a not in seen:
-            seen.append(a)
-    return seen
+    return list(dict.fromkeys(blocked))
 
 
 # -- finite exploration --
@@ -694,7 +675,8 @@ def run_trace(
     In distribution mode the full probability tree is carried along: each
     round picks an action enabled at every support point and lifts it.  In
     sample mode probabilistic branches are resolved with the seeded RNG.
-    Raises StuckError when progress stops before termination.
+    Raises StuckError when progress stops before termination: some point
+    cannot move, or every point can but no action is enabled at all.
 
     `scheduler` picks the action each round, and the move at a support
     point when it has more than one with that action: "first" takes the
@@ -710,10 +692,14 @@ def run_trace(
 
     for _ in range(max_steps):
         per_point = [transitions(c, policy, hint_fresh) for c, _ in current]
-        common = set.intersection(*({a for a, _ in trs} for trs in per_point))
+        enabled = [{a for a, _ in trs} for trs in per_point]
+        common = set.intersection(*enabled)
         if not common:
             if not any(per_point) and all(is_terminated(c.process) for c, _ in current):
                 return TraceResult(steps, current, "terminated")
+            if all(per_point):
+                raise StuckError((), [(p, tuple(sorted(actions, key=action_sort_key)))
+                                      for (_, p), actions in zip(current, enabled)])
             raise StuckError([a for (c, _), trs in zip(current, per_point) if not trs
                               for a in blocked_actions(c)])
 

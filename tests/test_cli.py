@@ -27,6 +27,7 @@ TELEPORT = "corpus/teleport.qccs"
 CHOICE = "corpus/choice.qccs"
 RESTRICTION = "corpus/restriction.qccs"
 WEAK = "corpus/weak_example.qccs"
+STUCK = "corpus/stuck.qccs"
 
 
 class TestCheck:
@@ -105,6 +106,40 @@ class TestBadShapes:
             f"{f}: process P: arity at root: CNOT has dimension 4, applied to [q]\n"
             f"{f}: config A: invalid process: {fault}\n"))
 
+    def test_every_configuration_fault_is_listed(self, tmp_path, capsys):
+        f = tmp_path / "two.qccs"
+        f.write_text("config A = < H[s].nil ; q = |0> >\n"
+                     "config B = < H[r].nil ; q = |0> >\n")
+        assert run_cli("check", str(f)) == (1, (
+            f"{f}: config A: context does not declare ['s']\n"
+            f"{f}: config B: context does not declare ['r']\n"))
+        capsys.readouterr()
+        assert run_cli("lts", str(f)) == (2, "")
+        assert capsys.readouterr().err == "error: config A: context does not declare ['s']\n"
+
+    def test_a_later_fault_follows_a_faulty_declared_process(self, tmp_path):
+        # A repeats P's fault and is dropped; B's own fault stays
+        f = tmp_path / "pab.qccs"
+        f.write_text("process P = CNOT[q].nil\n"
+                     "config A = < P ; q = |0> >\n"
+                     "config B = < H[r].nil ; q = |0> >\n")
+        assert run_cli("check", str(f)) == (1, (
+            f"{f}: process P: arity at root: CNOT has dimension 4, applied to [q]\n"
+            f"{f}: config B: context does not declare ['r']\n"))
+
+    def test_a_misshapen_gate_spoils_no_other_line(self, tmp_path):
+        # G fails every arity check, so A's arity is not checked; the
+        # non-unitary gate U and B's state are faults of their own
+        f = tmp_path / "gates.qccs"
+        f.write_text("gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+                     "gate U = [[1, 0], [0, 0]]\n"
+                     "config A = < G[q].nil ; q = |0> >\n"
+                     "config B = < U[q].nil ; q = 2|0> >\n")
+        assert run_cli("check", str(f)) == (1, (
+            f"{f}: gate G: matrix must be square over qubits\n"
+            f"{f}: gate U: matrix is not unitary\n"
+            f"{f}: config B: state is not a density matrix (trace 1, Hermitian, PSD)\n"))
+
 
 class TestLts:
     def test_json_output(self):
@@ -168,6 +203,15 @@ class TestRun:
         code, _ = run_cli("run", str(f))
         assert code == 1
         assert "blocked" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, report", [
+        ("Blocked", "blocked actions: c!1, qc!q"),
+        ("Disagree", "no action is enabled at every support point; "
+                     "enabled at each: c!0 (p=0.5); c!1 (p=0.5)"),
+    ])
+    def test_stuck_corpus_reports(self, capsys, config, report):
+        assert run_cli("run", STUCK, "--config", config) == (1, "")
+        assert capsys.readouterr().err == f"stuck: execution is stuck; {report}\n"
 
     def test_script_scheduler(self, tmp_path):
         script = tmp_path / "choices.txt"

@@ -241,6 +241,20 @@ class TestElaborate:
         with pytest.raises(ElaborationError):
             elaborate(sf)
 
+    def test_every_fault_is_recorded(self):
+        # the message is the first fault; a check that names a faulty
+        # configuration is not itself at fault
+        sf = parse("gate U = [[1, 0], [0, 0]]\n"
+                   "config A = < H[s].nil ; q = |0> >\n"
+                   "config B = < nil ; q = 2|0> >\n"
+                   "check strong A Missing")
+        with pytest.raises(ElaborationError) as err:
+            elaborate(sf)
+        assert str(err.value) == "gate U: matrix is not unitary"
+        assert [config for _, config in err.value.faults] == [None, "A", "B", None]
+        assert err.value.faults[1][0] == "config A: context does not declare ['s']"
+        assert err.value.faults[3][0] == "check references unknown config 'Missing'"
+
     def test_inline_expansion_is_acyclic(self):
         with pytest.raises(ParseError):  # forward references are unknown names
             parse("process A = B\nprocess B = nil")

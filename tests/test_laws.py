@@ -80,7 +80,7 @@ class TestLawSuite:
 
 class TestCongruence:
     def test_strong_and_weak_closure(self):
-        report = congruence_suite(pairs=8, seed=5, depth=2, qubits=2)
+        report = congruence_suite(pairs=8, seed=5)
         assert report.ok, report.failures
 
     def test_equality_preserved_under_summand(self):

@@ -11,9 +11,9 @@ from qccs.frontend import elaborate, parse
 from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, Observable, dm, tensor
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
-    InputPolicy, OpenConfiguration, QIn, QOut, StuckError, build_lts,
-    _complex_pairs, _moves, format_action, hint_fresh, lts_to_dot, lts_to_json,
-    numbered_fresh, run_trace, transitions,
+    InputPolicy, LtsError, OpenConfiguration, QIn, QOut, StuckError, build_lts,
+    _complex_pairs, _moves, action_sort_key, format_action, hint_fresh, lts_to_dot,
+    lts_to_json, numbered_fresh, run_trace, transitions,
 )
 from qccs.syntax import (
     Arith, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel,
@@ -283,6 +283,57 @@ class TestStructuralRules:
     def test_cho_false_guard_contributes_nothing(self):
         term = If(Cmp("=", Const(1.0), Const(2.0)), COutput(C, Const(1.0), Nil()))
         assert transitions(cfg(term)) == []
+
+
+class TestActionVocabulary:
+    """The five action kinds as every output reads them: labels, order,
+    channel-kind checks and relabelling."""
+
+    def test_labels(self):
+        actions = [TAU, CIn(C, 1.0), COut(C, 0.5), COut(D, -2.0), CIn(D, -0.25),
+                   QIn(QC, "q"), QOut(QD, "#0")]
+        assert [format_action(a) for a in actions] == [
+            "tau", "c?1", "c!0.5", "d!-2", "d?-0.25", "qc?q", "qd!#0"]
+
+    def test_sort_order(self):
+        ordered = [TAU, CIn(C, 0.0), CIn(C, 2.0), CIn(D, -1.0), COut(C, -3.0),
+                   COut(C, 0.5), COut(D, 0.0), QIn(QC, "a"), QIn(QC, "b"),
+                   QIn(QD, "a"), QOut(QC, "q"), QOut(QD, "a")]
+        shuffled = [ordered[i] for i in np.random.default_rng(3).permutation(len(ordered))]
+        assert shuffled != ordered
+        assert sorted(shuffled, key=action_sort_key) == ordered
+
+    @pytest.mark.parametrize("make, chan, message", [
+        (lambda c: CIn(c, 0.0), QC, "classical action on quantum channel qc"),
+        (lambda c: COut(c, 0.0), QC, "classical action on quantum channel qc"),
+        (lambda c: QIn(c, "q"), C, "quantum action on classical channel c"),
+        (lambda c: QOut(c, "q"), C, "quantum action on classical channel c"),
+    ])
+    def test_wrong_channel_kind(self, make, chan, message):
+        with pytest.raises(LtsError) as err:
+            make(chan)
+        assert str(err.value) == message
+
+    def test_kinds_differ_on_equal_fields(self):
+        assert CIn(C, 1.0) != COut(C, 1.0)
+        assert QIn(QC, "q") != QOut(QC, "q")
+
+    def test_relabelling_renames_the_channel_only(self):
+        body = Sum(Sum(CInput(C, "x", Nil()), COutput(C, Const(0.5), Nil())),
+                   Sum(Sum(QInput(QC, "r", Nil()), QOutput(QC, "q", Nil())),
+                       Unitary(GATE_H, ("q",), Nil())))
+        fn = RelabelFn([(C, D), (QC, QD)])
+
+        def moves(term):
+            return [a for a, _ in transitions(cfg(term, ("q",), dm(KET0)), OPEN)]
+
+        def expected(c, qc):
+            return ([CIn(c, v) for v in (0.0, 1.0, 2.0, 3.0)]
+                    + [COut(c, 0.5), QIn(qc, "q")] + [QIn(qc, "#0")] * 3
+                    + [QOut(qc, "q"), TAU])
+
+        assert moves(body) == expected(C, QC)
+        assert moves(Relabel(body, fn)) == expected(D, QD)
 
 
 class TestDistributionAlgebra:
@@ -816,6 +867,20 @@ class TestRunTrace:
         with pytest.raises(StuckError) as err:
             run_trace(cfg(term))
         assert any(isinstance(a, COut) and a.value == 0.0 for a in err.value.blocked)
+        assert err.value.enabled == ()
+        assert str(err.value) == "execution is stuck; blocked actions: c!0"
+
+    def test_stuck_when_the_points_disagree(self):
+        # both outcomes can move, on c!0 and c!1, but no action is enabled
+        # at both, so the report names each point's actions
+        term = Measure(OBS_M01, ("q",), "x", COutput(C, Var("x"), Nil()))
+        with pytest.raises(StuckError) as err:
+            run_trace(cfg(term, ("q",), dm(KET_PLUS)))
+        assert err.value.blocked == ()
+        assert [(round(p, 9), actions) for p, actions in err.value.enabled] == [
+            (0.5, (COut(C, 0.0),)), (0.5, (COut(C, 1.0),))]
+        assert str(err.value) == ("execution is stuck; no action is enabled at every "
+                                  "support point; enabled at each: c!0 (p=0.5); c!1 (p=0.5)")
 
     def test_script_scheduler(self):
         term = Sum(COutput(C, Const(0.0), Nil()), COutput(D, Const(1.0), Nil()))
@@ -1062,18 +1127,16 @@ def _direct_interp(config, policy):
             sb = _prefix_step(b, ctx, policy)
             if sb is None:
                 return None
-            from qccs.lts import channel_of
-
             kept = [(a, [(Restrict(t, blocked), c2, p) for t, c2, p in tg])
-                    for a, tg in sb if channel_of(a) not in blocked]
+                    for a, tg in sb if a == TAU or a.chan not in blocked]
             return pack(kept)
         case Relabel(body=b, fn=f):
             sb = _prefix_step(b, ctx, policy)
             if sb is None:
                 return None
-            from qccs.lts import relabel_action
+            from dataclasses import replace
 
-            return pack([(relabel_action(a, f),
+            return pack([(a if a == TAU else replace(a, chan=f.apply(a.chan)),
                           [(Relabel(t, f), c2, p) for t, c2, p in tg]) for a, tg in sb])
         case Parallel(left=l, right=r):
             sl, sr = _prefix_step(l, ctx, policy), _prefix_step(r, ctx, policy)
