@@ -11,18 +11,19 @@ requirement is one more flow question, under TAU_HAT, in which only the
 stuck nodes of the owner's terminal class absorb.  Every checker compares
 stuck contexts only through these classes (lts.Lts.terminal), so the stuck
 states it treats as equal form an equivalence relation.  One _Matcher builds
-every matching question, for refinement, for witnesses and for `eq`'s
-strict round, and keys every flow question by one rule.  Refinement asks
-it for verdicts and witnesses ask it for moves, both read from one memo
-under keys that hold exactly what the question's linear program reads, so
-a check solves each distinct program once.  _refine keeps a worklist of
-blocks to examine and re-examines a block only when a block that its
-questions read has split.
+every matching question, for refinement and for explaining a verdict, and
+keys every flow question by one rule.  Refinement asks it for verdicts and
+witnesses ask it for moves, both read from one memo under keys that hold
+exactly what the question's linear program reads, so a check solves each
+distinct program once.  _refine keeps a worklist of blocks to examine and
+re-examines a block only when a block that its questions read has split.
 
 One generator, _requirements, lists what a node asks of its block.
-Refinement splits on it, and a `distinguished` verdict is explained by the
-first requirement of one node that the other fails over the final
-partition, so the counterexample does not depend on the order of splits.
+Refinement splits on it, and _explain asks each requirement of one node of
+the other, in all three modes; `eq` differs from weak only in answering a
+tau move by a strict internal move.  The first requirement that fails over the final partition
+is the counterexample, in one format for every mode; when none fails, the
+answers are the witness.
 """
 
 from __future__ import annotations
@@ -111,9 +112,17 @@ class _Flows:
     """
 
     def __init__(self, lts, source: int, label, nodes: list):
-        self.lts, self.label, self.nodes = lts, label, nodes
+        self.nodes = nodes
         self.two_phase = two_phase = label != TAU_HAT
-        tau_edges, act_edges = self._edges()
+        # the tau edges and the `label` edges out of `nodes`, each as
+        # (u, k, targets), kept to name the columns
+        self.tau_edges, self.act_edges = tau_edges, act_edges = [], []
+        for u in nodes:
+            for k, (action, tg) in enumerate(lts.node_edges(u)):
+                if isinstance(action, Tau):
+                    tau_edges.append((u, k, tg))
+                if two_phase and action == label:
+                    act_edges.append((u, k, tg))
         row_of = {v: r for r, v in enumerate(nodes)}
         self.source_row = row_of[source]
         self.phase2 = phase2 = len(nodes) if two_phase else 0
@@ -150,17 +159,6 @@ class _Flows:
         self.entries = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                         np.array(vals))
 
-    def _edges(self):
-        """(tau edges, `label` edges) out of `nodes`, each as (u, k, targets)."""
-        tau_edges, act_edges = [], []
-        for u in self.nodes:
-            for k, (action, tg) in enumerate(self.lts.node_edges(u)):
-                if isinstance(action, Tau):
-                    tau_edges.append((u, k, tg))
-                if self.two_phase and action == self.label:
-                    act_edges.append((u, k, tg))
-        return tau_edges, act_edges
-
     def shape(self) -> bytes:
         """A digest of what the program reads besides its absorption: two
         sources with equal shapes, absorption groups and targets have the same
@@ -171,39 +169,32 @@ class _Flows:
         return hashlib.blake2b(head + rows.tobytes() + cols.tobytes() + vals.tobytes(),
                                digest_size=16).digest()
 
-    def absorbing(self, group_of) -> list:
-        """The positions in `nodes` of the nodes that may absorb: group_of[v],
-        read for `nodes` only, is the absorption group of v, or None when v
-        may not absorb."""
-        return [r for r, v in enumerate(self.nodes) if group_of[v] is not None]
-
-    def program(self, group_of, targets) -> lp.LinearProgram:
-        nodes, phase2 = self.nodes, self.phase2
-        groups = sorted({g for g in (group_of[v] for v in nodes) if g is not None}
-                        | {g for g, t in enumerate(targets) if abs(t) > 0})
-        rank = {g: r for r, g in enumerate(groups)}
-        first_group = self.height
-        absorb = self.absorbing(group_of)
-        a = np.zeros((first_group + len(groups), self.width + len(absorb)))
+    def program(self, ranks: list, targets: list) -> lp.LinearProgram:
+        """The program in which the node nodes[r] absorbs into group ranks[r],
+        or not at all when ranks[r] is -1, and group g must absorb
+        targets[g]."""
+        phase2, first_group = self.phase2, self.height
+        absorb = [r for r, g in enumerate(ranks) if g >= 0]
+        a = np.zeros((first_group + len(targets), self.width + len(absorb)))
         rows, cols, vals = self.entries
         np.add.at(a, (rows, cols), vals)
         # each absorption column takes -1 in its node's last conservation row
         # and +1 in its group's row
         cols = np.arange(self.width, a.shape[1])
         a[[phase2 + r for r in absorb], cols] = -1.0
-        a[[first_group + rank[group_of[nodes[r]]] for r in absorb], cols] = 1.0
+        a[[first_group + ranks[r] for r in absorb], cols] = 1.0
         b = np.zeros(len(a))
         b[self.source_row] = -1.0
-        b[first_group:] = [targets[g] if g < len(targets) else 0.0 for g in groups]
+        b[first_group:] = targets
         return lp.LinearProgram(a, b)
 
     def names(self, group_of) -> list:
-        """The variable name of each column of program(group_of, ...)."""
-        tau_edges, act_edges = self._edges()
-        return ([f"y_{u}_{k}" for u, k, _ in tau_edges]
-                + [f"x_{u}_{k}" for u, k, _ in act_edges]
-                + [f"z_{u}_{k}" for u, k, _ in tau_edges if self.two_phase]
-                + [f"a_{self.nodes[r]}" for r in self.absorbing(group_of)])
+        """The variable name of each column of the program in which a node v
+        absorbs unless group_of[v] is None."""
+        return ([f"y_{u}_{k}" for u, k, _ in self.tau_edges]
+                + [f"x_{u}_{k}" for u, k, _ in self.act_edges]
+                + [f"z_{u}_{k}" for u, k, _ in self.tau_edges if self.two_phase]
+                + [f"a_{v}" for v in self.nodes if group_of[v] is not None])
 
 
 # -- matching questions --
@@ -300,16 +291,18 @@ class _Matcher:
         else:
             label, group_of, targets = _weak_label(action, strict), partition.block_of, vec
         flows, shape = self._flows(node, label)
-        nodes = flows.nodes
-        # the absorption groups in the order _Flows.program writes their rows,
-        # renumbered by rank so that splits elsewhere leave the key alone
-        present = {group_of[v] for v in nodes}
+        # the absorption groups in play, renumbered by rank so that splits
+        # elsewhere leave the key alone; the program reads these ranks and
+        # targets, and no other part of the partition
+        present = {group_of[v] for v in flows.nodes}
         present.discard(None)
         groups = sorted(present | {g for g, t in enumerate(targets) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
         rank[None] = -1
-        key = shape + _packed([rank[group_of[v]] for v in nodes], [targets[g] for g in groups])
-        return (key, lambda t, loose: lp.feasible(flows.program(group_of, list(targets)), t, loose),
+        ranks = [rank[group_of[v]] for v in flows.nodes]
+        wanted = [targets[g] for g in groups]
+        return (shape + _packed(ranks, wanted),
+                lambda t, loose: lp.feasible(flows.program(ranks, wanted), t, loose),
                 flows.height + len(groups))
 
     def answer(self, question):
@@ -485,52 +478,10 @@ def _refine(matcher: _Matcher, partition: Partition) -> Partition:
     return Partition(_compact(partition.block_of))
 
 
-def _matchings_for_pair(matcher: _Matcher, i: int, j: int, partition: Partition,
-                        strict: bool = False) -> list:
-    """How each move of i is matched by j (and vice versa) at the fixpoint;
-    a move left unmatched has neither `weights` nor `flow`."""
-    lts = matcher.lts
-    out = []
-    for a, b, side in ((i, j, "left"), (j, i, "right")):
-        for action, targets in lts.node_edges(a):
-            vec = class_vector(targets, partition)
-            w = matcher.witness(b, action, vec, partition, strict)
-            entry = {
-                "from": side,
-                "node": a,
-                "action": format_action(action),
-                "class_vector": list(vec),
-            }
-            if isinstance(w, list):
-                entry["weights"] = [round(x, 12) + 0.0 for x in w]
-                entry["partners"] = [
-                    [[n, p] for n, p in tg] for tg in lts.successors(b, action)
-                ]
-            elif isinstance(w, dict):
-                entry["flow"] = {k: round(v, 12) for k, v in w.items() if abs(v) > 1e-10}
-            out.append(entry)
-    return out
-
-
 def _terminal_mismatch(lts, left: int, right: int) -> dict | None:
     if lts.stuck(left) and lts.stuck(right) and lts.terminal[left] != lts.terminal[right]:
         return {"pair": [left, right], "reason": "terminal contexts differ"}
     return None
-
-
-def _counterexample(matcher: _Matcher, left: int, right: int, partition: Partition) -> dict:
-    """Why `left` and `right` lie in different blocks of the final partition:
-    the first requirement of `left`, then of `right`, that the other node
-    fails over those blocks.  For strong checks one exists unless both nodes
-    are stuck, since combined moves compose (Segala 1995); the last resort
-    is 'separated transitively'."""
-    for owner, partner in ((left, right), (right, left)):
-        for requirement in _requirements(matcher, owner, partition):
-            question = matcher.question(partner, owner, requirement, partition)
-            if matcher.answer(question) is None:
-                return _failed_requirement(owner, partner, requirement, question[2])
-    return (_terminal_mismatch(matcher.lts, left, right)
-            or {"reason": "nodes separated transitively during refinement"})
 
 
 def _failed_requirement(owner: int, partner: int, requirement: tuple, rows: int) -> dict:
@@ -555,33 +506,52 @@ def _failed_requirement(owner: int, partner: int, requirement: tuple, rows: int)
     return out
 
 
+def _explain(matcher: _Matcher, left: int, right: int, partition: Partition,
+             strict: bool) -> tuple:
+    """(witness, counterexample) of the pair over the final partition.  Each
+    requirement of `left` is asked of `right`, then each of `right` of `left`,
+    a tau move by a strict weak move when `strict`.  The first that fails is
+    the counterexample, so it does not depend on the order of splits.  Of
+    nodes in different strong blocks, one fails unless both are stuck, since
+    combined moves compose (Segala 1995).  When none fails, the witness
+    holds how each move is met: hull weights and the partner's moves
+    (strong) or a flow (weak), and the counterexample is the pair's terminal
+    mismatch, if any."""
+    lts, witness = matcher.lts, []
+    for owner, partner, side in ((left, right, "left"), (right, left, "right")):
+        for requirement in _requirements(matcher, owner, partition):
+            question = matcher.question(partner, owner, requirement, partition, strict)
+            if matcher.answer(question) is None:
+                return [], _failed_requirement(owner, partner, requirement, question[2])
+            action, vec = requirement
+            if action is None:
+                continue
+            entry = {"from": side, "node": owner, "action": format_action(action),
+                     "class_vector": list(vec)}
+            w = matcher.witness(partner, action, vec, partition, strict)
+            if matcher.mode == "strong":
+                entry["weights"] = [round(x, 12) + 0.0 for x in w]
+                entry["partners"] = [[[n, p] for n, p in tg]
+                                     for tg in lts.successors(partner, action)]
+            else:
+                entry["flow"] = {k: round(v, 12) for k, v in w.items() if abs(v) > 1e-10}
+            witness.append(entry)
+    return witness, _terminal_mismatch(lts, left, right)
+
+
 def _check(lts, left: int, right: int, mode: str, tol: float) -> BisimResult:
-    """Refine, then explain the verdict: a witness that matches every move of
-    both nodes, or a counterexample.  `eq` refines as weak does, then
-    answers every tau move by a strict weak move.  The near ties met warn
-    once the verdict is known, at the line that called the checker."""
+    """Refine, then explain the verdict by _explain, which `eq` asks with
+    every tau move answered by a strict weak move over the weak partition.
+    Nodes in different blocks that _explain finds no requirement to tell
+    apart were separated transitively.  The near ties met warn once the
+    verdict is known, at the line that called the checker."""
     weak = mode != "strong"
     matcher = _Matcher(lts, "weak" if weak else "strong", tol)
     partition = _refine(matcher, Partition([0] * lts.node_count) if weak
                         else _initial_strong(lts))
-    witness, counter = [], None
-    if mode == "eq":
-        witness = _matchings_for_pair(matcher, left, right, partition, strict=True)
-        unmatched = next((m for m in witness if "flow" not in m), None)
-        if unmatched is not None:
-            partner = right if unmatched["from"] == "left" else left
-            counter = {
-                "pair": [unmatched["node"], partner],
-                "action": unmatched["action"],
-                "class_vector": unmatched["class_vector"],
-                "reason": "no strict weak match",
-            }
-        else:
-            counter = _terminal_mismatch(lts, left, right)
-    elif partition.block_of[left] == partition.block_of[right]:
-        witness = _matchings_for_pair(matcher, left, right, partition)
-    else:
-        counter = _counterexample(matcher, left, right, partition)
+    witness, counter = _explain(matcher, left, right, partition, mode == "eq")
+    if counter is None and partition.block_of[left] != partition.block_of[right]:
+        counter = {"reason": "nodes separated transitively during refinement"}
     context = "weak-transition" if weak else "combined-transition"
     for _ in matcher.near_ties:
         # stack: _check, the checker, its caller

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .context import make_context
 from .linalg import Gate, Observable
-from .lts import Configuration, InputPolicy
+from .lts import Configuration, InputPolicy, format_value
 from .syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
     Parallel, ProcessExpr, QbitNew, QInput, QOutput, Relabel, RelabelFn,
@@ -796,14 +796,10 @@ def _pp(e: ProcessExpr, level: int) -> str:
     raise ValueError(f"bad process term {e!r}")
 
 
-def _pp_number(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
-
-
 def _pp_value(e, minprec: int) -> str:
     match e:
         case Const(value=v):
-            s = _pp_number(v)
+            s = format_value(v)
             return _paren(s, v < 0 and minprec > 2)
         case Var(name=x):
             return x

@@ -68,20 +68,34 @@ class BoundExceeded(LtsError):
 
 class StuckError(LtsError):
     """A run stopped before it terminated.  `blocked`: the actions that
-    restriction filters out at the support points that cannot move.
-    `enabled`, when every point can move but no action at all of them: each
-    point's probability and its actions, sorted by action_sort_key."""
+    restriction filters out at the support points that cannot move (see
+    blocked_actions).  `enabled`, when some point can move but no action is
+    enabled at all of them: each point as (probability, its actions sorted
+    by action_sort_key, the actions blocked there), where a point that can
+    move blocks none and a point that terminated has None in their place."""
 
     def __init__(self, blocked, enabled=()):
         self.blocked = tuple(blocked)
         self.enabled = tuple(enabled)
         if self.enabled:
-            points = "; ".join(f"{', '.join(map(format_action, actions))} (p={p:.4g})"
-                               for p, actions in self.enabled)
+            points = "; ".join(f"{_point_report(actions, held)} (p={p:.4g})"
+                               for p, actions, held in self.enabled)
             detail = f"no action is enabled at every support point; enabled at each: {points}"
         else:
-            detail = "blocked actions: " + (", ".join(map(format_action, self.blocked)) or "none")
+            detail = "blocked actions: " + _action_list(self.blocked)
         super().__init__(f"execution is stuck; {detail}")
+
+
+def _action_list(actions) -> str:
+    return ", ".join(map(format_action, actions)) or "none"
+
+
+def _point_report(actions, blocked) -> str:
+    """A support point of a stuck report: its actions, else `terminated`,
+    else the actions that restriction blocks there."""
+    if actions:
+        return _action_list(actions)
+    return "terminated" if blocked is None else f"blocked {_action_list(blocked)}"
 
 
 # -- actions --
@@ -151,8 +165,10 @@ Action = Tau | CIn | COut | QIn | QOut
 TAU = Tau()
 
 
-def _fmt_value(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
+def format_value(v: float) -> str:
+    """A classical value as terms and action labels print it: an integer
+    below 1e15 in magnitude without a fraction, any other value by repr."""
+    return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(float(v))
 
 
 def format_action(action) -> str:
@@ -160,7 +176,7 @@ def format_action(action) -> str:
         case Tau():
             return "tau"
         case _Visible(chan=c, payload=p):
-            return f"{c.name}{action.MARK}{p if action.QUANTUM else _fmt_value(p)}"
+            return f"{c.name}{action.MARK}{p if isinstance(p, str) else format_value(p)}"
     return str(action)
 
 
@@ -323,10 +339,11 @@ class _Step:
 @dataclass
 class _InStep:
     """Symbolic input, kept open so a communication partner can instantiate
-    it.  A classical input takes a value, from the partner's output or the
-    policy's finite domain; the context never changes.  A quantum input takes
-    the fresh name (`hint` suggests one) of a system not yet in the context,
-    whose joint state comes from the policy's extension recipes."""
+    it.  `hint` is the prefix's binder.  A classical input takes a value,
+    from the partner's output or the policy's finite domain; the context
+    never changes.  A quantum input takes the fresh name (`hint` suggests
+    one) of a system not yet in the context, whose joint state comes from
+    the policy's extension recipes."""
 
     chan: Chan
     hint: str | None
@@ -351,7 +368,7 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
             return []
 
         case CInput(chan=c, var=x, body=b):
-            return [_InStep(c, None, lambda v, b=b, x=x: subst_classical(b, x, v))]
+            return [_InStep(c, x, lambda v, b=b, x=x: subst_classical(b, x, v))]
 
         case COutput(chan=c, expr=e, body=b):
             return [_Step(COut(c, eval_expr(e)), [(b, ctx, 1.0)])]
@@ -488,7 +505,9 @@ def transitions(
 
 def blocked_actions(config: Configuration) -> list:
     """Actions of the unrestricted inner behaviour that restriction filters
-    out at this configuration (diagnostic for stuck reports)."""
+    out at this configuration (diagnostic for stuck reports).  An input not
+    yet instantiated shows as its prefix, with its binder as payload:
+    CIn(c, "x") for c?x, QIn(qc, "q") for qc?q."""
     blocked: list = []
 
     def strip(term):
@@ -498,11 +517,8 @@ def blocked_actions(config: Configuration) -> list:
                 for s in _derive(b, config.context, numbered_fresh):
                     if s.chan not in chans:
                         continue
-                    if isinstance(s, _Step):
-                        blocked.append(s.action)
-                    else:
-                        blocked.append(CIn(s.chan, float("nan")) if not s.chan.quantum
-                                       else QIn(s.chan, "?"))
+                    blocked.append(s.action if isinstance(s, _Step)
+                                   else (QIn if s.chan.quantum else CIn)(s.chan, s.hint))
                 strip(b)
             case Parallel(left=l, right=r) | Sum(left=l, right=r):
                 strip(l)
@@ -675,8 +691,8 @@ def run_trace(
     In distribution mode the full probability tree is carried along: each
     round picks an action enabled at every support point and lifts it.  In
     sample mode probabilistic branches are resolved with the seeded RNG.
-    Raises StuckError when progress stops before termination: some point
-    cannot move, or every point can but no action is enabled at all.
+    Raises StuckError when progress stops before termination: no point can
+    move, or some can but no action is enabled at all.
 
     `scheduler` picks the action each round, and the move at a support
     point when it has more than one with that action: "first" takes the
@@ -697,11 +713,12 @@ def run_trace(
         if not common:
             if not any(per_point) and all(is_terminated(c.process) for c, _ in current):
                 return TraceResult(steps, current, "terminated")
-            if all(per_point):
-                raise StuckError((), [(p, tuple(sorted(actions, key=action_sort_key)))
-                                      for (_, p), actions in zip(current, enabled)])
-            raise StuckError([a for (c, _), trs in zip(current, per_point) if not trs
-                              for a in blocked_actions(c)])
+            points = [(p, tuple(sorted(actions, key=action_sort_key)),
+                       () if trs else (None if is_terminated(c.process)
+                                       else tuple(blocked_actions(c))))
+                      for (c, p), actions, trs in zip(current, enabled, per_point)]
+            raise StuckError([a for _, _, held in points for a in held or ()],
+                             points if any(per_point) else ())
 
         if sample:
             trs = per_point[0]

@@ -208,6 +208,8 @@ class TestRun:
         ("Blocked", "blocked actions: c!1, qc!q"),
         ("Disagree", "no action is enabled at every support point; "
                      "enabled at each: c!0 (p=0.5); c!1 (p=0.5)"),
+        ("Half", "no action is enabled at every support point; "
+                 "enabled at each: c!0 (p=0.5); terminated (p=0.5)"),
     ])
     def test_stuck_corpus_reports(self, capsys, config, report):
         assert run_cli("run", STUCK, "--config", config) == (1, "")

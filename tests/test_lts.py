@@ -7,7 +7,7 @@ import pytest
 from qccs import linalg
 from qccs.bisim import equality_check, strong_bisim, weak_bisim
 from qccs.context import SCAN_LIMIT, ContextIndex, QContext, context_equal, make_context
-from qccs.frontend import elaborate, parse
+from qccs.frontend import elaborate, parse, pretty_print
 from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, Observable, dm, tensor
 from qccs.lts import (
     TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
@@ -314,6 +314,15 @@ class TestActionVocabulary:
             make(chan)
         assert str(err.value) == message
 
+    def test_values_read_as_in_terms(self):
+        # an action label prints its value as the term that sends it does
+        for value, label in ((1e20, "c!1e+20"), (-1e15, "c!-1000000000000000.0"),
+                             (999999999999999.0, "c!999999999999999"), (0.1, "c!0.1")):
+            term = COutput(C, Const(value), Nil())
+            graph = build_lts([cfg(term)])
+            assert format_action(graph.edges[0][0][0]) == label
+            assert pretty_print(term) == f"{label}.nil"
+
     def test_kinds_differ_on_equal_fields(self):
         assert CIn(C, 1.0) != COut(C, 1.0)
         assert QIn(QC, "q") != QOut(QC, "q")
@@ -450,8 +459,13 @@ class TestStateIndex:
             assert check(graph, 0, 2).equivalent, check
             assert not check(graph, 1, 2).equivalent, check
             assert not check(graph, 0, 1).equivalent, check
+        # eq asks node 1's termination requirement of node 2, as weak does
         assert equality_check(graph, 1, 2).counterexample == {
-            "pair": [1, 2], "reason": "terminal contexts differ"}
+            "pair": [1, 2], "kind": "termination", "lp_constraints": 2,
+            "reason": "node 2 cannot internally reach, with probability one, "
+                      "stuck configurations with the required context"}
+        assert (weak_bisim(graph, 1, 2).counterexample
+                == equality_check(graph, 1, 2).counterexample)
         for left in range(3):
             for right in range(3):
                 assert (not equality_check(graph, left, right).equivalent
@@ -877,10 +891,35 @@ class TestRunTrace:
         with pytest.raises(StuckError) as err:
             run_trace(cfg(term, ("q",), dm(KET_PLUS)))
         assert err.value.blocked == ()
-        assert [(round(p, 9), actions) for p, actions in err.value.enabled] == [
-            (0.5, (COut(C, 0.0),)), (0.5, (COut(C, 1.0),))]
+        assert [(round(p, 9), actions, held) for p, actions, held in err.value.enabled] == [
+            (0.5, (COut(C, 0.0),), ()), (0.5, (COut(C, 1.0),), ())]
         assert str(err.value) == ("execution is stuck; no action is enabled at every "
                                   "support point; enabled at each: c!0 (p=0.5); c!1 (p=0.5)")
+
+    def test_stuck_when_some_points_cannot_move(self):
+        # outcome 0 can move on c!0; outcome 1 has terminated, or restriction
+        # blocks its c!1: the report names every point
+        for rest, held, report in (
+                (If(Cmp("=", Const(1.0), Const(0.0)), Nil()), None, "terminated"),
+                (Restrict(COutput(C, Const(1.0), Nil()), frozenset({C})), (COut(C, 1.0),),
+                 "blocked c!1")):
+            body = Sum(If(Cmp("=", Var("x"), Const(0.0)), COutput(C, Const(0.0), Nil())),
+                       If(Cmp("=", Var("x"), Const(1.0)), rest))
+            with pytest.raises(StuckError) as err:
+                run_trace(cfg(Measure(OBS_M01, ("q",), "x", body), ("q",), dm(KET_PLUS)))
+            assert err.value.blocked == (held or ())
+            assert [(round(p, 9), actions, h) for p, actions, h in err.value.enabled] == [
+                (0.5, (COut(C, 0.0),), ()), (0.5, (), held)]
+            assert str(err.value) == (
+                "execution is stuck; no action is enabled at every support point; "
+                f"enabled at each: c!0 (p=0.5); {report} (p=0.5)")
+
+    def test_stuck_names_a_blocked_input_by_its_binder(self):
+        for term, report in ((CInput(C, "x", Nil()), "c?x"),
+                             (QInput(QC, "q", Nil()), "qc?q")):
+            with pytest.raises(StuckError) as err:
+                run_trace(cfg(Restrict(term, frozenset({term.chan}))))
+            assert str(err.value) == f"execution is stuck; blocked actions: {report}"
 
     def test_script_scheduler(self):
         term = Sum(COutput(C, Const(0.0), Nil()), COutput(D, Const(1.0), Nil()))
