@@ -213,23 +213,23 @@ class _Matcher:
     TAU_HAT move into the owner's terminal class.
 
     answer() solves each distinct program once and keeps what the solve
-    returned; holds() and witness() both read it.  A key holds exactly what
+    returned; holds() and _explain both read it.  A key holds exactly what
     the question's linear program reads, with floats compared bit for bit,
     so a hit is the same program and so the same answer.  A strong key holds
     only the blocks in play, and a weak key names its source's flows by their
     shape (see _Flows.shape), by one rule for every flow question, so a split
     elsewhere, or a source whose flows look alike, finds the answer already
-    known.  So a weak answer is kept as the bare flow array, and witness()
-    names its columns after the asking node's own flows.  Keys are packed
-    into bytes: keys built of small tuples raised the peak memory of
-    repeated 54-node teleportation checks by 2.5 MB, as the interpreter
-    keeps freed small tuples for reuse.  Keeping each answer, not only its
-    verdict, left their peak RSS at 40.3-40.4 MB and raised the law suite's
-    from 43.2 to 43.4 MB (perfbench medians of 10 runs, 2-core x86 VM).  A
-    failure of any question within _NEAR_TIE_FACTOR of the tolerance is a
-    near tie: its answer is None, and its key goes into `near_ties` when it
-    is solved, so once per question per check, however often refinement and
-    witnesses ask.
+    known.  So a weak answer is kept as the bare flow array, and the
+    question's naming step names its columns after the asking node's own
+    flows.  Keys are packed into bytes: keys built of small tuples raised
+    the peak memory of repeated 54-node teleportation checks by 2.5 MB, as
+    the interpreter keeps freed small tuples for reuse.  Keeping each
+    answer, not only its verdict, left their peak RSS at 40.3-40.4 MB and
+    raised the law suite's from 43.2 to 43.4 MB (perfbench medians of 10
+    runs, 2-core x86 VM).  A failure of any question within
+    _NEAR_TIE_FACTOR of the tolerance is a near tie: its answer is None, and
+    its key goes into `near_ties` when it is solved, so once per question
+    per check, however often refinement and witnesses ask.
     The reachable set and flows of each source and the termination groups of
     each terminal class are kept for the matcher's lifetime.
     """
@@ -258,9 +258,11 @@ class _Matcher:
     def question(self, node: int, owner: int | None, requirement: tuple, partition: Partition,
                  strict: bool = False):
         """(memo key, solve(tol, loose) with loose as for lp.feasible,
-        constraint count of the linear program) of one question: can `node`
-        meet `requirement`?  Only a termination requirement reads `owner`,
-        and only its terminal class.
+        constraint count of the linear program, name(answer)) of one
+        question: can `node` meet `requirement`?  name gives the hull
+        weights of a strong answer as they are, and a flow as {variable
+        name: value}.  Only a termination requirement reads `owner`, and
+        only its terminal class.
         A weak question, termination included, is keyed by its flow shape,
         each reachable node's absorption group ranked among the groups in
         play (-1 where it may not absorb), and those groups' targets."""
@@ -279,7 +281,7 @@ class _Matcher:
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
             if not points:
                 # no move with the action: no program, whatever vec is
-                return b"", lambda t, loose: None, 0
+                return b"", lambda t, loose: None, 0, lambda x: x
             # only the blocks that vec or a point touches: the rows of the
             # others are all zero with a zero right-hand side, which phase 1
             # never pivots on, so splits elsewhere leave the key alone
@@ -287,7 +289,7 @@ class _Matcher:
             table = table[:, table.any(axis=0)]
             return (_packed((table.shape[1],), ()) + table.tobytes(),
                     lambda t, loose: lp.convex_hull_member(table[1:], table[0], t, loose),
-                    1 + table.shape[1])
+                    1 + table.shape[1], lambda x: x)
         else:
             label, group_of, targets = _weak_label(action, strict), partition.block_of, vec
         flows, shape = self._flows(node, label)
@@ -303,13 +305,14 @@ class _Matcher:
         wanted = [targets[g] for g in groups]
         return (shape + _packed(ranks, wanted),
                 lambda t, loose: lp.feasible(flows.program(ranks, wanted), t, loose),
-                flows.height + len(groups))
+                flows.height + len(groups),
+                lambda x: dict(zip(flows.names(group_of), x.tolist())))
 
     def answer(self, question):
         """What the solve of `question` returned, solved on its key's first
         ask: hull weights, a flow array, or None for a failure or a near
         tie."""
-        key, solve, _ = question
+        key, solve = question[:2]
         if key in self.known:
             return self.known[key]
         try:
@@ -322,16 +325,6 @@ class _Matcher:
 
     def holds(self, node: int, owner: int, requirement: tuple, partition: Partition) -> bool:
         return self.answer(self.question(node, owner, requirement, partition)) is not None
-
-    def witness(self, node: int, action: Action, vec: tuple, partition: Partition,
-                strict: bool = False):
-        """The hull weights, or the flow as {variable name: value}, of a
-        move of `node` that meets (action, vec); None when there is none."""
-        x = self.answer(self.question(node, None, (action, vec), partition, strict))
-        if x is None or self.mode == "strong":
-            return x
-        flows, _ = self._flows(node, _weak_label(action, strict))
-        return dict(zip(flows.names(partition.block_of), x.tolist()))
 
 
 def _weak_label(action: Action, strict: bool):
@@ -521,14 +514,15 @@ def _explain(matcher: _Matcher, left: int, right: int, partition: Partition,
     for owner, partner, side in ((left, right, "left"), (right, left, "right")):
         for requirement in _requirements(matcher, owner, partition):
             question = matcher.question(partner, owner, requirement, partition, strict)
-            if matcher.answer(question) is None:
+            answer = matcher.answer(question)
+            if answer is None:
                 return [], _failed_requirement(owner, partner, requirement, question[2])
             action, vec = requirement
             if action is None:
                 continue
             entry = {"from": side, "node": owner, "action": format_action(action),
                      "class_vector": list(vec)}
-            w = matcher.witness(partner, action, vec, partition, strict)
+            w = question[3](answer)
             if matcher.mode == "strong":
                 entry["weights"] = [round(x, 12) + 0.0 for x in w]
                 entry["partners"] = [[[n, p] for n, p in tg]

@@ -2,9 +2,10 @@
 
 Batch tool; every command reads its inputs, prints a report (add --json for
 the machine-readable form documented in docs/json_schemas.md), and exits 0 on
-success, 1 on a negative verdict, 2 on errors.  QCCS_TOL replaces the default
-verdict tolerance (lp.TOL) of `bisim` and `laws`; `bisim --tol` takes
-precedence over it.  `demo --tol` bounds the teleported-state error.
+success, 1 on a negative verdict, 2 on errors, a negative seed, count or
+bound among them, or `laws --qubits` below 1.  QCCS_TOL replaces the
+default verdict tolerance (lp.TOL) of `bisim` and `laws`; `bisim --tol`
+takes precedence over it.  `demo --tol` bounds the teleported-state error.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ def _tol_arg(value: float) -> float:
     if not 0 < value < math.inf:
         raise SystemExit2(f"--tol must be a finite number > 0, not {value!r}")
     return value
+
+
+# the least value of each integer option, as its argparse dest
+_LEAST = {"seed": 0, "samples": 0, "depth": 0, "qubits": 1,
+          "max_nodes": 0, "max_depth": 0, "max_steps": 0}
+
+
+def _check_least(args) -> None:
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            raise SystemExit2(f"--{dest.replace('_', '-')} must be an integer >= {least}, "
+                              f"not {value}")
 
 
 def _load(path: str):
@@ -371,6 +385,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        _check_least(args)
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

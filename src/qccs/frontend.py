@@ -243,10 +243,8 @@ class Parser:
 
     def decl_channel(self):
         self.next()
-        tok = self.expect("IDENT", "channel name")
-        name = self._declare_name(tok)
-        chan = Chan(name, quantum=False)
-        self.source.channels[name] = chan
+        name = self._declare_name(self.expect("IDENT", "channel name"))
+        self.source.channels[name] = Chan(name, quantum=False)
         if self.accept("IDENT", "in"):
             self.expect("{")
             values = []
@@ -258,8 +256,6 @@ class Parser:
                 if not self.accept(","):
                     break
             self.expect("}")
-            if not values:
-                raise ParseError("empty classical domain", tok.line, tok.col)
             self.source.domains[name] = tuple(values)
 
     def decl_qchannel(self):

@@ -220,7 +220,7 @@ class Configuration:
 class Distribution:
     """Finite-support probability distribution over configurations, merged
     by _merge with an index of its own: a configuration merges into the
-    first earlier one within ATOL."""
+    first earlier one within ATOL.  run_trace lifts each step into one."""
 
     __slots__ = ("_pairs",)
 
@@ -232,14 +232,12 @@ class Distribution:
     def items(self):
         return self._pairs
 
-    def __len__(self) -> int:
-        return len(self._pairs)
-
 
 def _merge(pairs, intern) -> dict:
     """{id: [configuration, weight]}: the weights of the configurations that
     `intern` maps to one id summed, under the first of them, in order of
-    first appearance.  Raises BadWeights unless every weight is positive and
+    first appearance; `intern` files into its caller's index (see _file and
+    Distribution).  Raises BadWeights unless every weight is positive and
     they sum to 1 within ATOL."""
     merged: dict = {}
     for config, p in pairs:
@@ -259,9 +257,20 @@ def _merge(pairs, intern) -> dict:
     return merged
 
 
-def _targets(merged: dict) -> tuple:
-    """A merged distribution as ((id, weight), ...) in ascending id order."""
-    return tuple(sorted((j, p) for j, (_, p) in merged.items()))
+def _file(moves, intern, edges) -> list:
+    """The merge rule and the edge rule, applied to (action, pairs) moves in
+    order.  Each move is merged by _merge under `intern` and its targets
+    sorted by id; it is appended to `edges` as (action, ((id, weight), ...))
+    unless _seen finds it there.  Returns each move kept, as (action,
+    ((configuration, weight), ...)) in order of first appearance."""
+    kept = []
+    for action, pairs in moves:
+        merged = _merge(pairs, intern)
+        targets = tuple(sorted((j, p) for j, (_, p) in merged.items()))
+        if not _seen(edges, action, targets):
+            edges.append((action, targets))
+            kept.append((action, tuple((c, p) for c, p in merged.values())))
+    return kept
 
 
 def _seen(kept, action, targets) -> bool:
@@ -485,22 +494,13 @@ def transitions(
     policy: InputPolicy | None = None,
     fresh=numbered_fresh,
 ) -> list:
-    """All one-step transitions of a configuration as (action, distribution)
-    pairs, with input prefixes enumerated per the policy.
-
-    Each distribution is merged on its own (see Distribution).  A move is
-    dropped when an earlier kept one has the same action and, with every
-    target filed in one index for the call, the same target ids with each
-    weight within ATOL: the edge rule of build_lts."""
+    """All one-step transitions of a configuration as (action,
+    ((Configuration, p), ...)) pairs, with input prefixes enumerated per the
+    policy, under the merge and edge rules of build_lts (see _file), with
+    every target filed once, in one index for the call."""
     index = ContextIndex()
-    kept, result = [], []
-    for action, pairs in _moves(config, policy, fresh):
-        dist = Distribution(pairs)
-        targets = _targets(_merge(dist.items(), lambda c: index.file(c.key, c.context)[0]))
-        if not _seen(kept, action, targets):
-            kept.append((action, targets))
-            result.append((action, dist))
-    return result
+    return _file(_moves(config, policy, fresh),
+                 lambda c: index.file(c.key, c.context)[0], [])
 
 
 def blocked_actions(config: Configuration) -> list:
@@ -596,9 +596,9 @@ def build_lts(
     paths merge.  Each derived target is filed once, and a move's weights
     are summed per node id.  The edge rule: a move is dropped when an
     earlier edge of its node has the same action and the same target ids
-    with each weight within ATOL.  Deterministic for a fixed policy and
-    bounds.  Raises BoundExceeded at max_nodes nodes or when a node at
-    max_depth can move.
+    with each weight within ATOL.  _file applies both rules, here and in
+    transitions.  Deterministic for a fixed policy and bounds.  Raises
+    BoundExceeded at max_nodes nodes or when a node at max_depth can move.
     """
     if isinstance(roots, Configuration):
         roots = [roots]
@@ -631,10 +631,7 @@ def build_lts(
         moves = _moves(nodes[i], policy, numbered_fresh)
         if moves and depth >= max_depth:
             raise BoundExceeded("max_depth", max_depth, len(nodes), depth, len(queue))
-        for action, pairs in moves:
-            targets = _targets(_merge(pairs, lambda c: intern(c, depth, depth + 1)))
-            if not _seen(edges[i], action, targets):
-                edges[i].append((action, targets))
+        _file(moves, lambda c: intern(c, depth, depth + 1), edges[i])
 
     return Lts(nodes, edges, tuple(initial))
 
@@ -722,8 +719,7 @@ def run_trace(
 
         if sample:
             trs = per_point[0]
-            action, dist = trs[choose(len(trs), rng)]
-            pairs = dist.items()
+            action, pairs = trs[choose(len(trs), rng)]
             probs = np.array([p for _, p in pairs])
             pick = int(rng.choice(len(pairs), p=probs / probs.sum()))
             steps.append(TraceStep(action, list(pairs), sampled=pick))
@@ -737,7 +733,7 @@ def run_trace(
         for (c, p), trs in zip(current, per_point):
             options = [dist for a, dist in trs if a == action]
             dist = options[choose(len(options), rng) if len(options) > 1 else 0]
-            for c2, q in dist.items():
+            for c2, q in dist:
                 pairs.append((c2, p * q))
         nu = Distribution(pairs)
         steps.append(TraceStep(action, list(nu.items())))

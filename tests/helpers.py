@@ -389,6 +389,19 @@ def oracle_strong_bisimilar(slts: SyntheticLts, left: int, right: int) -> bool:
     return False
 
 
+# -- reading a matcher's answers --
+
+
+def matcher_witness(matcher, node, action, vec, partition, strict=False):
+    """The hull weights, or the flow as {variable name: value}, of a move of
+    `node` that meets (action, vec) over `partition`, read as
+    bisim._explain reads them: the question's answer, named by the
+    question; None when there is none."""
+    question = matcher.question(node, None, (action, tuple(vec)), partition, strict)
+    answer = matcher.answer(question)
+    return None if answer is None else question[3](answer)
+
+
 # -- the restart scan that refinement used before its worklist --
 
 

@@ -14,13 +14,14 @@ from qccs.frontend import elaborate, parse
 from qccs.linalg import GATE_I, GATE_X, KET0, KET1, KET_PLUS, KET_MINUS, OBS_M01, dm
 from qccs.lts import TAU, Configuration, QOut, Tau, build_lts, format_action
 from qccs.syntax import (
-    Chan, Cmp, Const, COutput, If, Measure, Nil, QOutput, Restrict, Sum,
-    Unitary, Var,
+    Chan, Cmp, Const, COutput, If, Measure, Nil, Parallel, QOutput, Restrict,
+    Sum, Unitary, Var,
 )
 
 from helpers import (
     CORPUS, OBS_MPM, BisimOracle, SyntheticLts, corpus_configs, exact_class_vector,
-    exact_hull_member, node_of, oracle_strong_bisimilar, random_synthetic_lts, restart_scan,
+    exact_hull_member, matcher_witness, node_of, oracle_strong_bisimilar, random_synthetic_lts,
+    restart_scan,
 )
 from test_system import corrupted_teleport
 
@@ -42,8 +43,8 @@ def pair_lts(t1, ctx1, t2, ctx2):
 def weak_move(graph, source, action, target, partition, strict=False):
     """The flow of a weak move of `source` by `action` with the class vector
     `target` over `partition`, strict for tau when `strict`, or None."""
-    return bisim._Matcher(graph, "weak", lp.TOL).witness(source, action, tuple(target),
-                                                         partition, strict)
+    return matcher_witness(bisim._Matcher(graph, "weak", lp.TOL), source, action, target,
+                           partition, strict)
 
 
 class TestStrongExamples:
@@ -653,7 +654,7 @@ class TestMemoizedRefinement:
             verdict = holds(matcher, node, owner, requirement, partition)
             action, vec = requirement
             if action is not None:
-                witness = matcher.witness(node, action, vec, partition)
+                witness = matcher_witness(matcher, node, action, vec, partition)
                 assert (witness is not None) == verdict, (matcher.mode, node, action, vec)
                 asked[matcher.mode] += 1
             return verdict
@@ -778,9 +779,9 @@ class TestMemoizedRefinement:
         graph, partition, vec = self.near_tie_system(Fraction(2, 10**7))
         for mode in ("strong", "weak"):
             matcher = bisim._Matcher(graph, mode, lp.TOL)
-            assert matcher.witness(1, "a", vec, partition) is None
+            assert matcher_witness(matcher, 1, "a", vec, partition) is None
             assert not matcher.holds(1, 0, ("a", vec), partition)
-            assert matcher.witness(1, "a", vec, partition) is None
+            assert matcher_witness(matcher, 1, "a", vec, partition) is None
             assert len(matcher.near_ties) == 1, mode
 
     def test_near_ties_split_as_the_restart_scan_did(self):
@@ -818,6 +819,32 @@ class TestMemoizedRefinement:
         monkeypatch.setattr(bisim._Matcher, "question", counting)
         assert not weak_bisim(graph, *graph.initial).equivalent
         assert len(built) < 1500, len(built)
+
+    def test_explain_builds_each_question_once(self, monkeypatch):
+        # teleportation against its parallel components reordered is
+        # equivalent in every mode; _explain names the answer it has read,
+        # so each requirement of the pair builds one question
+        teleport = build_teleport(0.6, 0.8)
+        inner = teleport.process.body
+        epr, alice, bob = inner.left.left, inner.left.right, inner.right
+        reordered = Configuration(Restrict(Parallel(bob, Parallel(alice, epr)),
+                                           teleport.process.chans), teleport.context)
+        graph = build_lts([teleport, reordered])
+        left, right = graph.initial
+        question = bisim._Matcher.question
+        for mode, strict in (("strong", False), ("weak", False), ("weak", True)):
+            matcher = bisim._Matcher(graph, mode, lp.TOL)
+            partition = bisim._refine(matcher, bisim._initial_strong(graph) if mode == "strong"
+                                      else Partition([0] * graph.node_count))
+            asked = sum(len(list(bisim._requirements(matcher, owner, partition)))
+                        for owner in (left, right))
+            built = []
+            with monkeypatch.context() as patch:
+                patch.setattr(bisim._Matcher, "question",
+                              lambda m, *args: built.append(None) or question(m, *args))
+                witness, counter = bisim._explain(matcher, left, right, partition, strict)
+            assert counter is None and len(witness) == asked > 0, (mode, strict)
+            assert len(built) == asked, (mode, strict, len(built), asked)
 
     def test_one_split_call_per_new_block(self, monkeypatch):
         # the tracer's bisim.splits counts Partition.split calls, so each

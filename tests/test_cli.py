@@ -391,6 +391,36 @@ class TestTolerance:
         assert code == 1 and "caught 10 of 10 mutated instances" in out
 
 
+class TestIntegerOptions:
+    # a negative seed made NumPy raise, and a negative count or bound, or no
+    # qubits, was taken as given; each now fails like a bad --tol
+    @pytest.mark.parametrize("argv, error", [
+        (("run", CHOICE, "--config", "Left", "--seed", "-1"),
+         "--seed must be an integer >= 0, not -1"),
+        (("run", CHOICE, "--config", "Left", "--max-steps", "-3"),
+         "--max-steps must be an integer >= 0, not -3"),
+        (("lts", CHOICE, "--config", "Left", "--max-nodes", "-1"),
+         "--max-nodes must be an integer >= 0, not -1"),
+        (("lts", CHOICE, "--config", "Left", "--max-depth", "-1"),
+         "--max-depth must be an integer >= 0, not -1"),
+        (("laws", "--seed", "-1"), "--seed must be an integer >= 0, not -1"),
+        (("laws", "--samples", "-1"), "--samples must be an integer >= 0, not -1"),
+        (("laws", "--depth", "-1"), "--depth must be an integer >= 0, not -1"),
+        (("laws", "--qubits", "0"), "--qubits must be an integer >= 1, not 0"),
+    ])
+    def test_out_of_range_exit_2(self, argv, error, capsys):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+    def test_least_values_pass(self):
+        code, out = run_cli("run", CHOICE, "--config", "Left", "--seed", "0",
+                            "--max-steps", "0", "--json")
+        assert code == 0 and json.loads(out)["status"] == "maxed"
+        code, out = run_cli("laws", "--samples", "0", "--seed", "0", "--qubits", "1")
+        assert code == 0 and out.startswith("laws: 0 instance(s) over 0 samples, seed 0")
+
+
 class TestEnvironment:
     def test_qcc_tol_env(self, monkeypatch):
         monkeypatch.setenv("QCCS_TOL", "1e-6")

@@ -236,6 +236,12 @@ class TestElaborate:
         assert elab.policy.domain(Chan("c", False)) == (0.0, 1.0)
         assert elab.policy.domain(Chan("d", False)) == (0.0, 1.0, 2.0, 3.0)
 
+    def test_empty_channel_domain_rejected(self):
+        # a domain's first value is read before any comma or brace
+        with pytest.raises(ParseError) as err:
+            parse("channel c in {}")
+        assert str(err.value) == "1:15: found '}' (expected a number)"
+
     def test_check_directive_unknown_config(self):
         sf = parse("channel c\nconfig K = < nil >\ncheck strong K Missing")
         with pytest.raises(ElaborationError):

@@ -47,7 +47,7 @@ class TestClassicalRules:
         assert actions_of(trs) == ["c?0", "c?1", "c?2", "c?3"]
         # the bound variable is instantiated in the target
         for a, dist in trs:
-            (target, _), = dist.items()
+            (target, _), = dist
             assert target.process == COutput(C, Const(a.value), Nil())
 
     def test_cinp_custom_domain(self):
@@ -70,7 +70,7 @@ class TestClassicalRules:
         labels = actions_of(trs)
         assert "tau" in labels and "c!1" in labels and "c?0" in labels
         tau_targets = [dist for a, dist in trs if a == TAU]
-        (target, _), = tau_targets[0].items()
+        (target, _), = tau_targets[0]
         assert target.process == Parallel(Nil(), COutput(D, Const(1.0), Nil()))
 
     def test_ccom_value_outside_policy_domain(self):
@@ -81,7 +81,7 @@ class TestClassicalRules:
             frozenset({C}))
         trs = transitions(cfg(term))
         assert actions_of(trs) == ["tau"]
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         restricted = target.process
         assert restricted.body.right == COutput(D, Const(7.0), Nil())
 
@@ -100,25 +100,25 @@ class TestQuantumRules:
     def test_qnew_allocates_in_ket0(self):
         trs = transitions(cfg(QbitNew("q", Unitary(GATE_H, ("q",), Nil()))))
         assert actions_of(trs) == ["tau"]
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert target.context.vars == ("#0",)
         np.testing.assert_allclose(target.context.rho, dm(KET0), atol=1e-12)
         assert target.process == Unitary(GATE_H, ("#0",), Nil())
 
     def test_qnew_prepends_to_existing(self):
         trs = transitions(cfg(QbitNew("r", Nil()), ("q",), dm(KET1)))
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert target.context.vars == ("#0", "q")
         np.testing.assert_allclose(target.context.rho, tensor(dm(KET0), dm(KET1)), atol=1e-12)
 
     def test_qnew_hint_fresh_keeps_binder_name(self):
         trs = transitions(cfg(QbitNew("r", Nil()), ("q",), dm(KET1)), fresh=hint_fresh)
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert target.context.vars == ("r", "q")
 
     def test_qnew_hint_collision_falls_back(self):
         trs = transitions(cfg(QbitNew("q", Nil()), ("q",), dm(KET1)), fresh=hint_fresh)
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert target.context.vars == ("#0", "q")
 
     def test_qinp_in_context_enumerates_eligible(self):
@@ -129,7 +129,7 @@ class TestQuantumRules:
         in_context = [a for a, _ in trs if isinstance(a, QIn) and a.qvar in ("r", "s")]
         assert [a.qvar for a in in_context] == ["r"]  # s is excluded
         rule2 = [dist for a, dist in trs if isinstance(a, QIn) and a.qvar == "r"]
-        (target, _), = rule2[0].items()
+        (target, _), = rule2[0]
         assert target.context.vars == ("r", "s")  # context unchanged
 
     def test_qinp_fresh_extension_recipes(self):
@@ -138,7 +138,7 @@ class TestQuantumRules:
         fresh = [(a, dist) for a, dist in trs if isinstance(a, QIn) and a.qvar == "#0"]
         assert len(fresh) == 3  # |0><0|, |1><1|, |+><+| product extensions
         for _, dist in fresh:
-            (target, _), = dist.items()
+            (target, _), = dist
             assert target.context.vars == ("#0", "s")
             # tracing out the new qubit recovers the old state
             np.testing.assert_allclose(target.context.reduced(["s"]), rho, atol=1e-9)
@@ -150,7 +150,7 @@ class TestQuantumRules:
     def test_qoutp_keeps_context(self):
         trs = transitions(cfg(QOutput(QC, "q", Nil()), ("q",), dm(KET_PLUS)))
         assert actions_of(trs) == ["qc!q"]
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert target.context.vars == ("q",)
         np.testing.assert_allclose(target.context.rho, dm(KET_PLUS), atol=1e-12)
 
@@ -162,7 +162,7 @@ class TestQuantumRules:
     def test_unit_conjugates_state(self):
         trs = transitions(cfg(Unitary(GATE_H, ("q",), Nil()), ("q",), dm(KET0)))
         assert actions_of(trs) == ["tau"]
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         np.testing.assert_allclose(target.context.rho, dm(KET_PLUS), atol=1e-12)
 
     def test_meas_probabilities_match_projected_traces(self):
@@ -174,7 +174,7 @@ class TestQuantumRules:
         trs = transitions(cfg(term, ("a", "b"), state))
         assert len(trs) == 1 and trs[0][0] == TAU
         dist = trs[0][1]
-        for target, p in dist.items():
+        for target, p in dist:
             out_value = target.process.expr.value
             proj = [m for e, m in OBS_M01.outcomes if e == out_value][0]
             lifted = lift_oracle(proj, [1], 2)
@@ -191,7 +191,7 @@ class TestQuantumRules:
         config = cfg(Restrict(term, frozenset({QC})), ("r", "s"), state)
         trs = transitions(config)
         assert actions_of(trs) == ["tau"]
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert context_equal(target.context, config.context)
         assert target.process.body.right == QOutput(QD, "r", Nil())
 
@@ -223,7 +223,7 @@ class TestQuantumRules:
         trs = transitions(cfg(term, ("q",), dm(KET_PLUS)))
         tau_dists = [dist for a, dist in trs if a == TAU]
         assert len(tau_dists) == 1 and len(tau_dists[0]) == 2
-        for target, _ in tau_dists[0].items():
+        for target, _ in tau_dists[0]:
             assert isinstance(target.process, Parallel)
             assert target.process.right == COutput(C, Const(0.0), Nil())
 
@@ -248,7 +248,7 @@ class TestStructuralRules:
         term = Relabel(COutput(C, Const(0.0), Nil()), f)
         trs = transitions(cfg(term))
         assert actions_of(trs) == ["d!0"]
-        (target, _), = trs[0][1].items()
+        (target, _), = trs[0][1]
         assert target.process == Relabel(Nil(), f)
 
     def test_rel_keeps_tau(self):
@@ -350,7 +350,7 @@ class TestDistributionAlgebra:
         a1 = cfg(Nil(), ("q",), dm(KET0))
         a2 = cfg(Nil(), ("q",), dm(KET0))
         d = Distribution([(a1, 0.5), (a2, 0.5)])
-        assert len(d) == 1
+        assert len(d.items()) == 1
 
     def test_distribution_rejects_unnormalised(self):
         with pytest.raises(BadWeights):
@@ -382,14 +382,15 @@ def reference_intern(configs) -> list:
 
 
 def reference_approx_equal(d1, d2) -> bool:
-    """Whether two distributions are equal, by a scan of every pair: each
-    configuration of d1, in order, pairs with the first unpaired one of d2
-    with the same key, a context within ATOL and a weight within ATOL."""
+    """Whether two distributions, as (configuration, weight) pairs, are
+    equal, by a scan of every pair: each configuration of d1, in order,
+    pairs with the first unpaired one of d2 with the same key, a context
+    within ATOL and a weight within ATOL."""
     if len(d1) != len(d2):
         return False
     used = set()
-    for c, p in d1.items():
-        for j, (d, q) in enumerate(d2.items()):
+    for c, p in d1:
+        for j, (d, q) in enumerate(d2):
             if (j not in used and abs(p - q) <= linalg.ATOL and c.key == d.key
                     and context_equal(c.context, d.context)):
                 used.add(j)
@@ -425,7 +426,8 @@ class TestStateIndex:
         assert index.file("k", far) == (SCAN_LIMIT, False)
         # the same through Distribution and exploration
         configs = [Configuration(Nil(), c) for c in (*fillers, near, far)]
-        assert len(Distribution([(c, 1 / len(configs)) for c in configs])) == SCAN_LIMIT + 1
+        merged = Distribution([(c, 1 / len(configs)) for c in configs]).items()
+        assert len(merged) == SCAN_LIMIT + 1
         assert build_lts(configs).initial == (*range(SCAN_LIMIT + 1), SCAN_LIMIT)
 
     @pytest.mark.parametrize("fill", [0, SCAN_LIMIT])
@@ -557,8 +559,7 @@ class TestStateIndex:
             np.testing.assert_allclose([p for _, p in merged], list(expected.values()))
             # a reordering merges into an equal distribution
             assert reference_approx_equal(
-                Distribution(list(zip(configs, weights))),
-                Distribution(list(zip(configs[::-1], weights[::-1]))))
+                merged, Distribution(list(zip(configs[::-1], weights[::-1]))).items())
 
     def test_exploration_independent_of_root_order(self):
         from qccs.demo import build_teleport
@@ -590,7 +591,7 @@ class TestEdgesAgreeWithTransitions:
             out = []
             for a, dist in moves:
                 weights: dict = {}
-                for c, p in dist.items():
+                for c, p in dist:
                     j = node_of(graph, c)
                     weights[j] = weights.get(j, 0.0) + p
                 out.append((a, sorted(weights.items())))
@@ -611,7 +612,7 @@ class TestEdgesAgreeWithTransitions:
             graph = build_lts([Configuration(t, ctx) for t in (Sum(e, e), Sum(e, f))],
                               SUITE_POLICY)
             for i, node in enumerate(graph.nodes):
-                moves = [(a, Distribution(pairs))
+                moves = [(a, Distribution(pairs).items())
                          for a, pairs in _moves(node, SUITE_POLICY, numbered_fresh)]
                 want = mapped(graph, reference_dedup(moves))
                 assert same_edges(graph.edges[i], want), (str(node), graph.edges[i], want)
@@ -619,6 +620,22 @@ class TestEdgesAgreeWithTransitions:
                 dropped += len(moves) - len(want)
                 inputs += any(isinstance(a, (CIn, QIn)) for a, _ in moves)
         assert dropped > 100 and inputs > 100, (dropped, inputs)
+
+    def test_transitions_files_each_target_once(self, monkeypatch):
+        # two equal measurement moves of |+>, two targets each: one call
+        # files each derived target once, in its own index, and drops the
+        # second move by the edge rule
+        measure = Measure(OBS_M01, ("q",), "x", COutput(C, Var("x"), Nil()))
+        config = cfg(Sum(measure, measure), ("q",), dm(KET_PLUS))
+        derived = sum(len(pairs) for _, pairs in _moves(config, None, numbered_fresh))
+        filed = []
+        file = ContextIndex.file
+        monkeypatch.setattr(ContextIndex, "file",
+                            lambda self, key, ctx: filed.append(key) or file(self, key, ctx))
+        trs = transitions(config)
+        assert derived == 4 and len(filed) == derived
+        (action, pairs), = trs
+        assert action == TAU and np.allclose([p for _, p in pairs], [0.5, 0.5])
 
 
 class TestExploration:
@@ -1048,9 +1065,9 @@ class TestRuleSoundness:
             v /= np.linalg.norm(v)
             config = Configuration(term, make_context(("q0", "q1"), dm(v)))
             for action, dist in transitions(config, OPEN):
-                total = sum(p for _, p in dist.items())
+                total = sum(p for _, p in dist)
                 assert abs(total - 1.0) < 1e-9
-                for target, p in dist.items():
+                for target, p in dist:
                     assert 0 < p <= 1 + 1e-9
                     assert qv(target.process) <= set(target.context.vars)
 
@@ -1144,7 +1161,7 @@ def _direct_interp(config, policy):
     term, ctx = config.process, config.context
 
     def pack(steps):
-        return [(a, Distribution([(Configuration(t, c), p) for t, c, p in tg]))
+        return [(a, Distribution([(Configuration(t, c), p) for t, c, p in tg]).items())
                 for a, tg in steps]
 
     base = _prefix_step(term, ctx, policy)
