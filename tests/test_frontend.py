@@ -111,6 +111,69 @@ class TestParse:
             parse("channel c\nqchannel c")
 
 
+# one malformed source per place the parser raises, with the whole message
+PARSE_ERRORS = [
+    ("channel c @", "1:11: unexpected character '@'"),
+    ("gate G H", "1:8: found 'H' (expected =)"),
+    ("+", "1:1: found '+' (expected a declaration keyword)"),
+    ("foo", "1:1: found 'foo' (expected gate/measure/channel/qchannel/process/config/check)"),
+    ("channel nil", "1:9: 'nil' is a keyword"),
+    ("channel c\nchannel c", "2:9: 'c' is already declared"),
+    ("gate H = X", "1:6: 'H' is already declared"),
+    ("measure M = { i: |0><0| }", "1:15: eigenvalues must be real"),
+    ("channel c in {i}", "1:16: classical domains hold real values"),
+    ("config K = < nil ; q = |00> >",
+     "1:24: state has dimension 4, expected 2 for 1 qubit(s)"),
+    ("check foo A B", "1:7: unknown check mode 'foo' (expected strong|weak|eq)"),
+    ("channel c\nqchannel qc\nprocess P = nil[{c->qc}]",
+     "3:23: relabeling c -> qc crosses channel kinds"),
+    ("process P = e!0.nil", "1:13: unknown channel 'e'"),
+    ("process P = if 0 = 0 else nil", "1:22: found 'else' (expected then)"),
+    ("process P = .", "1:13: found '.' (expected a process term)"),
+    ("process P = Q", "1:13: unknown process 'Q'"),
+    ("process P = M[q; x].nil", "1:13: unknown measurement 'M'"),
+    ("measure M = { 0: |0><0|, 1: |1><1| }\nprocess P = M[q].nil",
+     "2:13: 'M' is a measurement; write M[...; x]"),
+    ("process P = G[q].nil", "1:13: unknown gate 'G'"),
+    ("channel c\nprocess P = c!nil.nil", "2:15: found keyword 'nil' (expected a value)"),
+    ("channel c\nprocess P = c!..nil", "2:15: found '.' (expected a value expression)"),
+    ("process P = if x then nil", "1:18: found 'then' (expected a comparison (=, <, <=))"),
+    ("gate G = Foo", "1:10: unknown matrix constant 'Foo'"),
+    ("gate G = ;", "1:10: found ';' (expected a matrix, ket, or named gate)"),
+    ("gate G = [[1, 0], [1]]", "1:22: ragged matrix literal"),
+    ("config K = < nil ; q = |0", "1:26: unterminated ket"),
+    ("config K = < nil ; q = |2> >",
+     "1:28: bad basis label '2' (expected a string over 0, 1, +, -)"),
+    ("measure M = { 0: |0><00| }", "1:26: ket and bra have different lengths"),
+    ("gate G = 2 * ;", "1:14: found ';' (expected a number)"),
+    ("gate G = |0> + [[1]]", "1:21: cannot add a ket and a matrix"),
+    ("config K = < nil ; q = |0> + |00> >", "1:35: cannot add kets of different sizes"),
+    ("gate G = [[1]] + [[1, 0], [0, 1]]", "1:34: cannot add matrices of different shapes"),
+    ("gate G = |0>", "1:10: expected a matrix, found a ket"),
+    ("#qccs 2\n", "1:1: unsupported format header '#qccs 2' (expected #qccs 1)"),
+    # a comment advances no column: the end of input stays where it began
+    ("process P = # x", "1:13: found '' (expected a process term)"),
+    ("channel c\nprocess P = c!0. # end", "2:18: found '' (expected a process term)"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS)
+    def test_message(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_every_corpus_prefix_parses_or_raises_parse_error(self):
+        for path in sorted(Path("corpus").glob("*.qccs")):
+            text = path.read_text(encoding="utf-8")
+            for end in range(len(text) + 1):
+                try:
+                    parse(text[:end])
+                except ParseError:
+                    pass
+
+
 class TestStateExpressions:
     def test_ket_sugar(self):
         sf = parse("channel c\nconfig K = < nil ; q = |+> >")
