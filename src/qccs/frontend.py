@@ -5,10 +5,17 @@ processes and configurations.  Later definitions may reference earlier ones;
 references are expanded inline, so recursion cannot be expressed.  The
 grammar is ASCII-first ('(x)' for the tensor sign, '\\' for restriction);
 the file may start with a '#qccs 1' header line and '#' starts a comment.
+One pattern splits the text into tokens (`tokenize`), and the parser reads
+each shape of the grammar with one method: `Parser.infix` for
+left-associative operator chains, `Parser.listed` and `Parser.braced` for
+comma-separated lists.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -51,11 +58,19 @@ class ElaborationError(Exception):
 
 # -- tokenizer --
 
+# longest first, so that '->' is read before '-'
 _SYMBOLS = ["->", "<=", "||", "&&", "\\", "(", ")", "[", "]", "{", "}",
             "<", ">", "|", ";", ":", ",", ".", "?", "!", "+", "-", "*", "/", "=",
             "⊗"]
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN = re.compile("|".join([
+    r"(?P<blank>[ \t\r]+)",
+    r"(?P<comment>#[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)",
+    "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<error>.)",
+]))
 
 
 @dataclass
@@ -67,45 +82,29 @@ class Token:
 
 
 def tokenize(text: str) -> list:
+    """Split text into tokens, ending with an EOF token.
+
+    One pattern reads the text from left to right.  Its alternatives, in
+    order: blanks, a '#' comment to the end of the line, a newline, a
+    NUMBER, an IDENT, a symbol (longest first), and any other character,
+    which is an error.  A NUMBER whose value is not a finite float is an
+    error too.  A comment advances no column, so an EOF after a final
+    comment keeps the column where the comment began.
+    """
     tokens = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind == "error":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        elif kind == "NUMBER" and not math.isfinite(float(lexeme)):
+            raise ParseError("number out of range", line, col)
+        elif kind != "comment":
+            if kind != "blank":
+                tokens.append(Token(lexeme if kind == "symbol" else kind, lexeme, line, col))
+            col += len(lexeme)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
@@ -115,27 +114,20 @@ def tokenize(text: str) -> list:
 
 @dataclass
 class ConfigDecl:
-    name: str
     process: ProcessExpr
     vars: tuple
     state: np.ndarray | None  # None for the empty context
-    line: int
-    col: int
 
 
 @dataclass
 class SourceFile:
-    gates: dict = field(default_factory=dict)
+    gates: dict = field(default_factory=lambda: dict(linalg.BUILTIN_GATES))
     observables: dict = field(default_factory=dict)
     channels: dict = field(default_factory=dict)  # name -> Chan
     domains: dict = field(default_factory=dict)   # name -> tuple of values
     processes: dict = field(default_factory=dict)
     configs: dict = field(default_factory=dict)   # name -> ConfigDecl
     checks: list = field(default_factory=list)    # (mode, left, right)
-
-    def __post_init__(self):
-        if not self.gates:
-            self.gates = dict(linalg.BUILTIN_GATES)
 
 
 _KEYWORDS = {"nil", "qbit", "if", "then", "gate", "measure", "channel",
@@ -164,9 +156,7 @@ class Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: str | None = None):
-        if self.at(kind, text):
-            return self.next()
-        return None
+        return self.next() if self.at(kind, text) else None
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
@@ -179,25 +169,60 @@ class Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col, expected=expected)
 
+    # the shapes of the grammar: operator chains and comma lists
+
+    def infix(self, operand, ops: tuple, build):
+        """Read `operand (op operand)*`, where each op is a token kind in
+        ops, and fold it to the left: build(op token, left, right) makes
+        each node."""
+        left = operand()
+        while self.peek().kind in ops:
+            op = self.next()
+            left = build(op, left, operand())
+        return left
+
+    def listed(self, item) -> list:
+        """Read one or more items separated by commas."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def braced(self, item) -> list:
+        """Read zero or more items separated by commas in braces; a comma
+        may follow the last item."""
+        self.expect("{")
+        items = []
+        while not self.at("}"):
+            items.append(item())
+            if not self.accept(","):
+                break
+        self.expect("}")
+        return items
+
+    def qvar(self) -> str:
+        return self.expect("IDENT", "quantum variable").text
+
     # declarations
 
     def parse_file(self) -> SourceFile:
+        declarations = {
+            "gate": self.decl_gate,
+            "measure": self.decl_measure,
+            "channel": self.decl_channel,
+            "qchannel": self.decl_qchannel,
+            "process": self.decl_process,
+            "config": self.decl_config,
+            "check": self.decl_check,
+        }
         while not self.at("EOF"):
             tok = self.peek()
             if tok.kind != "IDENT":
                 self.fail(f"found {tok.text!r}", "a declaration keyword")
-            handler = {
-                "gate": self.decl_gate,
-                "measure": self.decl_measure,
-                "channel": self.decl_channel,
-                "qchannel": self.decl_qchannel,
-                "process": self.decl_process,
-                "config": self.decl_config,
-                "check": self.decl_check,
-            }.get(tok.text)
-            if handler is None:
-                self.fail(f"found {tok.text!r}", "gate/measure/channel/qchannel/process/config/check")
-            handler()
+            if tok.text not in declarations:
+                self.fail(f"found {tok.text!r}", "/".join(declarations))
+            self.next()
+            declarations[tok.text]()
         return self.source
 
     def _declare_name(self, tok: Token) -> str:
@@ -205,101 +230,79 @@ class Parser:
         if name in _KEYWORDS:
             raise ParseError(f"{name!r} is a keyword", tok.line, tok.col)
         sf = self.source
-        taken = (name in sf.observables or name in sf.channels
-                 or name in sf.processes or name in sf.configs
-                 or (name in sf.gates and name not in linalg.BUILTIN_GATES))
-        if taken or name in linalg.BUILTIN_GATES:
+        if any(name in table for table in (sf.gates, sf.observables, sf.channels,
+                                           sf.processes, sf.configs)):
             raise ParseError(f"{name!r} is already declared", tok.line, tok.col)
         return name
 
     def decl_gate(self):
-        self.next()
         name = self._declare_name(self.expect("IDENT", "gate name"))
         self.expect("=")
         tok = self.peek()
-        value = self.state_expr()
-        m = _as_matrix(value, tok)
-        self.source.gates[name] = Gate(name, m)
+        self.source.gates[name] = Gate(name, _as_matrix(self.state_expr(), tok))
 
     def decl_measure(self):
-        self.next()
         name = self._declare_name(self.expect("IDENT", "measurement name"))
         self.expect("=")
         self.expect("{")
-        outcomes = []
-        while True:
-            ev_tok = self.peek()
-            ev = self.scalar_expr()
-            if abs(ev.imag) > 1e-12:
-                raise ParseError("eigenvalues must be real", ev_tok.line, ev_tok.col)
-            self.expect(":")
-            ptok = self.peek()
-            proj = _as_matrix(self.state_expr(), ptok)
-            outcomes.append((float(ev.real), proj))
-            if not self.accept(","):
-                break
+        outcomes = self.listed(self.outcome)
         self.expect("}")
         self.source.observables[name] = Observable(name, tuple(outcomes))
 
+    def outcome(self) -> tuple:
+        ev_tok = self.peek()
+        ev = self.scalar_expr()
+        if abs(ev.imag) > 1e-12:
+            raise ParseError("eigenvalues must be real", ev_tok.line, ev_tok.col)
+        self.expect(":")
+        ptok = self.peek()
+        return float(ev.real), _as_matrix(self.state_expr(), ptok)
+
     def decl_channel(self):
-        self.next()
         name = self._declare_name(self.expect("IDENT", "channel name"))
         self.source.channels[name] = Chan(name, quantum=False)
         if self.accept("IDENT", "in"):
             self.expect("{")
-            values = []
-            while True:
-                v = self.scalar_expr()
-                if abs(v.imag) > 1e-12:
-                    self.fail("classical domains hold real values")
-                values.append(float(v.real))
-                if not self.accept(","):
-                    break
+            self.source.domains[name] = tuple(self.listed(self.domain_value))
             self.expect("}")
-            self.source.domains[name] = tuple(values)
+
+    def domain_value(self) -> float:
+        v = self.scalar_expr()
+        if abs(v.imag) > 1e-12:
+            self.fail("classical domains hold real values")
+        return float(v.real)
 
     def decl_qchannel(self):
-        self.next()
         name = self._declare_name(self.expect("IDENT", "channel name"))
         self.source.channels[name] = Chan(name, quantum=True)
 
     def decl_process(self):
-        self.next()
         name = self._declare_name(self.expect("IDENT", "process name"))
         self.expect("=")
         self.source.processes[name] = self.process_expr()
 
     def decl_config(self):
-        self.next()
-        tok = self.expect("IDENT", "configuration name")
-        name = self._declare_name(tok)
+        name = self._declare_name(self.expect("IDENT", "configuration name"))
         self.expect("=")
         self.expect("<")
         proc = self.process_expr()
         vars_, state = (), None
-        if self.accept(";"):
-            if not self.at(">"):
-                names = [self.expect("IDENT", "quantum variable").text]
-                while self.accept(","):
-                    names.append(self.expect("IDENT", "quantum variable").text)
-                self.expect("=")
-                stok = self.peek()
-                value = self.state_expr()
-                if isinstance(value, _Ket):
-                    state = linalg.dm(value.vec)
-                else:
-                    state = value
-                vars_ = tuple(names)
-                dim = 2 ** len(vars_)
-                if state.shape != (dim, dim):
-                    raise ParseError(
-                        f"state has dimension {state.shape[0]}, expected {dim} "
-                        f"for {len(vars_)} qubit(s)", stok.line, stok.col)
+        if self.accept(";") and not self.at(">"):
+            vars_ = tuple(self.listed(self.qvar))
+            self.expect("=")
+            stok = self.peek()
+            state = self.state_expr()
+            if isinstance(state, _Ket):
+                state = linalg.dm(state.vec)
+            dim = 2 ** len(vars_)
+            if state.shape != (dim, dim):
+                raise ParseError(
+                    f"state has dimension {state.shape[0]}, expected {dim} "
+                    f"for {len(vars_)} qubit(s)", stok.line, stok.col)
         self.expect(">")
-        self.source.configs[name] = ConfigDecl(name, proc, vars_, state, tok.line, tok.col)
+        self.source.configs[name] = ConfigDecl(proc, vars_, state)
 
     def decl_check(self):
-        self.next()
         mode_tok = self.expect("IDENT", "strong|weak|eq")
         if mode_tok.text not in ("strong", "weak", "eq"):
             raise ParseError(f"unknown check mode {mode_tok.text!r}",
@@ -311,48 +314,31 @@ class Parser:
     # process grammar: sum > parallel > postfix (restrict/relabel) > prefix
 
     def process_expr(self) -> ProcessExpr:
-        left = self.par_expr()
-        while self.accept("+"):
-            left = Sum(left, self.par_expr())
-        return left
+        return self.infix(self.par_expr, ("+",), lambda _, a, b: Sum(a, b))
 
     def par_expr(self) -> ProcessExpr:
-        left = self.post_expr()
-        while self.accept("||"):
-            left = Parallel(left, self.post_expr())
-        return left
+        return self.infix(self.post_expr, ("||",), lambda _, a, b: Parallel(a, b))
 
     def post_expr(self) -> ProcessExpr:
         term = self.prefix_expr()
         while True:
-            if self.at("\\"):
-                self.next()
-                self.expect("{")
-                chans = []
-                while not self.at("}"):
-                    chans.append(self.channel_ref())
-                    if not self.accept(","):
-                        break
-                self.expect("}")
-                term = Restrict(term, frozenset(chans))
+            if self.accept("\\"):
+                term = Restrict(term, frozenset(self.braced(self.channel_ref)))
             elif self.at("[") and self.peek(1).kind == "{":
                 self.next()
-                self.next()
-                pairs = []
-                while not self.at("}"):
-                    src = self.channel_ref()
-                    self.expect("->")
-                    dst = self.channel_ref()
-                    if src.quantum != dst.quantum:
-                        self.fail(f"relabeling {src} -> {dst} crosses channel kinds")
-                    pairs.append((src, dst))
-                    if not self.accept(","):
-                        break
-                self.expect("}")
+                pairs = self.braced(self.relabel_pair)
                 self.expect("]")
                 term = Relabel(term, RelabelFn(pairs))
             else:
                 return term
+
+    def relabel_pair(self) -> tuple:
+        src = self.channel_ref()
+        self.expect("->")
+        dst = self.channel_ref()
+        if src.quantum != dst.quantum:
+            self.fail(f"relabeling {src} -> {dst} crosses channel kinds")
+        return src, dst
 
     def channel_ref(self) -> Chan:
         tok = self.expect("IDENT", "channel name")
@@ -370,14 +356,13 @@ class Parser:
             self.expect(")")
             return inner
         if self.accept("IDENT", "qbit"):
-            q = self.expect("IDENT", "quantum variable").text
+            q = self.qvar()
             self.expect(".")
             return QbitNew(q, self.prefix_expr())
         if self.accept("IDENT", "if"):
             cond = self.bool_expr()
-            then = self.expect("IDENT", "then")
-            if then.text != "then":
-                raise ParseError(f"found {then.text!r}", then.line, then.col, expected="then")
+            if not self.accept("IDENT", "then"):
+                self.fail(f"found {self.peek().text!r}", "then")
             return If(cond, self.prefix_expr())
         if tok.kind != "IDENT":
             self.fail(f"found {tok.text!r}", "a process term")
@@ -402,16 +387,13 @@ class Parser:
         self.expect("?")
         var = self.expect("IDENT", "variable").text
         self.expect(".")
-        body = self.prefix_expr()
-        if chan.quantum:
-            return QInput(chan, var, body)
-        return CInput(chan, var, body)
+        return (QInput if chan.quantum else CInput)(chan, var, self.prefix_expr())
 
     def output_prefix(self) -> ProcessExpr:
         chan = self.channel_ref()
         self.expect("!")
         if chan.quantum:
-            q = self.expect("IDENT", "quantum variable").text
+            q = self.qvar()
             self.expect(".")
             return QOutput(chan, q, self.prefix_expr())
         e = self.value_expr()
@@ -423,31 +405,21 @@ class Parser:
         name = tok.text
         sf = self.source
         self.expect("[")
-        qvars = [self.expect("IDENT", "quantum variable").text]
-        kind = "gate"
-        cvar = None
-        while True:
-            if self.accept(","):
-                qvars.append(self.expect("IDENT", "quantum variable").text)
-            elif self.accept(";"):
-                cvar = self.expect("IDENT", "classical variable").text
-                kind = "measure"
-                break
-            else:
-                break
+        qvars = tuple(self.listed(self.qvar))
+        cvar = self.expect("IDENT", "classical variable").text if self.accept(";") else None
         self.expect("]")
         self.expect(".")
         body = self.prefix_expr()
 
-        if kind == "measure":
+        if cvar is not None:
             obs = sf.observables.get(name)
             if obs is None:
                 raise ParseError(f"unknown measurement {name!r}", tok.line, tok.col)
-            return Measure(obs, tuple(qvars), cvar, body)
+            return Measure(obs, qvars, cvar, body)
         if name in sf.gates:
-            return Unitary(sf.gates[name], tuple(qvars), body)
+            return Unitary(sf.gates[name], qvars, body)
         if name.startswith("sigma_"):
-            return _sigma_sugar(name[len("sigma_"):], tuple(qvars), body)
+            return _sigma_sugar(name[len("sigma_"):], qvars, body)
         if name in sf.observables:
             raise ParseError(f"{name!r} is a measurement; write {name}[...; x]",
                              tok.line, tok.col)
@@ -456,23 +428,14 @@ class Parser:
     # classical value and boolean expressions
 
     def value_expr(self):
-        left = self.value_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = Arith(op, left, self.value_term())
-        return left
+        return self.infix(self.value_term, ("+", "-"), lambda op, a, b: Arith(op.kind, a, b))
 
     def value_term(self):
-        left = self.value_atom()
-        while self.at("*"):
-            self.next()
-            left = Arith("*", left, self.value_atom())
-        return left
+        return self.infix(self.value_atom, ("*",), lambda op, a, b: Arith(op.kind, a, b))
 
     def value_atom(self):
         tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.next()
+        if self.accept("NUMBER"):
             return Const(float(tok.text))
         if tok.kind == "IDENT":
             if tok.text in _KEYWORDS:
@@ -491,16 +454,10 @@ class Parser:
         self.fail(f"found {tok.text!r}", "a value expression")
 
     def bool_expr(self):
-        left = self.bool_term()
-        while self.accept("||"):
-            left = BoolOp("||", left, self.bool_term())
-        return left
+        return self.infix(self.bool_term, ("||",), lambda op, a, b: BoolOp(op.kind, a, b))
 
     def bool_term(self):
-        left = self.bool_factor()
-        while self.accept("&&"):
-            left = BoolOp("&&", left, self.bool_factor())
-        return left
+        return self.infix(self.bool_factor, ("&&",), lambda op, a, b: BoolOp(op.kind, a, b))
 
     def bool_factor(self):
         if self.accept("!"):
@@ -573,20 +530,17 @@ class Parser:
 
     def matrix_literal(self) -> np.ndarray:
         self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = [self.scalar_expr()]
-            while self.accept(","):
-                row.append(self.scalar_expr())
-            self.expect("]")
-            rows.append(row)
-            if not self.accept(","):
-                break
+        rows = self.listed(self.matrix_row)
         tok = self.expect("]")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged matrix literal", tok.line, tok.col)
         return np.array(rows, dtype=complex)
+
+    def matrix_row(self) -> list:
+        self.expect("[")
+        row = self.listed(self.scalar_expr)
+        self.expect("]")
+        return row
 
     def ket_name(self, closing: str) -> str:
         chars = []
@@ -612,8 +566,7 @@ class Parser:
     def ket_or_ketbra(self):
         self.expect("|")
         kname = self.ket_name(">")
-        if self.at("<"):
-            self.next()
+        if self.accept("<"):
             bname = self.ket_name("|")
             if len(bname) != len(kname):
                 self.fail("ket and bra have different lengths")
@@ -623,35 +576,21 @@ class Parser:
     # complex scalars: numbers, i, sqrt, + - * /
 
     def scalar_expr(self) -> complex:
-        value = self.scalar_prod()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.scalar_prod()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        return self.infix(self.scalar_prod, ("+", "-"), _scalar_op)
 
     def scalar_prod(self) -> complex:
-        value = self.scalar_atom()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.scalar_atom()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+        return self.infix(self.scalar_atom, ("*", "/"), _scalar_op)
 
     def scalar_atom(self) -> complex:
         tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.next()
+        if self.accept("NUMBER"):
             v = float(tok.text)
-            if self.at("IDENT") and self.peek().text == "i":
-                self.next()
+            if self.accept("IDENT", "i"):
                 return v * 1j
             return complex(v)
-        if tok.kind == "IDENT" and tok.text == "i":
-            self.next()
+        if self.accept("IDENT", "i"):
             return 1j
-        if tok.kind == "IDENT" and tok.text == "sqrt":
-            self.next()
+        if self.accept("IDENT", "sqrt"):
             self.expect("(")
             inner = self.scalar_expr()
             self.expect(")")
@@ -663,6 +602,15 @@ class Parser:
             self.expect(")")
             return inner
         self.fail(f"found {tok.text!r}", "a number")
+
+
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _scalar_op(op: Token, a: complex, b: complex) -> complex:
+    if op.kind == "/" and b == 0:
+        raise ParseError("division by zero", op.line, op.col)
+    return _SCALAR_OPS[op.kind](a, b)
 
 
 @dataclass
@@ -716,14 +664,10 @@ def _as_matrix(value, tok) -> np.ndarray:
 
 def _sigma_sugar(var: str, qvars: tuple, body: ProcessExpr) -> ProcessExpr:
     """sigma_x[q].P is the four-way conditional Pauli correction on x."""
-    arms = [
+    return functools.reduce(Sum, [
         If(Cmp("=", Var(var), Const(float(i))), Unitary(linalg.GATE_SIGMA[i], qvars, body))
         for i in range(4)
-    ]
-    out = arms[0]
-    for arm in arms[1:]:
-        out = Sum(out, arm)
-    return out
+    ])
 
 
 def parse(text: str) -> SourceFile:
@@ -756,6 +700,12 @@ def _paren(s: str, need: bool) -> str:
     return f"({s})" if need else s
 
 
+def _pp_infix(pp, op: str, left, right, prec: int, level: int) -> str:
+    """`left op right` for a left-associative operator of precedence prec,
+    in parentheses where the context binds tighter (level > prec)."""
+    return _paren(f"{pp(left, prec)} {op} {pp(right, prec + 1)}", prec < level)
+
+
 def _chan_list(chans) -> str:
     return ", ".join(c.name for c in sorted(chans, key=lambda c: (c.quantum, c.name)))
 
@@ -765,18 +715,16 @@ def _pp(e: ProcessExpr, level: int) -> str:
         case Nil():
             return "nil"
         case Sum(left=l, right=r):
-            return _paren(f"{_pp(l, _SUM)} + {_pp(r, _PAR)}", level > _SUM)
+            return _pp_infix(_pp, "+", l, r, _SUM, level)
         case Parallel(left=l, right=r):
-            return _paren(f"{_pp(l, _PAR)} || {_pp(r, _POST)}", level > _PAR)
+            return _pp_infix(_pp, "||", l, r, _PAR, level)
         case Restrict(body=b, chans=chans):
             return _paren(f"{_pp(b, _POST)} \\ {{{_chan_list(chans)}}}", level > _POST)
         case Relabel(body=b, fn=fn):
             pairs = ", ".join(f"{s.name}->{d.name}" for s, d in fn.pairs)
             return _paren(f"{_pp(b, _POST)}[{{{pairs}}}]", level > _POST)
-        case CInput(chan=c, var=x, body=b):
+        case CInput(chan=c, var=x, body=b) | QInput(chan=c, qvar=x, body=b):
             return f"{c.name}?{x}.{_pp(b, _PRE)}"
-        case QInput(chan=c, qvar=q, body=b):
-            return f"{c.name}?{q}.{_pp(b, _PRE)}"
         case COutput(chan=c, expr=v, body=b):
             return f"{c.name}!{_pp_value(v, 1)}.{_pp(b, _PRE)}"
         case QOutput(chan=c, qvar=q, body=b):
@@ -800,9 +748,7 @@ def _pp_value(e, minprec: int) -> str:
         case Var(name=x):
             return x
         case Arith(op=op, left=l, right=r):
-            prec = 2 if op == "*" else 1
-            s = f"{_pp_value(l, prec)} {op} {_pp_value(r, prec + 1)}"
-            return _paren(s, prec < minprec)
+            return _pp_infix(_pp_value, op, l, r, 2 if op == "*" else 1, minprec)
     raise ValueError(f"bad value expression {e!r}")
 
 
@@ -811,9 +757,7 @@ def _pp_bool(e, minprec: int) -> str:
         case Cmp(op=op, left=l, right=r):
             return f"{_pp_value(l, 1)} {op} {_pp_value(r, 1)}"
         case BoolOp(op=op, left=l, right=r):
-            prec = 2 if op == "&&" else 1
-            s = f"{_pp_bool(l, prec)} {op} {_pp_bool(r, prec + 1)}"
-            return _paren(s, prec < minprec)
+            return _pp_infix(_pp_bool, op, l, r, 2 if op == "&&" else 1, minprec)
         case Not(body=b):
             return f"!{_pp_bool(b, 3)}"
     raise ValueError(f"bad boolean expression {e!r}")

@@ -54,6 +54,28 @@ class TestCheck:
         assert code == 2
 
 
+class TestArithmeticFaults:
+    # a division by zero raised ZeroDivisionError out of every command, and
+    # an overflowing literal ran as inf; both are parse errors now
+    @pytest.mark.parametrize("text, error", [
+        ("gate G = 1/0 * [[1,0],[0,1]]\nconfig Main = < nil >\n", "1:11: division by zero"),
+        ("config Main = < nil ; q = (1/0)|0> >\n", "1:29: division by zero"),
+        ("channel c\nconfig Main = < c!1e999.nil >\n", "2:19: number out of range"),
+    ])
+    @pytest.mark.parametrize("command, exit_code", [("check", 1), ("lts", 2), ("run", 2)])
+    def test_parse_error_line(self, tmp_path, capsys, text, error, command, exit_code):
+        f = tmp_path / "fault.qccs"
+        f.write_text(text)
+        assert run_cli(command, str(f)) == (exit_code, "")
+        assert capsys.readouterr().err.splitlines() == [f"parse error: {error}"]
+
+    @pytest.mark.parametrize("alpha, error", [("1/0", "1:2: division by zero"),
+                                              ("1e999", "1:1: number out of range")])
+    def test_demo_amplitude(self, capsys, alpha, error):
+        assert run_cli("demo", "teleport", "--alpha", alpha) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [f"parse error: {error}"]
+
+
 class TestBadShapes:
     # a gate or measurement must act on qubits, and on as many as it is
     # given: `check` lists each fault once, a declared process's under its

@@ -151,6 +151,12 @@ PARSE_ERRORS = [
     ("gate G = [[1]] + [[1, 0], [0, 1]]", "1:34: cannot add matrices of different shapes"),
     ("gate G = |0>", "1:10: expected a matrix, found a ket"),
     ("#qccs 2\n", "1:1: unsupported format header '#qccs 2' (expected #qccs 1)"),
+    # a division by zero, and a literal that overflows a float, raised
+    # ZeroDivisionError or read as inf
+    ("gate G = 1/0 * [[1,0],[0,1]]", "1:11: division by zero"),
+    ("config Main = < nil ; q = (1/0)|0> >", "1:29: division by zero"),
+    ("channel c\nconfig Main = < c!1e999.nil >", "2:19: number out of range"),
+    ("config K = < nil ; q = 1e999|0> >", "1:24: number out of range"),
     # a comment advances no column: the end of input stays where it began
     ("process P = # x", "1:13: found '' (expected a process term)"),
     ("channel c\nprocess P = c!0. # end", "2:18: found '' (expected a process term)"),
@@ -163,6 +169,10 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
+
+    def test_largest_literal_is_in_range(self):
+        term = parse("channel c\nconfig Main = < c!1.7e308.nil >").configs["Main"].process
+        assert pretty_print(term) == "c!1.7e+308.nil"
 
     def test_every_corpus_prefix_parses_or_raises_parse_error(self):
         for path in sorted(Path("corpus").glob("*.qccs")):
