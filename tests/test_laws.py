@@ -1,7 +1,9 @@
 """Generator invariants and moderate-scale law/congruence suite runs."""
 
 import numpy as np
+import pytest
 
+from qccs import laws
 from qccs.laws import (
     SUITE_POLICY, check_laws, congruence_suite, equality_plus_context_suite,
     equivalent_rewrite, mutate_gate, random_process,
@@ -89,3 +91,26 @@ class TestCongruence:
 
     def test_policy_is_open(self):
         assert not SUITE_POLICY.closed_only
+
+
+class TestVerdictAccounting:
+    """The benchmark counts each suite verdict by rebinding the checker names
+    in `laws`, so every instance a report counts must be one call through
+    those names, looked up when the instance is checked."""
+
+    @pytest.mark.parametrize("suite", [
+        lambda: check_laws(samples=4, seed=2),
+        lambda: check_laws(samples=4, seed=2, mutate=True),
+        lambda: congruence_suite(pairs=2, seed=3),
+        lambda: equality_plus_context_suite(pairs=3, seed=4),
+    ], ids=["laws", "laws-mutate", "congruence", "eq-plus-context"])
+    def test_each_counted_instance_is_one_checker_call(self, monkeypatch, suite):
+        calls = []
+        for name in ("strong_bisim", "weak_bisim", "equality_check"):
+            def counted(*args, _fn=getattr(laws, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(laws, name, counted)
+        report = suite()
+        assert calls
+        assert len(calls) == sum(report.checked.values())
