@@ -2,13 +2,15 @@
 
 Generated terms are well-formed by construction: parallel compositions split
 the available qubit pool, and a quantum output reserves its qubit away from
-the continuation.  The suites check each law instance with the bisimilarity
-checkers over freshly sampled contexts.
+the continuation.  The three suites (check_laws, congruence_suite and
+equality_plus_context_suite) share one report, LawsReport, and one check
+step, LawsReport.check, which decides each law or context instance with the
+checker of its mode over a freshly sampled shared context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,21 +162,6 @@ def random_density(rng, n: int) -> np.ndarray:
     return pure()
 
 
-def _joint(e: ProcessExpr, f: ProcessExpr, rng, extra_vars=()):
-    """A shared context covering both terms, plus the joint LTS."""
-    vars_ = tuple(sorted(qv(e) | qv(f) | set(extra_vars)))
-    ctx = make_context(vars_, random_density(rng, len(vars_)))
-    lts = build_lts([Configuration(e, ctx), Configuration(f, ctx)],
-                    policy=SUITE_POLICY, max_nodes=6000)
-    return lts
-
-
-def _check(mode, e, f, rng, extra_vars=(), tol: float = lp.TOL):
-    lts = _joint(e, f, rng, extra_vars)
-    fn = {"strong": strong_bisim, "weak": weak_bisim, "eq": equality_check}[mode]
-    return fn(lts, lts.initial[0], lts.initial[1], tol)
-
-
 @dataclass
 class LawFailure:
     law: str
@@ -186,6 +173,10 @@ class LawFailure:
 
 @dataclass
 class LawsReport:
+    """One suite run: the instances checked per law or context, and each one
+    distinguished.  `samples` counts the draws (term triples for check_laws,
+    equivalent pairs for the congruence suites)."""
+
     samples: int
     seed: int
     checked: dict = field(default_factory=dict)   # law -> count
@@ -195,6 +186,25 @@ class LawsReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def check(self, law: str, sample: int, mode: str, lhs: ProcessExpr, rhs: ProcessExpr,
+              rng, extra=(), tol: float = lp.TOL) -> bool:
+        """Check one instance of `law`: explore both sides under SUITE_POLICY
+        in one random context over their qubits and `extra`, decide them with
+        the checker of `mode`, count the instance and record a failure.
+        Returns the verdict.  The checker is read from this module's globals
+        at each call, so a caller that rebinds those names sees each verdict."""
+        vars_ = tuple(sorted(qv(lhs) | qv(rhs) | set(extra)))
+        ctx = make_context(vars_, random_density(rng, len(vars_)))
+        lts = build_lts([Configuration(lhs, ctx), Configuration(rhs, ctx)],
+                        policy=SUITE_POLICY, max_nodes=6000)
+        checker = {"strong": strong_bisim, "weak": weak_bisim, "eq": equality_check}[mode]
+        result = checker(lts, lts.initial[0], lts.initial[1], tol)
+        self.checked[law] = self.checked.get(law, 0) + 1
+        if not result.equivalent:
+            self.failures.append(LawFailure(law, sample, pretty_print(lhs), pretty_print(rhs),
+                                            result.counterexample))
+        return result.equivalent
+
     def to_json(self) -> dict:
         return {
             "format": "qccs-laws",
@@ -202,11 +212,7 @@ class LawsReport:
             "samples": self.samples,
             "seed": self.seed,
             "checked": self.checked,
-            "failures": [
-                {"law": f.law, "sample": f.sample, "left": f.left, "right": f.right,
-                 "counterexample": f.counterexample}
-                for f in self.failures
-            ],
+            "failures": [asdict(f) for f in self.failures],
             "ok": self.ok,
         }
 
@@ -247,34 +253,28 @@ def mutate_gate(term: ProcessExpr):
 
 def check_laws(samples: int = 40, seed: int = 0, depth: int = 3, qubits: int = 2,
                tol: float = lp.TOL, mutate: bool = False) -> LawsReport:
-    """Check the sum/parallel static laws on seeded random terms.
+    """Check the sum/parallel static laws strongly on seeded random terms.
 
-    With `mutate` set, one side of each instance gets a gate mutated first;
-    the report then records which instances the checker caught (all laws are
-    expected to fail somewhere, demonstrating suite sensitivity).
+    With `mutate` set, one side of each instance gets a gate mutated first
+    (an instance with no gate to mutate is skipped); the report then records
+    which instances the checker caught (all laws are expected to fail
+    somewhere, demonstrating suite sensitivity).
     """
     rng = np.random.default_rng(seed)
     report = LawsReport(samples, seed)
     for k in range(samples):
         qavail = tuple(f"q{i}" for i in range(rng.integers(1, qubits + 1)))
-        e = random_process(rng, depth, qavail)
-        f = random_process(rng, depth, qavail)
-        g = random_process(rng, depth, qavail)
+        e, f, g = (random_process(rng, depth, qavail) for _ in range(3))
         for law, (lhs, rhs) in _law_instances(e, f, g).items():
             if mutate:
                 lhs, changed = mutate_gate(lhs)
                 if not changed:
                     continue
-            result = _check("strong", lhs, rhs, rng, tol=tol)
-            report.checked[law] = report.checked.get(law, 0) + 1
-            if not result.equivalent:
-                report.failures.append(LawFailure(
-                    law, k, pretty_print(lhs), pretty_print(rhs),
-                    result.counterexample))
+            report.check(law, k, "strong", lhs, rhs, rng, tol=tol)
     return report
 
 
-# -- congruence suite --
+# -- congruence suites --
 
 
 def equivalent_rewrite(rng, term: ProcessExpr) -> ProcessExpr:
@@ -293,82 +293,57 @@ def equivalent_rewrite(rng, term: ProcessExpr) -> ProcessExpr:
     return Sum(term, term)
 
 
-@dataclass
-class CongruenceReport:
-    pairs: int
-    seed: int
-    checked: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, name: str, ok: bool, detail: str):
-        self.checked[name] = self.checked.get(name, 0) + 1
-        if not ok:
-            self.failures.append({"check": name, "detail": detail})
+def _equivalent_pair(rng):
+    """A random term e, an equivalent rewrite f of it, and a summand g over
+    the same qubits."""
+    qavail = tuple(f"q{i}" for i in range(rng.integers(1, SUITE_QUBITS + 1)))
+    e = random_process(rng, SUITE_DEPTH, qavail)
+    return e, equivalent_rewrite(rng, e), random_process(rng, SUITE_DEPTH, qavail)
 
 
-def _prefix_contexts(spare: str):
-    c, qc = CCHANS[0], QCHANS[0]
-    return [
-        ("prefix-cin", lambda t: CInput(c, "zz", t)),
-        ("prefix-cout", lambda t: COutput(c, Const(1.0), t)),
-        ("prefix-qin", lambda t: QInput(qc, spare, t)),
-        ("prefix-qout", lambda t: QOutput(qc, spare, t)),
-        ("prefix-unitary", lambda t: Unitary(linalg.GATE_H, (spare,), t)),
-        ("prefix-measure", lambda t: Measure(linalg.OBS_M01, (spare,), "zz", t)),
-    ]
+_RELABEL = RelabelFn([(CCHANS[0], CCHANS[1]), (QCHANS[0], QCHANS[1])])
+
+# The congruence contexts: a name, the context around one side t of a pair
+# (given its summand g and classical component r), and the qubits it adds.
+# Prefixes act on the spare qubit qs, never free in a drawn term (q0, q1, qr).
+_CONTEXTS = (
+    ("prefix-cin", lambda t, g, r: CInput(CCHANS[0], "zz", t), ("qs",)),
+    ("prefix-cout", lambda t, g, r: COutput(CCHANS[0], Const(1.0), t), ("qs",)),
+    ("prefix-qin", lambda t, g, r: QInput(QCHANS[0], "qs", t), ("qs",)),
+    ("prefix-qout", lambda t, g, r: QOutput(QCHANS[0], "qs", t), ("qs",)),
+    ("prefix-unitary", lambda t, g, r: Unitary(linalg.GATE_H, ("qs",), t), ("qs",)),
+    ("prefix-measure", lambda t, g, r: Measure(linalg.OBS_M01, ("qs",), "zz", t), ("qs",)),
+    ("sum-context", lambda t, g, r: Sum(t, g), ()),
+    ("parallel-classical", lambda t, g, r: Parallel(t, r), ("qr",)),
+    ("relabel", lambda t, g, r: Relabel(t, _RELABEL), ()),
+)
 
 
-def congruence_suite(pairs: int = 20, seed: int = 0) -> CongruenceReport:
-    """For checker-established equivalent pairs (E, F), verify closure under
-    prefixing, summation, classical parallel composition, and relabeling."""
+def congruence_suite(pairs: int = 20, seed: int = 0) -> LawsReport:
+    """For pairs (e, f) found strongly or weakly bisimilar ("<mode>-base"),
+    verify closure under each of _CONTEXTS ("<mode>-<context>"): prefixing,
+    summation, classical parallel composition and relabelling."""
     rng = np.random.default_rng(seed)
-    report = CongruenceReport(pairs, seed)
-    spare = "qs"
-    for _ in range(pairs):
-        qavail = tuple(f"q{i}" for i in range(rng.integers(1, SUITE_QUBITS + 1)))
-        e = random_process(rng, SUITE_DEPTH, qavail)
-        f = equivalent_rewrite(rng, e)
-        g = random_process(rng, SUITE_DEPTH, qavail)
+    report = LawsReport(pairs, seed)
+    for k in range(pairs):
+        e, f, g = _equivalent_pair(rng)
         r = random_process(rng, SUITE_DEPTH, ("qr",), classical_only=True)
-
         for mode in ("strong", "weak"):
-            base = _check(mode, e, f, rng)
-            report.record(f"{mode}-base", base.equivalent, pretty_print(e))
-            if not base.equivalent:
-                continue
-            for name, wrap in _prefix_contexts(spare):
-                if name == "prefix-qout" and spare in (qv(e) | qv(f)):
-                    continue
-                res = _check(mode, wrap(e), wrap(f), rng, extra_vars=(spare,))
-                report.record(f"{mode}-{name}", res.equivalent, pretty_print(wrap(e)))
-            res = _check(mode, Sum(e, g), Sum(f, g), rng)
-            report.record(f"{mode}-sum-context", res.equivalent, pretty_print(Sum(e, g)))
-            res = _check(mode, Parallel(e, r), Parallel(f, r), rng, extra_vars=("qr",))
-            report.record(f"{mode}-parallel-classical", res.equivalent,
-                          pretty_print(Parallel(e, r)))
-            fn = RelabelFn([(CCHANS[0], CCHANS[1]), (QCHANS[0], QCHANS[1])])
-            res = _check(mode, Relabel(e, fn), Relabel(f, fn), rng)
-            report.record(f"{mode}-relabel", res.equivalent, pretty_print(Relabel(e, fn)))
+            if report.check(f"{mode}-base", k, mode, e, f, rng):
+                for name, wrap, extra in _CONTEXTS:
+                    report.check(f"{mode}-{name}", k, mode, wrap(e, g, r), wrap(f, g, r),
+                                 rng, extra)
     return report
 
 
-def equality_plus_context_suite(pairs: int = 10, seed: int = 1) -> CongruenceReport:
-    """Equal processes stay weakly bisimilar under any added summand."""
+def equality_plus_context_suite(pairs: int = 10, seed: int = 1) -> LawsReport:
+    """Equal processes stay weakly bisimilar under any added summand: for
+    each drawn pair (e, f) found equal ("eq-base"), check e + g and f + g
+    weakly ("eq-implies-sum-weak")."""
     rng = np.random.default_rng(seed)
-    report = CongruenceReport(pairs, seed)
-    for _ in range(pairs):
-        qavail = tuple(f"q{i}" for i in range(rng.integers(1, SUITE_QUBITS + 1)))
-        e = random_process(rng, SUITE_DEPTH, qavail)
-        f = equivalent_rewrite(rng, e)
-        g = random_process(rng, SUITE_DEPTH, qavail)
-        eq = _check("eq", e, f, rng)
-        report.record("eq-base", eq.equivalent, pretty_print(e))
-        if not eq.equivalent:
-            continue
-        res = _check("weak", Sum(e, g), Sum(f, g), rng)
-        report.record("eq-implies-sum-weak", res.equivalent, pretty_print(Sum(e, g)))
+    report = LawsReport(pairs, seed)
+    for k in range(pairs):
+        e, f, g = _equivalent_pair(rng)
+        if report.check("eq-base", k, "eq", e, f, rng):
+            report.check("eq-implies-sum-weak", k, "weak", Sum(e, g), Sum(f, g), rng)
     return report
