@@ -27,7 +27,7 @@ from .lts import (
     InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
 )
-from .syntax import WellformednessError, check_wellformed
+from .syntax import ValueOutOfRange, WellformednessError, check_wellformed
 
 
 def _default_tol() -> float:
@@ -145,6 +145,8 @@ def cmd_lts(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.script and args.scheduler != "interactive-script":
+        raise SystemExit2("--script needs --scheduler interactive-script")
     source = _load(args.file)
     elab = elaborate(source)
     name, config = _pick_config(elab, args.config, args.file)
@@ -400,7 +402,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LtsError, lp.NumericalFailure) as exc:
+    except (LtsError, lp.NumericalFailure, ValueOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -292,8 +292,8 @@ class Parser:
             self.expect("=")
             stok = self.peek()
             state = self.state_expr()
-            if isinstance(state, _Ket):
-                state = linalg.dm(state.vec)
+            if state.ndim == 1:
+                state = _in_range(stok, linalg.dm, state)
             dim = 2 ** len(vars_)
             if state.shape != (dim, dim):
                 raise ParseError(
@@ -481,14 +481,20 @@ class Parser:
     # state expressions: matrices and kets
 
     def state_expr(self):
+        """A ket (a 1-D array) or a matrix (a 2-D array)."""
         negate = bool(self.accept("-"))
         value = self.state_term()
         if negate:
-            value = _state_scale(-1.0, value)
+            value = -1.0 * value
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            op = self.next()
             rhs = self.state_term()
-            value = _state_add(value, rhs if op == "+" else _state_scale(-1.0, rhs), self)
+            if value.ndim != rhs.ndim:
+                self.fail("cannot add a ket and a matrix")
+            if value.shape != rhs.shape:
+                self.fail("cannot add kets of different sizes" if value.ndim == 1
+                          else "cannot add matrices of different shapes")
+            value = _in_range(op, operator.add, value, rhs if op.kind == "+" else -1.0 * rhs)
         return value
 
     def state_term(self):
@@ -497,8 +503,9 @@ class Parser:
         if tok.kind == "NUMBER" or (tok.kind == "IDENT" and tok.text in ("i", "sqrt")):
             coeff = self.scalar_expr()
             self.accept("*")
-        value = _state_scale(coeff, self.state_factor())
+        value = _in_range(tok, operator.mul, coeff, self.state_factor())
         while True:
+            op = self.peek()
             if self.accept("⊗"):
                 pass
             elif (self.at("(") and self.peek(1).kind == "IDENT"
@@ -508,7 +515,7 @@ class Parser:
                 self.next()
             else:
                 return value
-            value = _state_tensor(value, self.state_factor())
+            value = _in_range(op, _state_tensor, value, self.state_factor())
 
     def state_factor(self):
         tok = self.peek()
@@ -571,7 +578,7 @@ class Parser:
             if len(bname) != len(kname):
                 self.fail("ket and bra have different lengths")
             return np.outer(_ket_vector(kname), _ket_vector(bname).conj())
-        return _Ket(_ket_vector(kname))
+        return _ket_vector(kname)
 
     # complex scalars: numbers, i, sqrt, + - * /
 
@@ -610,12 +617,7 @@ _SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 def _scalar_op(op: Token, a: complex, b: complex) -> complex:
     if op.kind == "/" and b == 0:
         raise ParseError("division by zero", op.line, op.col)
-    return _SCALAR_OPS[op.kind](a, b)
-
-
-@dataclass
-class _Ket:
-    vec: np.ndarray
+    return _in_range(op, _SCALAR_OPS[op.kind], a, b)
 
 
 _KET_ATOMS = {
@@ -630,34 +632,25 @@ def _ket_vector(name: str) -> np.ndarray:
     return out
 
 
-def _state_scale(c, value):
-    if isinstance(value, _Ket):
-        return _Ket(c * value.vec)
-    return c * value
-
-
-def _state_add(a, b, parser):
-    if isinstance(a, _Ket) != isinstance(b, _Ket):
-        parser.fail("cannot add a ket and a matrix")
-    if isinstance(a, _Ket):
-        if a.vec.shape != b.vec.shape:
-            parser.fail("cannot add kets of different sizes")
-        return _Ket(a.vec + b.vec)
-    if a.shape != b.shape:
-        parser.fail("cannot add matrices of different shapes")
-    return a + b
+def _in_range(tok: Token, fn, *args):
+    """fn(*args), or a ParseError at tok if its arithmetic overflowed (a
+    result that is not finite, with NumPy's warning silenced)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(*args)
+    if not np.isfinite(out).all():
+        raise ParseError("number out of range", tok.line, tok.col)
+    return out
 
 
 def _state_tensor(a, b):
-    if isinstance(a, _Ket) and isinstance(b, _Ket):
-        return _Ket(np.kron(a.vec, b.vec))
-    am = linalg.dm(a.vec) if isinstance(a, _Ket) else a
-    bm = linalg.dm(b.vec) if isinstance(b, _Ket) else b
-    return np.kron(am, bm)
+    """a ⊗ b; next to a matrix, a ket stands for its density matrix."""
+    if a.ndim != b.ndim:
+        a, b = (linalg.dm(v) if v.ndim == 1 else v for v in (a, b))
+    return np.kron(a, b)
 
 
 def _as_matrix(value, tok) -> np.ndarray:
-    if isinstance(value, _Ket):
+    if value.ndim == 1:
         raise ParseError("expected a matrix, found a ket", tok.line, tok.col)
     return value
 

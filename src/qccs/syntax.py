@@ -23,6 +23,7 @@ only the constructors where it binds, renames or reads an expression.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 
@@ -35,6 +36,10 @@ class SyntaxError_(Exception):
 
 class UnboundVariable(SyntaxError_):
     pass
+
+
+class ValueOutOfRange(SyntaxError_):
+    """Classical arithmetic overflowed a float at run time."""
 
 
 class BadRelabeling(SyntaxError_):
@@ -125,6 +130,9 @@ class Not:
 BoolExpr = Cmp | BoolOp | Not
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_expr(e: ValueExpr, env: dict | None = None) -> float:
     match e:
         case Const(value=v):
@@ -133,14 +141,12 @@ def eval_expr(e: ValueExpr, env: dict | None = None) -> float:
             if env and x in env:
                 return float(env[x])
             raise UnboundVariable(f"classical variable {x} is unbound")
-        case Arith(op=op, left=l, right=r):
+        case Arith(op=op, left=l, right=r) if op in _ARITH:
             a, b = eval_expr(l, env), eval_expr(r, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
+            out = _ARITH[op](a, b)
+            if not math.isfinite(out):
+                raise ValueOutOfRange(f"classical value out of range: {a:g} {op} {b:g}")
+            return out
     raise SyntaxError_(f"bad value expression {e!r}")
 
 

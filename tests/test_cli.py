@@ -69,6 +69,39 @@ class TestArithmeticFaults:
         assert run_cli(command, str(f)) == (exit_code, "")
         assert capsys.readouterr().err.splitlines() == [f"parse error: {error}"]
 
+    @pytest.mark.parametrize("text, error", [
+        ("config Main = < nil ; q = 1e200*1e200|0> >\n", "1:32: number out of range"),
+        ("gate G = 1e200 [[1e200,0],[0,1]]\nconfig Main = < nil >\n",
+         "1:10: number out of range"),
+        ("config Main = < nil ; q = 1e308 [[1,0],[0,0]] + 1e308 [[1,0],[0,0]] >\n",
+         "1:47: number out of range"),
+    ])
+    @pytest.mark.parametrize("command, exit_code", [("check", 1), ("lts", 2), ("run", 2)])
+    def test_state_overflow_is_a_parse_error(self, tmp_path, capsys, text, error, command,
+                                             exit_code):
+        # these printed a NumPy warning, then "not a density matrix" or
+        # "not unitary"
+        f = tmp_path / "fault.qccs"
+        f.write_text(text)
+        assert run_cli(command, str(f)) == (exit_code, "")
+        assert capsys.readouterr().err.splitlines() == [f"parse error: {error}"]
+
+    @pytest.mark.parametrize("text", [
+        "channel c\nconfig Main = < c!1e308*10.nil >\n",
+        "channel c\nconfig Main = < if 1e308*10 < 1 then c!1.nil >\n",
+    ], ids=["output", "condition"])
+    def test_run_time_overflow_is_an_error(self, tmp_path, capsys, text):
+        # an output ran as the action c!inf, which does not re-parse;
+        # check evaluates nothing and still passes the file
+        f = tmp_path / "overflow.qccs"
+        f.write_text(text)
+        assert run_cli("check", str(f))[0] == 0
+        for argv in (["run"], ["lts"], ["bisim", "--left", "Main", "--right", "Main"]):
+            capsys.readouterr()
+            assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
+            assert capsys.readouterr().err.splitlines() == [
+                "error: classical value out of range: 1e+308 * 10"], argv
+
     @pytest.mark.parametrize("alpha, error", [("1/0", "1:2: division by zero"),
                                               ("1e999", "1:1: number out of range")])
     def test_demo_amplitude(self, capsys, alpha, error):
@@ -218,6 +251,15 @@ class TestRun:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["final"]) == 1
+
+    def test_script_needs_the_scripted_scheduler(self, tmp_path, capsys):
+        # the file was ignored and the run exited 0
+        script = tmp_path / "choices.txt"
+        script.write_text("1\n")
+        assert run_cli("run", "corpus/choice.qccs", "--config", "Left",
+                       "--script", str(script)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --script needs --scheduler interactive-script"]
 
     def test_stuck_reports_blocked(self, tmp_path, capsys):
         f = tmp_path / "stuck.qccs"

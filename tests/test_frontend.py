@@ -157,6 +157,15 @@ PARSE_ERRORS = [
     ("config Main = < nil ; q = (1/0)|0> >", "1:29: division by zero"),
     ("channel c\nconfig Main = < c!1e999.nil >", "2:19: number out of range"),
     ("config K = < nil ; q = 1e999|0> >", "1:24: number out of range"),
+    # state arithmetic that overflows printed a NumPy warning and then a
+    # fault about the state or gate it spoilt: at the operator, or at the
+    # term whose coefficient scales it, or at the state a ket stands for
+    ("config K = < nil ; q = 1e200*1e200|0> >", "1:29: number out of range"),
+    ("gate G = 1e200 [[1e200,0],[0,1]]", "1:10: number out of range"),
+    ("gate G = 1e308 [[1,0],[0,0]] + 1e308 [[1,0],[0,0]]", "1:30: number out of range"),
+    ("config K = < nil ; q, r = (1e200|0>) (x) (1e200|0>) >", "1:38: number out of range"),
+    ("config K = < nil ; q = 1e200|0> >", "1:24: number out of range"),
+    ("channel c in {1e308*10}", "1:20: number out of range"),
     # a comment advances no column: the end of input stays where it began
     ("process P = # x", "1:13: found '' (expected a process term)"),
     ("channel c\nprocess P = c!0. # end", "2:18: found '' (expected a process term)"),
