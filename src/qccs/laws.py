@@ -305,7 +305,7 @@ _RELABEL = RelabelFn([(CCHANS[0], CCHANS[1]), (QCHANS[0], QCHANS[1])])
 
 # The congruence contexts: a name, the context around one side t of a pair
 # (given its summand g and classical component r), and the qubits it adds.
-# Prefixes act on the spare qubit qs, never free in a drawn term (q0, q1, qr).
+# Prefixes act on the spare qubit qs; drawn terms hold only q0, q1 and qr free.
 _CONTEXTS = (
     ("prefix-cin", lambda t, g, r: CInput(CCHANS[0], "zz", t), ("qs",)),
     ("prefix-cout", lambda t, g, r: COutput(CCHANS[0], Const(1.0), t), ("qs",)),

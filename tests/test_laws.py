@@ -89,6 +89,22 @@ class TestCongruence:
         report = equality_plus_context_suite(pairs=8, seed=6)
         assert report.ok, report.failures
 
+    def test_a_distinguished_base_is_one_failure_and_skips_the_contexts(self, monkeypatch):
+        from types import SimpleNamespace
+
+        why = {"reason": "stand-in"}
+        monkeypatch.setattr(laws, "weak_bisim",
+                            lambda *args: SimpleNamespace(equivalent=False, counterexample=why))
+        report = congruence_suite(pairs=1, seed=5)
+        assert [f.law for f in report.failures] == ["weak-base"]
+        failure = report.failures[0]
+        assert (failure.sample, failure.counterexample) == (0, why)
+        assert failure.left and failure.right
+        assert report.checked["weak-base"] == 1
+        assert not any(name.startswith("weak-") and name != "weak-base"
+                       for name in report.checked)
+        assert report.checked["strong-relabel"] == 1
+
     def test_policy_is_open(self):
         assert not SUITE_POLICY.closed_only
 
