@@ -477,9 +477,6 @@ class _InertView:
     def stuck(self, i: int) -> bool:
         return not self.edges[i]
 
-    def successors(self, i: int, action: Action) -> list:
-        return [targets for a, targets in self.edges[i] if a == action]
-
 
 def _collapse_inert(lts) -> tuple:
     """(view, rep): the graph that weak refinement runs on, and rep[u], the

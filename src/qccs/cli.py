@@ -20,14 +20,14 @@ from . import demo as demo_mod
 from . import laws as laws_mod
 from . import lp
 from .frontend import (
-    ElaborationError, ParseError, Parser, elaborate, parse, pretty_print, tokenize,
+    ElaborationError, ParseError, Parser, elaborate, parse, pretty_print, tokenize, violations,
 )
 from .linalg import ATOL, factor_diagonal
 from .lts import (
     InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
 )
-from .syntax import ValueOutOfRange, WellformednessError, check_wellformed
+from .syntax import ValueOutOfRange, WellformednessError
 
 
 def _default_tol() -> float:
@@ -108,7 +108,7 @@ def cmd_check(args) -> int:
     source = _load(args.file)
     problems, faulty = [], set()
     for name, proc in source.processes.items():
-        for v in check_wellformed(proc):
+        for v in violations(proc):
             problems.append(f"process {name}: {v}")
             faulty.add(id(proc))
     try:
@@ -282,8 +282,6 @@ def cmd_laws(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.subject != "teleport":
-        raise SystemExit2(f"unknown demo {args.subject!r} (available: teleport)")
     tol = _tol_arg(args.tol)
     try:
         alpha = _parse_amplitude(args.alpha)
@@ -399,10 +397,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}\nhint: pass --open to enumerate a finite input policy",
               file=sys.stderr)
         return 2
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LtsError, lp.NumericalFailure, ValueOutOfRange) as exc:
+    except (SystemExit2, LtsError, lp.NumericalFailure, ValueOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import ATOL, Observable, apply_to_factor
+from .linalg import ATOL, Gate, Observable, apply_to_factor
 
 # outcomes this unlikely are rounding error: dropped, not renormalised
 PROB_CUTOFF = 1e-12
@@ -193,17 +193,14 @@ def extend_with_input(ctx: QContext, r: str, sigma) -> QContext:
     return joint
 
 
-def apply_unitary(ctx: QContext, u, rvars) -> QContext:
-    u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u):
+def apply_unitary(ctx: QContext, gate: Gate, rvars) -> QContext:
+    """The context after gate acts on the named qubits.  The gate's own
+    finding says whether it is unitary; only a misshapen gate, which no
+    well-formed term applies, is tested here."""
+    if gate.fault and (not gate.misshapen or not linalg.is_unitary(gate.matrix)):
         raise NotUnitary("operator is not unitary")
     positions = [ctx.index(v) for v in rvars]
-    return QContext(ctx.vars, apply_to_factor(u, ctx.factor, positions))
-
-
-# validate_observable's findings by (content digest, dimension): an
-# observable is checked once, and a bad one still raises on every call
-_observable_problems: dict = {}
+    return QContext(ctx.vars, apply_to_factor(gate.matrix, ctx.factor, positions))
 
 
 def measure(ctx: QContext, obs: Observable, rvars) -> list:
@@ -211,15 +208,19 @@ def measure(ctx: QContext, obs: Observable, rvars) -> list:
 
     Returns (eigenvalue, probability, post-context) triples for the outcomes
     with nonzero probability; probabilities are Tr(P rho P) = ||P K||_F^2
-    and the post-states have the renormalised factors P K / sqrt(p).
+    and the post-states have the renormalised factors P K / sqrt(p).  The
+    observable's own finding says whether it is valid; only one given a
+    number of qubits that differs from its dimension, which no well-formed
+    term does, is validated here, at that number.
     """
     positions = [ctx.index(v) for v in rvars]
     dim = 2 ** len(positions)
-    problems = _observable_problems.get((obs.key, dim))
-    if problems is None:
-        problems = _observable_problems[(obs.key, dim)] = linalg.validate_observable(obs, dim)
+    if obs.misshapen or dim != obs.dim:
+        problems = ", ".join(linalg.validate_observable(obs, dim))
+    else:
+        problems = obs.fault
     if problems:
-        raise InvalidObservable(f"observable {obs.name}: {', '.join(problems)}")
+        raise InvalidObservable(f"observable {obs.name}: {problems}")
     results = []
     for eigenvalue, projector in obs.outcomes:
         projected = apply_to_factor(projector, ctx.factor, positions)

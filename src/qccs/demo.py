@@ -53,17 +53,13 @@ def build_teleport(alpha: complex, beta: complex) -> Configuration:
 
 @dataclass
 class TeleportBranch:
-    outcome_vars: tuple  # context variable names, receiver's qubit first
     probability: float
-    receiver_state: np.ndarray
     fidelity_ok: bool
     error: float
 
 
 @dataclass
 class TeleportReport:
-    alpha: complex
-    beta: complex
     branches: list
     steps: int
     ok: bool
@@ -80,8 +76,7 @@ def verify_teleport(alpha: complex, beta: complex, tol: float = ATOL) -> Telepor
     for final, p in trace.final:
         reduced = final.context.reduced(["q2"])
         err = float(np.max(np.abs(reduced - want)))
-        branches.append(TeleportBranch(
-            final.context.vars, p, reduced, err <= tol, err))
+        branches.append(TeleportBranch(p, err <= tol, err))
     four_way = len(branches) == 4 and all(abs(b.probability - 0.25) <= tol for b in branches)
     ok = four_way and all(b.fidelity_ok for b in branches) and trace.status == "terminated"
-    return TeleportReport(alpha, beta, branches, len(trace.steps), ok)
+    return TeleportReport(branches, len(trace.steps), ok)

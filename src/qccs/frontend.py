@@ -766,57 +766,42 @@ class Elaboration:
     checks: list   # (mode, left, right)
 
 
-def _over_qubits(m) -> bool:
-    """Is m square, with a side that is a power of two?"""
-    d = m.shape[0]
-    return m.shape == (d, d) and d > 0 and d & (d - 1) == 0
+def violations(term: ProcessExpr) -> list:
+    """check_wellformed(term), or nothing when term applies a misshapen gate
+    or measurement: its arity could only repeat that operator's fault."""
+    return [] if _applies_misshapen(term) else check_wellformed(term)
 
 
-def _applies(term: ProcessExpr, ops: set) -> bool:
-    """Does term apply a gate or measurement whose id is in ops?"""
+def _applies_misshapen(term: ProcessExpr) -> bool:
     match term:
-        case Unitary(gate=op) | Measure(obs=op) if id(op) in ops:
+        case Unitary(gate=op) | Measure(obs=op) if op.misshapen:
             return True
-    return any(_applies(t, ops) for t in subterms(term))
+    return any(_applies_misshapen(t) for t in subterms(term))
 
 
 def elaborate(source: SourceFile) -> Elaboration:
     """Validate declarations and build runnable configurations.
 
-    Gates and measurement projectors must be square matrices over qubits,
-    gates must be unitary, measurements must satisfy the spectral-form
-    invariants, each configuration's process must be well formed
-    (check_wellformed), configuration states must be density matrices, and
-    each configuration's context must cover the process's free quantum
-    variables.  Each declaration's first fault is recorded, and one
-    ElaborationError lists them all.  A configuration that applies an
-    operator not square over qubits is not checked for arity, which could
-    only repeat that operator's fault.
+    Each gate and measurement must have no `fault`: a gate is a unitary over
+    qubits, and a measurement's projectors are square over qubits and satisfy
+    the spectral-form invariants.  Each configuration's process must have no
+    `violations`, configuration states must be density matrices, and each
+    configuration's context must cover the process's free quantum variables.
+    Each declaration's first fault is recorded, and one ElaborationError lists
+    them all.
     """
-    faults, misshapen = [], set()
-    for name, gate in source.gates.items():
-        if name in linalg.BUILTIN_GATES:
-            continue
-        if not _over_qubits(gate.matrix):
-            faults.append((f"gate {name}: matrix must be square over qubits", None))
-            misshapen.add(id(gate))
-        elif not linalg.is_unitary(gate.matrix):
-            faults.append((f"gate {name}: matrix is not unitary", None))
-
-    for name, obs in source.observables.items():
-        if not _over_qubits(obs.outcomes[0][1]):
-            faults.append((f"measurement {name}: projectors must be square over qubits", None))
-            misshapen.add(id(obs))
-        elif problems := linalg.validate_observable(obs, obs.dim):
-            faults.append((f"measurement {name}: {', '.join(problems)}", None))
+    faults = [(f"gate {name}: {gate.fault}", None)
+              for name, gate in source.gates.items() if gate.fault]
+    faults += [(f"measurement {name}: {obs.fault}", None)
+               for name, obs in source.observables.items() if obs.fault]
 
     configs = {}
     for name, decl in source.configs.items():
-        violations = [] if _applies(decl.process, misshapen) else check_wellformed(decl.process)
+        found = violations(decl.process)
         missing = qv(decl.process) - set(decl.vars)
-        if violations:
+        if found:
             faults.append((f"config {name}: invalid process: "
-                           + "; ".join(str(v) for v in violations), name))
+                           + "; ".join(str(v) for v in found), name))
         elif missing:
             faults.append((f"config {name}: context does not declare {sorted(missing)}", name))
         else:

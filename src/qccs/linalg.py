@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -174,9 +175,30 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def _over_qubits(m) -> bool:
+    """Is m square, with a side that is a power of two?"""
+    d = m.shape[0]
+    return m.shape == (d, d) and d > 0 and d & (d - 1) == 0
+
+
+class _Operator:
+    """A gate or measurement.  `fault` says what is wrong with it, or is None,
+    worked out once per object.  A `misshapen` one, whose fault is MISSHAPEN,
+    is not square over qubits, and no well-formed term applies it."""
+
+    @property
+    def misshapen(self) -> bool:
+        return self.fault == self.MISSHAPEN
+
+    def __str__(self) -> str:
+        return self.name
+
+
 @dataclass(frozen=True)
-class Gate:
+class Gate(_Operator):
     """A named unitary; equality compares the name plus a matrix fingerprint."""
+
+    MISSHAPEN = "matrix must be square over qubits"
 
     name: str
     matrix: np.ndarray = field(compare=False, repr=False)
@@ -193,13 +215,18 @@ class Gate:
     def arity(self) -> int:
         return qubit_count(self.dim)
 
-    def __str__(self) -> str:
-        return self.name
+    @cached_property
+    def fault(self) -> str | None:
+        if not _over_qubits(self.matrix):
+            return self.MISSHAPEN
+        return None if is_unitary(self.matrix) else "matrix is not unitary"
 
 
 @dataclass(frozen=True)
-class Observable:
+class Observable(_Operator):
     """Spectral form of a measurement: (eigenvalue, projector) pairs."""
+
+    MISSHAPEN = "projectors must be square over qubits"
 
     name: str
     outcomes: tuple = field(compare=False, repr=False)
@@ -216,8 +243,12 @@ class Observable:
     def dim(self) -> int:
         return self.outcomes[0][1].shape[0]
 
-    def __str__(self) -> str:
-        return self.name
+    @cached_property
+    def fault(self) -> str | None:
+        """validate_observable's problems at the observable's own dimension."""
+        if not _over_qubits(self.outcomes[0][1]):
+            return self.MISSHAPEN
+        return ", ".join(validate_observable(self, self.dim)) or None
 
 
 def validate_observable(obs: Observable, dim: int) -> list[str]:
@@ -230,23 +261,14 @@ def validate_observable(obs: Observable, dim: int) -> list[str]:
     if any(p.shape != (dim, dim) for p in projectors):
         problems.append("dimension")
         return problems
-    for p in projectors:
-        if not is_hermitian(p):
-            problems.append("hermitian")
-            break
-    for p in projectors:
-        if not approx_equal(p @ p, p):
-            problems.append("idempotent")
-            break
-    done = False
-    for i, p in enumerate(projectors):
-        for q in projectors[i + 1 :]:
-            if not approx_equal(p @ q, np.zeros((dim, dim))):
-                problems.append("orthogonal")
-                done = True
-                break
-        if done:
-            break
+    if not all(is_hermitian(p) for p in projectors):
+        problems.append("hermitian")
+    if not all(approx_equal(p @ p, p) for p in projectors):
+        problems.append("idempotent")
+    zero = np.zeros((dim, dim))
+    if not all(approx_equal(p @ q, zero) for i, p in enumerate(projectors)
+               for q in projectors[i + 1 :]):
+        problems.append("orthogonal")
     if not approx_equal(sum(projectors), np.eye(dim)):
         problems.append("completeness")
     return problems

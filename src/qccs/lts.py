@@ -400,7 +400,7 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
             return [_Step(QOut(c, q), [(b, ctx, 1.0)])]
 
         case Unitary(gate=g, qvars=qs, body=b):
-            return [_Step(TAU, [(b, ctxmod.apply_unitary(ctx, g.matrix, qs), 1.0)])]
+            return [_Step(TAU, [(b, ctxmod.apply_unitary(ctx, g, qs), 1.0)])]
 
         case Measure(obs=m, qvars=qs, var=x, body=b):
             outcomes = ctxmod.measure(ctx, m, qs)

@@ -116,6 +116,21 @@ class TestBadShapes:
             "config A = < M[q; x].nil ; q = |0> >\n",
             "measurement M: projectors must be square over qubits",
             "measurement M: projectors must be square over qubits"),
+        # a declared process that applies a misshapen operator repeats no
+        # arity fault of it, as a configuration does not
+        "gate-dimension-in-a-process": (
+            "gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+            "process P = G[q].nil\n"
+            "config A = < P ; q = |0> >\n",
+            "gate G: matrix must be square over qubits",
+            "gate G: matrix must be square over qubits"),
+        "measurement-dimension-in-a-process": (
+            "measure M = { 0: [[1, 0, 0], [0, 0, 0], [0, 0, 0]],"
+            " 1: [[0, 0, 0], [0, 1, 0], [0, 0, 1]] }\n"
+            "process P = M[q; x].nil\n"
+            "config A = < P ; q = |0> >\n",
+            "measurement M: projectors must be square over qubits",
+            "measurement M: projectors must be square over qubits"),
         "gate-arity": (
             "process P = CNOT[q].nil\n"
             "config A = < P ; q = |0> >\n",

@@ -9,10 +9,12 @@ from qccs.context import (
     UnknownVar, apply_unitary, context_equal, extend_with_input, make_context, measure,
     new_qubit,
 )
+from qccs.demo import build_teleport
 from qccs.linalg import (
-    ATOL, CNOT_MAT, H_MAT, I2, KET0, KET1, KET_MINUS, KET_PLUS, OBS_M01,
-    Observable, computational_observable, dm, tensor,
+    ATOL, CNOT_MAT, GATE_CNOT, GATE_H, GATE_I, I2, KET0, KET1, KET_MINUS, KET_PLUS,
+    OBS_M01, Gate, Observable, computational_observable, dm, tensor,
 )
+from qccs.lts import build_lts
 
 from helpers import OBS_MPM, apply_operator, lift_oracle, partial_trace, ptrace_oracle
 
@@ -93,39 +95,39 @@ class TestInputExtension:
 
 class TestUnitary:
     def test_hadamard_prepares_plus(self):
-        ctx = apply_unitary(make_context(("q",), dm(KET0)), H_MAT, ["q"])
+        ctx = apply_unitary(make_context(("q",), dm(KET0)), GATE_H, ["q"])
         np.testing.assert_allclose(ctx.rho, dm(KET_PLUS), atol=1e-12)
 
     def test_epr_preparation(self):
         # H on the first qubit then CNOT yields the shared pair
         ctx = make_context(("q1", "q2"), dm(np.array([1, 0, 0, 0])))
-        ctx = apply_unitary(ctx, H_MAT, ["q1"])
-        ctx = apply_unitary(ctx, CNOT_MAT, ["q1", "q2"])
+        ctx = apply_unitary(ctx, GATE_H, ["q1"])
+        ctx = apply_unitary(ctx, GATE_CNOT, ["q1", "q2"])
         np.testing.assert_allclose(ctx.rho, EPR, atol=1e-12)
 
     def test_identity_is_noop(self):
         rng = np.random.default_rng(1)
         ctx = make_context(("q",), random_density(rng, 1))
-        out = apply_unitary(ctx, I2, ["q"])
+        out = apply_unitary(ctx, GATE_I, ["q"])
         np.testing.assert_allclose(out.rho, ctx.rho, atol=1e-12)
 
     def test_trace_preserved_and_invertible(self):
         rng = np.random.default_rng(2)
         ctx = make_context(("a", "b"), random_density(rng, 2))
-        out = apply_unitary(ctx, CNOT_MAT, ["b", "a"])
+        out = apply_unitary(ctx, GATE_CNOT, ["b", "a"])
         assert abs(np.trace(out.rho) - 1.0) < 1e-12
-        back = apply_unitary(out, CNOT_MAT.conj().T, ["b", "a"])
+        back = apply_unitary(out, Gate("CNOT+", CNOT_MAT.conj().T), ["b", "a"])
         np.testing.assert_allclose(back.rho, ctx.rho, atol=1e-9)
 
     def test_rejects_non_unitary(self):
         ctx = make_context(("q",), dm(KET0))
         with pytest.raises(NotUnitary):
-            apply_unitary(ctx, np.array([[1, 0], [0, 0]], dtype=complex), ["q"])
+            apply_unitary(ctx, Gate("P0", np.array([[1, 0], [0, 0]], dtype=complex)), ["q"])
 
     def test_unknown_var(self):
         ctx = make_context(("q",), dm(KET0))
         with pytest.raises(UnknownVar):
-            apply_unitary(ctx, H_MAT, ["r"])
+            apply_unitary(ctx, GATE_H, ["r"])
 
 
 class TestMeasure:
@@ -170,31 +172,59 @@ class TestMeasure:
             proj = lift_oracle(base, [1], 2)
             assert abs(p - np.real(np.trace(proj @ ctx.rho))) < 1e-9
 
-    def _count_validations(self, monkeypatch) -> list:
-        calls = []
-        validate = linalg.validate_observable
-        monkeypatch.setattr(context, "_observable_problems", {})
-        monkeypatch.setattr(linalg, "validate_observable",
-                            lambda obs, dim: calls.append(obs.name) or validate(obs, dim))
-        return calls
-
     def test_observable_validated_once(self, monkeypatch):
-        calls = self._count_validations(monkeypatch)
+        calls = count_calls(monkeypatch, "validate_observable")
+        obs = Observable("M01", OBS_M01.outcomes)
         ctx = make_context(("a", "b"), tensor(dm(KET_PLUS), dm(KET_PLUS)))
         for v in ("a", "b", "a"):
-            assert len(measure(ctx, OBS_M01, [v])) == 2
-        # a copy under another name has the same content digest
-        assert len(measure(ctx, Observable("copy", OBS_M01.outcomes), ["b"])) == 2
-        assert calls == ["M01"]
+            assert len(measure(ctx, obs, [v])) == 2
+        assert calls == [id(obs)]
 
     def test_bad_observable_raises_on_every_call(self, monkeypatch):
-        calls = self._count_validations(monkeypatch)
+        calls = count_calls(monkeypatch, "validate_observable")
         bad = Observable("bad", ((0.0, dm(KET0)), (1.0, dm(KET_PLUS))))
         ctx = make_context(("q",), dm(KET0))
         for _ in range(3):
             with pytest.raises(InvalidObservable, match="bad: .*orthogonal"):
                 measure(ctx, bad, ["q"])
-        assert calls == ["bad"]
+        assert calls == [id(bad)]
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap linalg.<name> so that each call logs the id of its first argument."""
+    calls, fn = [], getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda op, *rest: calls.append(id(op)) or fn(op, *rest))
+    return calls
+
+
+class TestOperatorChecks:
+    """Whether a gate or measurement is valid is worked out once, on the
+    operator object, however often a term applies it."""
+
+    def test_each_operator_is_checked_at_most_once_per_build(self, monkeypatch):
+        unitary = count_calls(monkeypatch, "is_unitary")
+        observable = count_calls(monkeypatch, "validate_observable")
+        graph = build_lts(build_teleport(0.6, 0.8))
+        assert graph.node_count > 10
+        assert len(unitary) == len(set(unitary))
+        assert len(observable) == 1  # the protocol's one, fresh measurement
+
+    def test_a_bad_operator_raises_on_every_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, "is_unitary")
+        gate = Gate("P0", np.array([[1, 0], [0, 0]], dtype=complex))
+        bad = Observable("bad", ((0.0, dm(KET0)), (1.0, dm(KET0))))
+        ctx = make_context(("q",), dm(KET0))
+        for _ in range(3):
+            with pytest.raises(NotUnitary, match="^operator is not unitary$"):
+                apply_unitary(ctx, gate, ["q"])
+            with pytest.raises(InvalidObservable, match="^observable bad: .*completeness$"):
+                measure(ctx, bad, ["q"])
+        assert calls == [id(gate.matrix)]
+
+    def test_a_count_other_than_the_dimension_is_validated_at_that_count(self):
+        ctx = make_context(("a", "b"), tensor(dm(KET0), dm(KET0)))
+        with pytest.raises(InvalidObservable, match="^observable M01: dimension$"):
+            measure(ctx, OBS_M01, ["a", "b"])
 
 
 class TestCell:
@@ -302,7 +332,8 @@ class TestFactoredAgainstDense:
             rvars = pick(rng, names, 2)
             u = random_unitary(rng, len(rvars))
             want = apply_operator(u, rho, [names.index(v) for v in rvars])
-            np.testing.assert_allclose(apply_unitary(ctx, u, rvars).rho, want, atol=1e-12)
+            np.testing.assert_allclose(apply_unitary(ctx, Gate("U", u), rvars).rho, want,
+                                       atol=1e-12)
 
     def test_measure(self):
         for names, rho, ctx, rng in random_cases(31):

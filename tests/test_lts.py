@@ -1146,7 +1146,7 @@ def _prefix_step(term, ctx, policy):
                             [(subst_quantum(b, q, r), make_context((r,) + ctx.vars, sigma), 1.0)]))
             return out
         case Unitary(gate=g, qvars=qs, body=b):
-            return [(TAU, [(b, apply_unitary(ctx, g.matrix, qs), 1.0)])]
+            return [(TAU, [(b, apply_unitary(ctx, g, qs), 1.0)])]
         case Measure(obs=m, qvars=qs, var=x, body=b):
             outcomes = ctx_measure(ctx, m, qs)
             return [(TAU, [(subst_classical(b, x, ev), c2, p) for ev, p, c2 in outcomes])]

@@ -10,7 +10,7 @@ import numpy as np
 from qccs import linalg
 from qccs.context import apply_unitary, make_context, measure, new_qubit
 from qccs.demo import build_teleport
-from qccs.linalg import CNOT_MAT, H_MAT, dm, computational_observable
+from qccs.linalg import GATE_CNOT, GATE_H, dm, computational_observable
 from qccs.lts import run_trace
 
 ALPHA, BETA = 0.6, 0.8j
@@ -34,18 +34,18 @@ class TestProtocolStates:
         self.start = ctx
 
     def test_shared_pair_preparation(self):
-        ctx = apply_unitary(self.start, H_MAT, ["q1"])
-        ctx = apply_unitary(ctx, CNOT_MAT, ["q1", "q2"])
+        ctx = apply_unitary(self.start, GATE_H, ["q1"])
+        ctx = apply_unitary(ctx, GATE_CNOT, ["q1", "q2"])
         pair = (basis3("000") + basis3("110")) / np.sqrt(2)
         want = dm(ALPHA * pair + BETA * (basis3("001") + basis3("111")) / np.sqrt(2))
         np.testing.assert_allclose(ctx.rho, want, atol=1e-12)
         self.entangled = ctx
 
     def test_pre_measurement_state(self):
-        ctx = apply_unitary(self.start, H_MAT, ["q1"])
-        ctx = apply_unitary(ctx, CNOT_MAT, ["q1", "q2"])
-        ctx = apply_unitary(ctx, CNOT_MAT, ["q", "q1"])
-        ctx = apply_unitary(ctx, H_MAT, ["q"])
+        ctx = apply_unitary(self.start, GATE_H, ["q1"])
+        ctx = apply_unitary(ctx, GATE_CNOT, ["q1", "q2"])
+        ctx = apply_unitary(ctx, GATE_CNOT, ["q", "q1"])
+        ctx = apply_unitary(ctx, GATE_H, ["q"])
         want_vec = 0.5 * (
             ALPHA * (basis3("000") + basis3("001") + basis3("110") + basis3("111"))
             + BETA * (basis3("010") - basis3("011") + basis3("100") - basis3("101"))
@@ -53,10 +53,10 @@ class TestProtocolStates:
         np.testing.assert_allclose(ctx.rho, dm(want_vec), atol=1e-12)
 
     def test_measurement_outcomes_and_posteriors(self):
-        ctx = apply_unitary(self.start, H_MAT, ["q1"])
-        ctx = apply_unitary(ctx, CNOT_MAT, ["q1", "q2"])
-        ctx = apply_unitary(ctx, CNOT_MAT, ["q", "q1"])
-        ctx = apply_unitary(ctx, H_MAT, ["q"])
+        ctx = apply_unitary(self.start, GATE_H, ["q1"])
+        ctx = apply_unitary(ctx, GATE_CNOT, ["q1", "q2"])
+        ctx = apply_unitary(ctx, GATE_CNOT, ["q", "q1"])
+        ctx = apply_unitary(ctx, GATE_H, ["q"])
         outcomes = measure(ctx, computational_observable(2, "M4"), ["q", "q1"])
         assert [ev for ev, _, _ in outcomes] == [0.0, 1.0, 2.0, 3.0]
         posteriors = {
