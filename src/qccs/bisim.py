@@ -38,7 +38,11 @@ Refinement splits on it, and _explain asks each requirement of one node of
 the other, in all three modes; `eq` differs from weak only in answering a
 tau move by a strict internal move.  The first requirement that fails over the final partition
 is the counterexample, in one format for every mode; when none fails, the
-answers are the witness.
+answers are the witness.  A strong or weak pair in one block of the final
+partition fails none, so its check explains nothing and BisimResult builds
+the witness when it is first read.  `eq`, whose strict round decides the
+verdict, and a pair in different blocks, whose counterexample the verdict
+needs, are explained when the check runs.
 """
 
 from __future__ import annotations
@@ -510,13 +514,28 @@ def _collapse_inert(lts) -> tuple:
 
 @dataclass
 class BisimResult:
+    """A verdict over the final partition.  The witness of an equivalent
+    strong or weak verdict is built by _explain when first read, from the
+    matcher that the check kept, which is then dropped; a distinguished
+    verdict's witness is empty."""
+
     mode: str
     equivalent: bool
     left: int
     right: int
     partition: Partition
-    witness: list = field(default_factory=list)
     counterexample: dict | None = None
+    # the witness once built, else the matcher whose memo builds it
+    _witness: list | None = field(default=None, repr=False, compare=False)
+    _matcher: _Matcher | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def witness(self) -> list:
+        if self._witness is None:
+            self._witness = (_explain(self._matcher, self.left, self.right, self.partition,
+                                      False)[0] if self._matcher else [])
+            self._matcher = None
+        return self._witness
 
     def to_json(self) -> dict:
         out = {
@@ -697,6 +716,8 @@ def _explain(matcher: _Matcher, left: int, right: int, partition: Partition,
 def _check(lts, left: int, right: int, mode: str, tol: float) -> BisimResult:
     """Refine, then explain the verdict by _explain, which `eq` asks with
     every tau move answered by a strict weak move over the weak partition.
+    A strong or weak pair in one block is explained only when its witness is
+    read, and keeps its matcher until then.
     Weak and `eq` refine the view of _collapse_inert, with a matcher that
     shares the memo and near ties of the graph's own, and every node takes
     its representative's block; when nothing collapses, one matcher refines
@@ -718,18 +739,26 @@ def _check(lts, left: int, right: int, mode: str, tol: float) -> BisimResult:
         partition = Partition(_compact([partition.block_of[r] for r in rep]))
     else:
         partition = _refine(matcher, _initial_strong(lts))
-    witness, counter = _explain(matcher, left, right, partition, mode == "eq")
-    if counter is None and partition.block_of[left] != partition.block_of[right]:
-        counter = {"reason": "nodes separated transitively during refinement"}
+    one_block = partition.block_of[left] == partition.block_of[right]
+    if mode == "eq" or not one_block:
+        witness, counter = _explain(matcher, left, right, partition, mode == "eq")
+        if counter is None and not one_block:
+            counter = {"reason": "nodes separated transitively during refinement"}
+    else:
+        # both nodes meet each other's requirements over the stable partition,
+        # so _explain would only build the witness: BisimResult does, on read
+        witness, counter = None, _terminal_mismatch(lts, left, right)
     context = "weak-transition" if weak else "combined-transition"
     for _ in matcher.near_ties:
         # stack: _check, the checker, its caller
         warnings.warn(f"{context} matching decided within {_NEAR_TIE_FACTOR:g}x of the "
                       "tolerance; prefer exact-probability inputs", RuntimeWarning,
                       stacklevel=3)
-    if counter is None:
-        return BisimResult(mode, True, left, right, partition, witness=witness)
-    return BisimResult(mode, False, left, right, partition, counterexample=counter)
+    if counter is not None:
+        return BisimResult(mode, False, left, right, partition, counterexample=counter)
+    if witness is None:
+        return BisimResult(mode, True, left, right, partition, _matcher=matcher)
+    return BisimResult(mode, True, left, right, partition, _witness=witness)
 
 
 def strong_bisim(lts, left: int, right: int, tol: float = lp.TOL) -> BisimResult:

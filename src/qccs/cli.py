@@ -238,12 +238,11 @@ def cmd_bisim(args) -> int:
         fn = {"strong": bisim_mod.strong_bisim, "weak": bisim_mod.weak_bisim,
               "eq": bisim_mod.equality_check}[mode]
         result = fn(graph, graph.initial[0], graph.initial[1], tol)
-        payload = result.to_json()
-        payload["left_name"] = left
-        payload["right_name"] = right
-        reports.append(payload)
-        verdict = "equivalent" if result.equivalent else "distinguished"
-        if not args.json:
+        if args.json:
+            # to_json reads the witness, which text mode never prints
+            reports.append({**result.to_json(), "left_name": left, "right_name": right})
+        else:
+            verdict = "equivalent" if result.equivalent else "distinguished"
             print(f"{mode}: {left} vs {right}: {verdict}")
             if not result.equivalent and result.counterexample:
                 print(f"  why: {result.counterexample.get('reason', result.counterexample)}")

@@ -1,12 +1,13 @@
 """Bisimilarity-checker tests: paper examples, flow queries, oracle agreement."""
 
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qccs import bisim, linalg, lp
+from qccs import bisim, laws, linalg, lp
 from qccs.bisim import Partition, class_vector, equality_check, strong_bisim, weak_bisim
 from qccs.context import make_context
 from qccs.demo import build_teleport
@@ -14,8 +15,8 @@ from qccs.frontend import elaborate, parse
 from qccs.linalg import GATE_I, GATE_X, KET0, KET1, KET_PLUS, KET_MINUS, OBS_M01, dm
 from qccs.lts import TAU, Configuration, QOut, Tau, build_lts, format_action
 from qccs.syntax import (
-    Chan, Cmp, Const, COutput, If, Measure, Nil, Parallel, QOutput, Restrict,
-    Sum, Unitary, Var,
+    Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel, QOutput, Restrict,
+    Sum, Unitary, Var, qv,
 )
 
 from helpers import (
@@ -549,6 +550,11 @@ def near_tie_systems() -> list:
     return out
 
 
+def synthetic_families() -> list:
+    """The seeded, returning, saturated and near-tie systems."""
+    return seeded_systems() + returning_systems() + saturated_systems() + near_tie_systems()
+
+
 @pytest.fixture(scope="module")
 def seeded_oracles() -> list:
     """The seeded systems, each with one oracle that the tests share."""
@@ -730,13 +736,14 @@ class TestMemoizedRefinement:
         # check returns and attributed to the line that called it; eq asks
         # the weak questions and stops at the first requirement that fails.
         # Weak refinement asks its questions of the graph with inert chains
-        # collapsed, which meets 10 fewer near ties than the whole graph
+        # collapsed, which meets 10 fewer near ties than the whole graph.
+        # Reading a witness afterwards warns nothing
         counts = {}
         for checker in self.CHECKERS:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for slts in near_tie_systems():
-                    checker(slts, 0, slts.n - 1)
+                    checker(slts, 0, slts.n - 1).witness
             assert {w.filename for w in caught} == {__file__}, checker.__name__
             assert all("within 10x of the tolerance" in str(w.message) for w in caught)
             counts[checker.__name__] = len(caught)
@@ -980,8 +987,7 @@ class TestDecidedWithoutASolve:
         monkeypatch.setattr(bisim._Matcher, "decide", checked)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for slts in (seeded_systems() + returning_systems() + saturated_systems()
-                         + near_tie_systems()):
+            for slts in synthetic_families():
                 for checker in TestMemoizedRefinement.CHECKERS:
                     checker(slts, 0, slts.n - 1)
         # both verdicts are met in every kind of question
@@ -1026,6 +1032,22 @@ class TestDecidedWithoutASolve:
         assert caught and all("within 10x of the tolerance" in str(w.message) for w in caught)
 
 
+def refine_once(monkeypatch) -> dict:
+    """Have bisim._refine refine each graph, and each view of one, once per
+    mode, until the returned memo is cleared.  Refinement reads no pair, so
+    a loop over the pairs of one graph clears it once per graph."""
+    refine, refined = bisim._refine, {}
+
+    def once(matcher, partition):
+        key = matcher.mode, tuple(getattr(matcher.lts, "kept", ()))
+        if key not in refined:
+            refined[key] = refine(matcher, partition)
+        return refined[key]
+
+    monkeypatch.setattr(bisim, "_refine", once)
+    return refined
+
+
 class TestInertCollapse:
     """Weak and eq refinement run on a view of the graph in which each inert
     node, whose one move is a tau move with all of its mass on one other
@@ -1049,22 +1071,12 @@ class TestInertCollapse:
                 assert a.to_json() == b.to_json(), (checker.__name__, pair)
 
     def test_checks_agree_with_the_uncollapsed_graph(self, monkeypatch):
-        # every ordered pair of the four synthetic families; refinement reads
-        # no pair, so each graph, and each view, is refined once
-        refine, refined = bisim._refine, {}
-
-        def once(matcher, partition):
-            key = tuple(getattr(matcher.lts, "kept", ()))
-            if key not in refined:
-                refined[key] = refine(matcher, partition)
-            return refined[key]
-
-        monkeypatch.setattr(bisim, "_refine", once)
+        # every ordered pair of the four synthetic families
+        refined = refine_once(monkeypatch)
         pairs = collapsed = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for slts in (seeded_systems() + returning_systems() + saturated_systems()
-                         + near_tie_systems()):
+            for slts in synthetic_families():
                 refined.clear()
                 collapsed += slts.n - bisim._collapse_inert(slts)[0].node_count
                 everyone = [(left, right) for left in range(slts.n) for right in range(slts.n)]
@@ -1120,6 +1132,126 @@ class TestInertCollapse:
                 warnings.simplefilter("always")
                 assert weak_bisim(graph, 0, 1).equivalent == (not near), shift
             assert len(caught) == near, shift
+
+
+class TestLazyWitness:
+    """A strong or weak pair whose nodes end in one block of the final
+    partition meets each other's requirements there, so its check explains
+    nothing: the witness is built when first read.  `eq` and pairs in
+    different blocks are explained when the check runs."""
+
+    def test_witness_on_read_is_the_eager_one(self, monkeypatch):
+        # every ordered pair of the four synthetic families; reading a
+        # witness warns nothing, however many near ties the check met
+        refined = refine_once(monkeypatch)
+        one_block = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for slts in synthetic_families():
+                refined.clear()
+                for checker, mode in ((strong_bisim, "strong"), (weak_bisim, "weak")):
+                    fresh = bisim._Matcher(slts, mode, lp.TOL)
+                    for left in range(slts.n):
+                        for right in range(slts.n):
+                            result = checker(slts, left, right)
+                            block_of = result.partition.block_of
+                            if block_of[left] != block_of[right]:
+                                assert not result.equivalent and result.witness == []
+                                continue
+                            warned = len(caught)
+                            assert result.equivalent and result.counterexample is None
+                            assert (result.witness, None) == bisim._explain(
+                                fresh, left, right, result.partition, False), (mode, left, right)
+                            assert len(caught) == warned
+                            one_block += 1
+        assert one_block == 1730 and caught, (one_block, len(caught))
+
+    def test_law_suite_explains_only_pairs_in_different_blocks(self, monkeypatch):
+        # the suites read verdicts and counterexamples, never witnesses: a
+        # law that holds explains nothing, and each mutated law that fails
+        # explains its pair once
+        explain, split = bisim._explain, []
+
+        def recording(matcher, left, right, partition, strict):
+            split.append(partition.block_of[left] != partition.block_of[right])
+            return explain(matcher, left, right, partition, strict)
+
+        monkeypatch.setattr(bisim, "_explain", recording)
+        report = laws.check_laws(samples=40, seed=0)
+        assert report.ok and sum(report.checked.values()) == 200
+        assert split == []
+        mutated = laws.check_laws(samples=10, seed=0, mutate=True)
+        assert mutated.failures and split == [True] * len(mutated.failures)
+
+    def test_reading_the_witness_releases_the_matcher(self):
+        left, right = corpus_configs("choice", "Left", "Right")
+        graph = build_lts([left, right])
+        for checker in (strong_bisim, weak_bisim):
+            result = checker(graph, *graph.initial)
+            matcher = weakref.ref(result._matcher)
+            assert result.equivalent and matcher() is not None
+            witness = result.witness
+            assert witness and matcher() is None, checker.__name__
+            assert result.witness is witness
+        # eq is explained by its check, which keeps no matcher
+        assert equality_check(graph, *graph.initial)._matcher is None
+
+
+class TestOracleOnDerivedGraphs:
+    """The checkers against helpers.BisimOracle on graphs that build_lts
+    derives from random qCCS term pairs, as the law suites draw them.  Each
+    side may sit behind internal moves, so that weak verdicts differ from
+    strong ones and `eq` verdicts from weak ones."""
+
+    SYNC = Chan("t", False)
+    # how many internal moves the left and the right side sit behind
+    WRAPS = ((0, 0), (1, 1), (0, 1), (1, 0), (0, 2), (2, 1))
+    WRAP_WEIGHTS = (0.2, 0.1, 0.25, 0.25, 0.1, 0.1)
+
+    def internal(self, term):
+        """term behind one internal move: a communication on a restricted
+        channel that no drawn term uses."""
+        sync = self.SYNC
+        return Restrict(Parallel(COutput(sync, Const(1.0), term), CInput(sync, "z", Nil())),
+                        frozenset({sync}))
+
+    def draw(self, rng):
+        """A graph of two terms over q0 and q1, in one random context under
+        the suites' input policy; in about 30% of draws the right term is an
+        equivalent rewrite of the left one."""
+        qavail = ("q0", "q1")
+        left = laws.random_process(rng, 2, qavail)
+        right = (laws.equivalent_rewrite(rng, left) if rng.random() < 0.3
+                 else laws.random_process(rng, 2, qavail))
+        wraps = self.WRAPS[rng.choice(len(self.WRAPS), p=self.WRAP_WEIGHTS)]
+        sides = []
+        for term, count in zip((left, right), wraps):
+            for _ in range(count):
+                term = self.internal(term)
+            sides.append(term)
+        vars_ = tuple(sorted(qv(sides[0]) | qv(sides[1])))
+        ctx = make_context(vars_, laws.random_density(rng, len(vars_)))
+        return build_lts([Configuration(term, ctx) for term in sides], policy=laws.SUITE_POLICY)
+
+    def test_verdicts_and_partitions_match_the_oracle(self):
+        rng = np.random.default_rng(1)
+        differ = {"weak-strong": 0, "eq-weak": 0}
+        strongly = 0
+        for _ in range(130):
+            graph = self.draw(rng)
+            left, right = graph.initial
+            oracle = BisimOracle(graph, lp.TOL)
+            strong, weak = strong_bisim(graph, left, right), weak_bisim(graph, left, right)
+            eq = equality_check(graph, left, right)
+            assert strong.partition.block_of == oracle.partition("strong")
+            assert weak.partition.block_of == oracle.partition("weak")
+            for result in (strong, weak, eq):
+                assert result.equivalent == oracle.equivalent(result.mode, left, right)
+            differ["weak-strong"] += weak.equivalent != strong.equivalent
+            differ["eq-weak"] += eq.equivalent != weak.equivalent
+            strongly += strong.equivalent
+        # 42 and 32 pairs differ, and 14 are strongly equivalent
+        assert min(differ.values()) >= 20 and strongly >= 10, (differ, strongly)
 
 
 class TestCounterexamples:
