@@ -233,8 +233,12 @@ def cmd_bisim(args) -> int:
 
     worst = 0
     reports = []
+    graphs: dict = {}  # one graph per (left, right) pair, whatever the modes
     for mode, left, right in queries:
-        graph = build_lts([elab.configs[left], elab.configs[right]], policy=policy)
+        if (left, right) not in graphs:
+            graphs[left, right] = build_lts([elab.configs[left], elab.configs[right]],
+                                            policy=policy)
+        graph = graphs[left, right]
         fn = {"strong": bisim_mod.strong_bisim, "weak": bisim_mod.weak_bisim,
               "eq": bisim_mod.equality_check}[mode]
         result = fn(graph, graph.initial[0], graph.initial[1], tol)

@@ -23,7 +23,7 @@ from .syntax import (
     Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew,
     QInput, QOutput, Relabel, Restrict, Sum, Unitary, alpha_key,
     assert_wellformed, canonical, eval_bool, eval_expr, fv_classical, qv,
-    subst_classical, subst_quantum, subterms,
+    subst_classical, subst_quantum,
 )
 
 
@@ -72,7 +72,7 @@ class StuckError(LtsError):
     blocked_actions).  `enabled`, when some point can move but no action is
     enabled at all of them: each point as (probability, its actions sorted
     by action_sort_key, the actions blocked there), where a point that can
-    move blocks none and a point that terminated has None in their place."""
+    move blocks none and one that terminated (blocks nothing) has None."""
 
     def __init__(self, blocked, enabled=()):
         self.blocked = tuple(blocked)
@@ -87,7 +87,7 @@ class StuckError(LtsError):
 
 
 def _action_list(actions) -> str:
-    return ", ".join(map(format_action, actions)) or "none"
+    return ", ".join(map(format_action, actions))
 
 
 def _point_report(actions, blocked) -> str:
@@ -299,12 +299,17 @@ class InputPolicy:
     Classical inputs range over a per-channel domain; quantum inputs extend
     the context with a product state drawn from `quantum_recipes`.  With
     `closed_only` set, configurations exposing an unrestricted input prefix
-    are refused instead, which keeps every verdict exact.
+    are refused instead, which keeps every verdict exact.  An empty domain
+    or no recipe raises LtsError, so that every input offered can move.
     """
 
     classical_domains: tuple = ()  # ((Chan, (values...)), ...)
     quantum_recipes: tuple = DEFAULT_QUANTUM_RECIPES
     closed_only: bool = True
+
+    def __post_init__(self):
+        if not (self.quantum_recipes and all(dom for _, dom in self.classical_domains)):
+            raise LtsError("input policy has an empty classical domain or no quantum recipe")
 
     def domain(self, chan: Chan):
         for c, dom in self.classical_domains:
@@ -371,7 +376,7 @@ def _rewrap(step, wrap, fn=None):
     return _InStep(chan, step.hint, lambda x: wrap(step.cont(x)))
 
 
-def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
+def _derive(term: ProcessExpr, ctx: QContext, fresh, blocked: list | None = None) -> list:
     match term:
         case Nil():
             return []
@@ -407,20 +412,26 @@ def _derive(term: ProcessExpr, ctx: QContext, fresh) -> list:
             return [_Step(TAU, [(subst_classical(b, x, ev), c2, p) for ev, p, c2 in outcomes])]
 
         case Sum(left=l, right=r):
-            return _derive(l, ctx, fresh) + _derive(r, ctx, fresh)
+            return _derive(l, ctx, fresh, blocked) + _derive(r, ctx, fresh, blocked)
 
         case Parallel(left=l, right=r):
-            return _compose_parallel(_derive(l, ctx, fresh), _derive(r, ctx, fresh), l, r)
+            return _compose_parallel(_derive(l, ctx, fresh, blocked),
+                                     _derive(r, ctx, fresh, blocked), l, r)
 
         case Relabel(body=b, fn=f):
-            return [_rewrap(s, lambda t: Relabel(t, f), f) for s in _derive(b, ctx, fresh)]
+            return [_rewrap(s, lambda t: Relabel(t, f), f)
+                    for s in _derive(b, ctx, fresh, blocked)]
 
-        case Restrict(body=b, chans=blocked):
-            return [_rewrap(s, lambda t: Restrict(t, blocked))
-                    for s in _derive(b, ctx, fresh) if s.chan not in blocked]
+        case Restrict(body=b, chans=chans):
+            # the steps it filters out go to `blocked`, ahead of inner ones
+            at = len(blocked or ())
+            steps = _derive(b, ctx, fresh, blocked)
+            if blocked is not None:
+                blocked[at:at] = [s for s in steps if s.chan in chans]
+            return [_rewrap(s, lambda t: Restrict(t, chans)) for s in steps if s.chan not in chans]
 
         case If(cond=c, body=b):
-            return _derive(b, ctx, fresh) if eval_bool(c) else []
+            return _derive(b, ctx, fresh, blocked) if eval_bool(c) else []
 
     raise LtsError(f"bad process term {term!r}")
 
@@ -505,29 +516,17 @@ def transitions(
 
 def blocked_actions(config: Configuration) -> list:
     """Actions of the unrestricted inner behaviour that restriction filters
-    out at this configuration (diagnostic for stuck reports).  An input not
-    yet instantiated shows as its prefix, with its binder as payload:
-    CIn(c, "x") for c?x, QIn(qc, "q") for qc?q."""
-    blocked: list = []
-
-    def strip(term):
-        match term:
-            case Restrict(body=b, chans=chans):
-                # actions name no fresh qubit, so any namer serves
-                for s in _derive(b, config.context, numbered_fresh):
-                    if s.chan not in chans:
-                        continue
-                    blocked.append(s.action if isinstance(s, _Step)
-                                   else (QIn if s.chan.quantum else CIn)(s.chan, s.hint))
-                strip(b)
-            case Parallel(left=l, right=r) | Sum(left=l, right=r):
-                strip(l)
-                strip(r)
-            case Relabel(body=b) | If(body=b):
-                strip(b)
-
-    strip(config.process)
-    return list(dict.fromkeys(blocked))
+    out at this configuration (diagnostic for stuck reports), restrictions
+    in pre-order, outer first, as _derive collects them; a false `if`
+    blocks nothing.
+    An input not yet instantiated shows as its prefix, with its binder as
+    payload: CIn(c, "x") for c?x, QIn(qc, "q") for qc?q."""
+    steps: list = []
+    # actions name no fresh qubit, so any namer serves
+    _derive(config.process, config.context, numbered_fresh, steps)
+    return list(dict.fromkeys(s.action if isinstance(s, _Step)
+                              else (QIn if s.chan.quantum else CIn)(s.chan, s.hint)
+                              for s in steps))
 
 
 # -- finite exploration --
@@ -639,16 +638,6 @@ def build_lts(
 # -- trace execution --
 
 
-def is_terminated(term: ProcessExpr) -> bool:
-    """Structurally finished: nothing left that could ever fire."""
-    match term:
-        case Nil() | Parallel() | Sum() | Relabel() | Restrict():
-            return all(map(is_terminated, subterms(term)))
-        case If(cond=c, body=b):
-            return (not eval_bool(c)) or is_terminated(b)
-    return False
-
-
 @dataclass
 class TraceStep:
     action: Action
@@ -688,8 +677,9 @@ def run_trace(
     In distribution mode the full probability tree is carried along: each
     round picks an action enabled at every support point and lifts it.  In
     sample mode probabilistic branches are resolved with the seeded RNG.
-    Raises StuckError when progress stops before termination: no point can
-    move, or some can but no action is enabled at all.
+    A point that cannot move has terminated when nothing is blocked there
+    (blocked_actions).  Raises StuckError when progress stops before every
+    point has: no point can move, or some can but no action is enabled.
 
     `scheduler` picks the action each round, and the move at a support
     point when it has more than one with that action: "first" takes the
@@ -708,12 +698,11 @@ def run_trace(
         enabled = [{a for a, _ in trs} for trs in per_point]
         common = set.intersection(*enabled)
         if not common:
-            if not any(per_point) and all(is_terminated(c.process) for c, _ in current):
-                return TraceResult(steps, current, "terminated")
             points = [(p, tuple(sorted(actions, key=action_sort_key)),
-                       () if trs else (None if is_terminated(c.process)
-                                       else tuple(blocked_actions(c))))
+                       () if trs else (tuple(blocked_actions(c)) or None))
                       for (c, p), actions, trs in zip(current, enabled, per_point)]
+            if all(held is None for _, _, held in points):
+                return TraceResult(steps, current, "terminated")
             raise StuckError([a for _, _, held in points for a in held or ()],
                              points if any(per_point) else ())
 

@@ -10,6 +10,9 @@ rational arithmetic; BisimOracle decides strong, weak and eq from the
 definitions, with its own linear programs solved by scipy's HiGHS.
 restart_scan is the exception: the refinement loop that bisim's worklist
 replaced, kept to compare split orders where they could matter.
+terminated_oracle and blocked_oracle are the two walkers that stuck reports
+used before the rule engine collected blocked actions itself; the second
+asks the rule engine only for the steps of a restriction's body.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from qccs import syntax as S
 from qccs.context import context_equal
 from qccs.frontend import elaborate, parse
 from qccs.linalg import KET_MINUS, KET_PLUS, Observable, dm
-from qccs.lts import TAU, Tau
+from qccs.lts import TAU, CIn, QIn, Tau, _derive, _Step, numbered_fresh
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -57,6 +60,41 @@ def is_classical(e) -> bool:
     if isinstance(e, (S.QbitNew, S.QInput, S.Unitary, S.Measure)):
         return False
     return all(map(is_classical, S.subterms(e)))
+
+
+# -- stuck configurations: termination and the actions restriction blocks --
+
+
+def terminated_oracle(term) -> bool:
+    """Structurally finished: nothing left that could ever fire."""
+    if isinstance(term, S.If):
+        return not S.eval_bool(term.cond) or terminated_oracle(term.body)
+    if isinstance(term, (S.Nil, S.Parallel, S.Sum, S.Relabel, S.Restrict)):
+        return all(map(terminated_oracle, S.subterms(term)))
+    return False
+
+
+def blocked_oracle(config) -> list:
+    """The steps each restriction reached from the root filters out, by
+    restriction in pre-order, outer first, each once; a symbolic input shows
+    as its binder.  The walk descends through parallel, sum, relabelling and
+    the body of a true `if`, and nowhere else."""
+    blocked: list = []
+
+    def strip(term):
+        if isinstance(term, S.Restrict):
+            for s in _derive(term.body, config.context, numbered_fresh):
+                if s.chan in term.chans:
+                    blocked.append(s.action if isinstance(s, _Step)
+                                   else (QIn if s.chan.quantum else CIn)(s.chan, s.hint))
+        if isinstance(term, S.If) and not S.eval_bool(term.cond):
+            return
+        if isinstance(term, (S.Parallel, S.Sum, S.Relabel, S.Restrict, S.If)):
+            for sub in S.subterms(term):
+                strip(sub)
+
+    strip(config.process)
+    return list(dict.fromkeys(blocked))
 
 
 # -- index-level linear algebra oracles --

@@ -155,6 +155,16 @@ class TestBadShapes:
             assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
             assert capsys.readouterr().err == f"error: {error}\n", argv
 
+    def test_free_classical_variable(self, tmp_path, capsys):
+        # lts.Configuration refuses the term; elaboration names the config
+        f = tmp_path / "free.qccs"
+        f.write_text("channel c\nconfig A = < c!x.nil >\n")
+        fault = "config A: process has free classical variables ['x']"
+        assert run_cli("check", str(f)) == (1, f"{f}: {fault}\n")
+        capsys.readouterr()
+        assert run_cli("run", str(f)) == (2, "")
+        assert capsys.readouterr().err == f"error: {fault}\n"
+
     def test_config_fault_outside_a_declared_process_is_kept(self, tmp_path):
         # a configuration that wraps a faulty declared process is not that
         # process, so its own line stays
@@ -279,6 +289,7 @@ class TestRun:
                      "enabled at each: c!0 (p=0.5); c!1 (p=0.5)"),
         ("Half", "no action is enabled at every support point; "
                  "enabled at each: c!0 (p=0.5); terminated (p=0.5)"),
+        ("DeadBranch", "blocked actions: c!1"),
     ])
     def test_stuck_corpus_reports(self, capsys, config, report):
         assert run_cli("run", STUCK, "--config", config) == (1, "")
@@ -387,6 +398,25 @@ class TestBisim:
         f.write_text("config A = < nil >\n")
         code, _ = run_cli("bisim", str(f))
         assert code == 2
+
+    def test_each_pair_is_explored_once(self, tmp_path, monkeypatch):
+        # two directives on one pair and one on another: two graphs
+        from qccs import cli
+
+        f = tmp_path / "pairs.qccs"
+        f.write_text("config A = < I[q].nil ; q = |+> >\n"
+                     "config B = < nil ; q = |+> >\n"
+                     "check strong A B\ncheck weak A B\ncheck strong B A\n")
+        built = []
+        real = cli.build_lts
+        monkeypatch.setattr(cli, "build_lts", lambda *a, **k: built.append(a) or real(*a, **k))
+        why = "has no matching move for tau with the given class vector"
+        assert run_cli("bisim", str(f)) == (1, "strong: A vs B: distinguished\n"
+                                               f"  why: node 1 {why}\n"
+                                               "weak: A vs B: equivalent\n"
+                                               "strong: B vs A: distinguished\n"
+                                               f"  why: node 0 {why}\n")
+        assert len(built) == 2
 
 
 class TestLaws:

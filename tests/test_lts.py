@@ -4,16 +4,16 @@ plus distribution algebra, exploration, and trace execution."""
 import numpy as np
 import pytest
 
-from qccs import linalg
+from qccs import laws, linalg
 from qccs.bisim import equality_check, strong_bisim, weak_bisim
 from qccs.context import SCAN_LIMIT, ContextIndex, QContext, context_equal, make_context
 from qccs.frontend import elaborate, parse, pretty_print
 from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, Observable, dm, tensor
 from qccs.lts import (
-    TAU, BadWeights, BoundExceeded, CIn, Configuration, COut, Distribution,
-    InputPolicy, LtsError, OpenConfiguration, QIn, QOut, StuckError, build_lts,
-    _complex_pairs, _moves, action_sort_key, format_action, hint_fresh, lts_to_dot,
-    lts_to_json, numbered_fresh, run_trace, transitions,
+    TAU, BadConfiguration, BadWeights, BoundExceeded, CIn, Configuration, COut,
+    Distribution, InputPolicy, LtsError, OpenConfiguration, QIn, QOut, StuckError,
+    blocked_actions, build_lts, _complex_pairs, _moves, action_sort_key, format_action,
+    hint_fresh, lts_to_dot, lts_to_json, numbered_fresh, run_trace, transitions,
 )
 from qccs.syntax import (
     Arith, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Parallel,
@@ -21,7 +21,10 @@ from qccs.syntax import (
     WellformednessError, subterms,
 )
 
-from helpers import CORPUS, corpus_configs, lift_oracle, node_of, ptrace_oracle
+from helpers import (
+    CORPUS, blocked_oracle, corpus_configs, lift_oracle, node_of, ptrace_oracle,
+    terminated_oracle,
+)
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -946,6 +949,96 @@ class TestRunTrace:
 
 def out(chan, value, body=None):
     return COutput(chan, Const(value), body or Nil())
+
+
+FALSE = Cmp("=", Const(1.0), Const(0.0))
+
+
+class TestStuckReports:
+    """What restriction blocks at a configuration that cannot move, read off
+    the rule engine's own derivation, and termination as nothing blocked."""
+
+    def test_agrees_with_the_reference_walkers(self):
+        # every stuck node of seeded random graphs, under the suites' open
+        # policy and the closed one; some terms are restricted, some sit
+        # beside a false `if` over a restricted term, whose actions can
+        # never fire
+        rng = np.random.default_rng(28)
+        stuck = held = 0
+        for k in range(300):
+            term = laws.random_process(rng, 4, ("q0", "q1"), allow_quantum_input=True)
+            if rng.random() < 0.5:
+                chans = rng.choice(laws.CCHANS + laws.QCHANS, size=2, replace=False)
+                term = Restrict(term, frozenset(chans))
+            if rng.random() < 0.2:
+                dead = laws.random_process(rng, 2, (), classical_only=True)
+                term = Parallel(term, If(FALSE, Restrict(dead, frozenset(laws.CCHANS))))
+            ctx = make_context(("q0", "q1"), laws.random_density(rng, 2))
+            policy = laws.SUITE_POLICY if k % 2 else InputPolicy()
+            try:
+                graph = build_lts(Configuration(term, ctx), policy=policy, max_nodes=200)
+            except LtsError:
+                continue
+            for i, node in enumerate(graph.nodes):
+                if graph.stuck(i):
+                    got = blocked_actions(node)
+                    assert (not got) == terminated_oracle(node.process), str(node)
+                    assert got == blocked_oracle(node), str(node)
+                    stuck += 1
+                    held += bool(got)
+        assert held >= 50 and stuck > held
+
+    def test_nested_restrictions_report_outer_first(self):
+        inner = Restrict(out(C, 1.0), frozenset({C}))
+        term = Restrict(Parallel(inner, out(D, 2.0)), frozenset({D}))
+        assert blocked_actions(cfg(term)) == [COut(D, 2.0), COut(C, 1.0)]
+        with pytest.raises(StuckError) as err:
+            run_trace(cfg(term))
+        assert str(err.value) == "execution is stuck; blocked actions: d!2, c!1"
+
+    def test_a_false_if_blocks_nothing(self):
+        dead = If(FALSE, Restrict(out(C, 2.0), frozenset({C})))
+        term = Parallel(Restrict(out(C, 1.0), frozenset({C})), dead)
+        assert blocked_actions(cfg(term)) == [COut(C, 1.0)]
+        assert blocked_actions(cfg(Parallel(Nil(), dead))) == []
+
+    def test_terminated_only_through_a_dead_branch(self):
+        # the point of outcome 1 holds a restricted output under a false
+        # `if`: it has terminated, alone and beside a point that can move
+        dead = Parallel(Nil(), If(FALSE, Restrict(out(C, 2.0), frozenset({C}))))
+        trace = run_trace(cfg(dead))
+        assert (trace.status, trace.steps) == ("terminated", [])
+        body = Sum(If(Cmp("=", Var("x"), Const(0.0)), out(C, 0.0)),
+                   If(Cmp("=", Var("x"), Const(1.0)), dead))
+        with pytest.raises(StuckError) as err:
+            run_trace(cfg(Measure(OBS_M01, ("q",), "x", body), ("q",), dm(KET_PLUS)))
+        assert err.value.blocked == ()
+        assert [(round(p, 9), actions, h) for p, actions, h in err.value.enabled] == [
+            (0.5, (COut(C, 0.0),), ()), (0.5, (), None)]
+        assert str(err.value) == (
+            "execution is stuck; no action is enabled at every support point; "
+            "enabled at each: c!0 (p=0.5); terminated (p=0.5)")
+
+    def test_empty_input_policies_are_refused(self):
+        # an input the policy gives no move would be neither terminated
+        # nor blocked
+        message = "^input policy has an empty classical domain or no quantum recipe$"
+        with pytest.raises(LtsError, match=message):
+            InputPolicy(classical_domains=((D, (0.0,)), (C, ())))
+        with pytest.raises(LtsError, match=message):
+            InputPolicy(quantum_recipes=(), closed_only=False)
+
+
+class TestBadConfiguration:
+    def test_free_classical_variables(self):
+        with pytest.raises(BadConfiguration) as err:
+            cfg(Parallel(COutput(C, Var("y"), Nil()), COutput(D, Var("x"), Nil())))
+        assert str(err.value) == "process has free classical variables ['x', 'y']"
+
+    def test_uncovered_quantum_variables(self):
+        with pytest.raises(BadConfiguration) as err:
+            cfg(QOutput(QC, "r", Unitary(GATE_H, ("q",), Nil())), ("s",), dm(KET0))
+        assert str(err.value) == "context does not cover quantum variables ['q', 'r']"
 
 
 class TestChooser:
