@@ -20,14 +20,14 @@ from . import demo as demo_mod
 from . import laws as laws_mod
 from . import lp
 from .frontend import (
-    ElaborationError, ParseError, Parser, elaborate, parse, pretty_print, tokenize, violations,
+    ElaborationError, ParseError, Parser, elaborate, parse, pretty_print, tokenize,
 )
 from .linalg import ATOL, factor_diagonal
 from .lts import (
     InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
 )
-from .syntax import ValueOutOfRange, WellformednessError
+from .syntax import ValueOutOfRange, WellformednessError, check_wellformed
 
 
 def _default_tol() -> float:
@@ -108,7 +108,7 @@ def cmd_check(args) -> int:
     source = _load(args.file)
     problems, faulty = [], set()
     for name, proc in source.processes.items():
-        for v in violations(proc):
+        for v in check_wellformed(proc):
             problems.append(f"process {name}: {v}")
             faulty.add(id(proc))
     try:

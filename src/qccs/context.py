@@ -195,9 +195,8 @@ def extend_with_input(ctx: QContext, r: str, sigma) -> QContext:
 
 def apply_unitary(ctx: QContext, gate: Gate, rvars) -> QContext:
     """The context after gate acts on the named qubits.  The gate's own
-    finding says whether it is unitary; only a misshapen gate, which no
-    well-formed term applies, is tested here."""
-    if gate.fault and (not gate.misshapen or not linalg.is_unitary(gate.matrix)):
+    finding says whether it is a unitary over qubits."""
+    if gate.fault:
         raise NotUnitary("operator is not unitary")
     positions = [ctx.index(v) for v in rvars]
     return QContext(ctx.vars, apply_to_factor(gate.matrix, ctx.factor, positions))
@@ -209,7 +208,8 @@ def measure(ctx: QContext, obs: Observable, rvars) -> list:
     Returns (eigenvalue, probability, post-context) triples for the outcomes
     with nonzero probability; probabilities are Tr(P rho P) = ||P K||_F^2
     and the post-states have the renormalised factors P K / sqrt(p).  The
-    observable's own finding says whether it is valid; only one given a
+    observable's own finding says whether it is valid; a misshapen one,
+    which the arity rule lets a well-formed term apply, or one given a
     number of qubits that differs from its dimension, which no well-formed
     term does, is validated here, at that number.
     """

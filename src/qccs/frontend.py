@@ -28,7 +28,7 @@ from .lts import Configuration, InputPolicy, format_value
 from .syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
     Parallel, ProcessExpr, QbitNew, QInput, QOutput, Relabel, RelabelFn,
-    Restrict, Sum, Unitary, Var, check_wellformed, qv, subterms,
+    Restrict, Sum, Unitary, Var, check_wellformed, qv,
 )
 
 HEADER = "#qccs 1"
@@ -766,26 +766,13 @@ class Elaboration:
     checks: list   # (mode, left, right)
 
 
-def violations(term: ProcessExpr) -> list:
-    """check_wellformed(term), or nothing when term applies a misshapen gate
-    or measurement: its arity could only repeat that operator's fault."""
-    return [] if _applies_misshapen(term) else check_wellformed(term)
-
-
-def _applies_misshapen(term: ProcessExpr) -> bool:
-    match term:
-        case Unitary(gate=op) | Measure(obs=op) if op.misshapen:
-            return True
-    return any(_applies_misshapen(t) for t in subterms(term))
-
-
 def elaborate(source: SourceFile) -> Elaboration:
     """Validate declarations and build runnable configurations.
 
     Each gate and measurement must have no `fault`: a gate is a unitary over
     qubits, and a measurement's projectors are square over qubits and satisfy
-    the spectral-form invariants.  Each configuration's process must have no
-    `violations`, configuration states must be density matrices, and each
+    the spectral-form invariants.  Each configuration's process must pass
+    `check_wellformed`, configuration states must be density matrices, and each
     configuration's context must cover the process's free quantum variables.
     Each declaration's first fault is recorded, and one ElaborationError lists
     them all.
@@ -797,7 +784,7 @@ def elaborate(source: SourceFile) -> Elaboration:
 
     configs = {}
     for name, decl in source.configs.items():
-        found = violations(decl.process)
+        found = check_wellformed(decl.process)
         missing = qv(decl.process) - set(decl.vars)
         if found:
             faults.append((f"config {name}: invalid process: "

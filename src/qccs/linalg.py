@@ -184,7 +184,8 @@ def _over_qubits(m) -> bool:
 class _Operator:
     """A gate or measurement.  `fault` says what is wrong with it, or is None,
     worked out once per object.  A `misshapen` one, whose fault is MISSHAPEN,
-    is not square over qubits, and no well-formed term applies it."""
+    is not square over qubits; it has no arity, so no term that applies it
+    breaks the arity rule, and applying it raises its fault."""
 
     @property
     def misshapen(self) -> bool:

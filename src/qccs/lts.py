@@ -20,10 +20,9 @@ from . import context as ctxmod
 from . import linalg
 from .context import ContextIndex, QContext
 from .syntax import (
-    Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew,
-    QInput, QOutput, Relabel, Restrict, Sum, Unitary, alpha_key,
-    assert_wellformed, canonical, eval_bool, eval_expr, fv_classical, qv,
-    subst_classical, subst_quantum,
+    Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew, QInput, QOutput,
+    Relabel, Restrict, Sum, Unitary, WellformednessError, alpha_key, canonical, check_wellformed,
+    eval_bool, eval_expr, fv_classical, qv, subst_classical, subst_quantum,
 )
 
 
@@ -192,6 +191,9 @@ def action_sort_key(action: Action) -> tuple:
 
 @dataclass(eq=False)
 class Configuration:
+    """A closed, well-formed term and a context covering its free qubits; any
+    other raises BadConfiguration (closed, then covered) or WellformednessError."""
+
     process: ProcessExpr
     context: QContext
 
@@ -202,6 +204,8 @@ class Configuration:
         missing = qv(self.process) - set(self.context.vars)
         if missing:
             raise BadConfiguration(f"context does not cover quantum variables {sorted(missing)}")
+        if found := check_wellformed(self.process):
+            raise WellformednessError(found)
 
     @cached_property
     def key(self) -> tuple:
@@ -620,10 +624,7 @@ def build_lts(
             queue.append((i, at))
         return i
 
-    initial = []
-    for root in roots:
-        assert_wellformed(root.process)
-        initial.append(intern(root, 0, 0))
+    initial = [intern(root, 0, 0) for root in roots]
 
     while queue:
         i, depth = queue.popleft()
@@ -687,7 +688,6 @@ def run_trace(
     names the options in turn (modulo their number), then the first once it
     runs out.  Anything else raises ValueError.
     """
-    assert_wellformed(c0.process)
     choose = _chooser(scheduler)
     rng = np.random.default_rng(seed)
     steps: list = []

@@ -5,15 +5,16 @@ terms can be used directly as dictionary keys.  Gate and measurement payloads
 compare by name plus a matrix fingerprint (see linalg.Gate).
 
 Each process node carries summaries of itself: its free quantum and
-classical variables (`qv`, `fv_classical`), its hash and its `alpha_key`.
-Each is computed on first use from the children's summaries and stored on
-the node, so it is computed at most once per node; none takes part in ==
-or repr, and the hash is the one the dataclass would compute from the
-fields.  Substitution returns every subterm in which the variable is not
-free as the same object, so a derived term shares its untouched subterms,
-and their stored summaries, with the term it came from.  A node also keeps
-the results of the substitutions made on it, so the same substitution on
-the same node returns the same term.
+classical variables (`qv`, `fv_classical`), its validity findings
+(`check_wellformed`), its hash and its `alpha_key`.  Each is computed on
+first use from the children's summaries and stored on the node, so it is
+computed at most once per node; none takes part in == or repr, and the
+hash is the one the dataclass would compute from the fields.  Substitution
+returns every subterm in which the variable is not free as the same
+object, so a derived term shares its untouched subterms, and their stored
+summaries, with the term it came from.  A node also keeps the results of
+the substitutions made on it, so the same substitution on the same node
+returns the same term.
 
 One table knows where each of the 13 process constructors keeps its
 subterms; `subterms` and `rebuild` read it, so each traversal here spells out
@@ -218,8 +219,9 @@ class _stored:
 
 class _Term:
     """Base of the 13 process constructors.  A node stores its free quantum
-    and classical variables, its hash and its alpha key, each computed from
-    its children's at most once, and the substitutions made on it."""
+    and classical variables, its validity findings, its hash and its alpha
+    key, each computed from its children's at most once, and the
+    substitutions made on it."""
 
     @_stored
     def _qv(self) -> frozenset:
@@ -246,6 +248,17 @@ class _Term:
         if len(kids) == 1:
             return kids[0]._fv
         return frozenset().union(*[s._fv for s in kids])
+
+    @_stored
+    def _violations(self) -> tuple:
+        # the rule this node breaks, if any, then each child's findings with
+        # the child's index prefixed to their paths: a valid subterm stores ()
+        found = []
+        for k, s in enumerate(subterms(self)):
+            if _checked(s)._violations:
+                found += [Violation(v.kind, (k, *v.path), v.detail) for v in s._violations]
+        own = _own_violation(self) if type(self) in _RULED else None
+        return (own, *found) if own else tuple(found)
 
     @_stored
     def _substituted(self) -> dict:
@@ -440,38 +453,36 @@ class Violation:
         return f"{self.kind} at {where}: {self.detail}"
 
 
+def _own_violation(t) -> Violation | None:
+    """The first validity rule that t's own node breaks, if any."""
+    match t:
+        case Parallel(left=l, right=r) if not l._qv.isdisjoint(r._qv):
+            return Violation("parallel-overlap", (),
+                             f"components share {{{', '.join(sorted(l._qv & r._qv))}}}")
+        case QOutput(qvar=q, body=b) if q in b._qv:
+            return Violation("output-then-use", (), f"{q} used after output")
+        case Unitary(qvars=qs) | Measure(qvars=qs) if len(set(qs)) != len(qs):
+            return Violation("duplicate-qvar", (), f"repeated name in [{', '.join(qs)}]")
+        case Unitary(gate=op, qvars=qs) | Measure(obs=op, qvars=qs) \
+                if op.dim != 2 ** len(qs) and not op.misshapen:
+            return Violation("arity", (), f"{op} has dimension {op.dim}, "
+                             f"applied to [{', '.join(qs)}]")
+
+
+# the constructors with a rule of their own: a node of any other skips the match
+_RULED = frozenset({QOutput, Parallel, Unitary, Measure})
+
+
 def check_wellformed(e: ProcessExpr) -> list:
     """Validity constraints of the no-cloning discipline, and that each gate
-    or measurement is given as many qubits as it acts on.
+    or measurement is given as many qubits as it acts on; one that is not
+    square over qubits (`misshapen`) has no arity, as its fault says.
 
-    Returns the violations found (empty list means the term is valid);
-    each one carries the child-index path of the offending subterm.
+    Returns the violations found (empty list means the term is valid), in
+    pre-order; each one carries the child-index path of the offending
+    subterm.
     """
-    out = []
-
-    def walk(t, path):
-        match t:
-            case QOutput(qvar=q, body=b) if q in qv(b):
-                out.append(Violation("output-then-use", path, f"{q} used after output"))
-            case Parallel(left=l, right=r) if shared := qv(l) & qv(r):
-                out.append(Violation("parallel-overlap", path,
-                                     f"components share {{{', '.join(sorted(shared))}}}"))
-            case Unitary(qvars=qs) | Measure(qvars=qs) if len(set(qs)) != len(qs):
-                out.append(Violation("duplicate-qvar", path, f"repeated name in [{', '.join(qs)}]"))
-            case Unitary(gate=op, qvars=qs) | Measure(obs=op, qvars=qs) if op.dim != 2 ** len(qs):
-                out.append(Violation("arity", path, f"{op} has dimension {op.dim}, "
-                                     f"applied to [{', '.join(qs)}]"))
-        for k, s in enumerate(subterms(t)):
-            walk(s, path + (k,))
-
-    walk(e, ())
-    return out
-
-
-def assert_wellformed(e: ProcessExpr) -> None:
-    violations = check_wellformed(e)
-    if violations:
-        raise WellformednessError(violations)
+    return list(_checked(e)._violations)
 
 
 def subst_classical(e: ProcessExpr, x: str, v: float) -> ProcessExpr:

@@ -13,6 +13,8 @@ replaced, kept to compare split orders where they could matter.
 terminated_oracle and blocked_oracle are the two walkers that stuck reports
 used before the rule engine collected blocked actions itself; the second
 asks the rule engine only for the steps of a restriction's body.
+wellformed_oracle is the walk that check_wellformed made before validity
+became a summary stored on each node: it reads no stored findings.
 """
 
 from __future__ import annotations
@@ -202,6 +204,33 @@ def qv_oracle(t) -> set:
     if isinstance(t, (S.Relabel, S.Restrict, S.If)):
         return qv_oracle(t.body)
     raise TypeError(t)
+
+
+def wellformed_oracle(e) -> list:
+    """The violations of e in pre-order, each with the child-index path of
+    its node, found by one walk down the whole term; a node reports the
+    first rule it breaks, and a misshapen operator has no arity."""
+    out = []
+
+    def walk(t, path):
+        match t:
+            case S.QOutput(qvar=q, body=b) if q in S.qv(b):
+                out.append(S.Violation("output-then-use", path, f"{q} used after output"))
+            case S.Parallel(left=l, right=r) if shared := S.qv(l) & S.qv(r):
+                out.append(S.Violation("parallel-overlap", path,
+                                       f"components share {{{', '.join(sorted(shared))}}}"))
+            case S.Unitary(qvars=qs) | S.Measure(qvars=qs) if len(set(qs)) != len(qs):
+                out.append(S.Violation("duplicate-qvar", path,
+                                       f"repeated name in [{', '.join(qs)}]"))
+            case S.Unitary(gate=op, qvars=qs) | S.Measure(obs=op, qvars=qs) \
+                    if op.dim != 2 ** len(qs) and not op.misshapen:
+                out.append(S.Violation("arity", path, f"{op} has dimension {op.dim}, "
+                                       f"applied to [{', '.join(qs)}]"))
+        for k, s in enumerate(S.subterms(t)):
+            walk(s, path + (k,))
+
+    walk(e, ())
+    return out
 
 
 def _expr_vars_oracle(e) -> set:

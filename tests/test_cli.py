@@ -197,6 +197,23 @@ class TestBadShapes:
             f"{f}: process P: arity at root: CNOT has dimension 4, applied to [q]\n"
             f"{f}: config B: context does not declare ['r']\n"))
 
+    def test_a_misshapen_gate_hides_no_other_fault(self, tmp_path, capsys):
+        # G has no arity, so P's arity is not checked, but P also uses q
+        # after sending it, which check lists; A repeats P's fault and is
+        # dropped; the other commands still stop at G's own fault
+        f = tmp_path / "hidden.qccs"
+        f.write_text("qchannel qc\n"
+                     "gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+                     "process P = G[q].qc!q.H[q].nil\n"
+                     "config A = < P ; q = |0> >\n")
+        assert run_cli("check", str(f)) == (1, (
+            f"{f}: process P: output-then-use at 0: q used after output\n"
+            f"{f}: gate G: matrix must be square over qubits\n"))
+        for argv in (["lts"], ["run"], ["bisim", "--left", "A", "--right", "A"]):
+            capsys.readouterr()
+            assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
+            assert capsys.readouterr().err == "error: gate G: matrix must be square over qubits\n"
+
     def test_a_misshapen_gate_spoils_no_other_line(self, tmp_path):
         # G fails every arity check, so A's arity is not checked; the
         # non-unitary gate U and B's state are faults of their own

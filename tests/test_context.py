@@ -221,6 +221,20 @@ class TestOperatorChecks:
                 measure(ctx, bad, ["q"])
         assert calls == [id(gate.matrix)]
 
+    def test_a_misshapen_gate_raises_its_fault(self):
+        # a 3x3 unitary acts on no number of qubits, so it has no arity: a
+        # term that applies it is well formed, and applying it raises
+        from qccs.lts import Configuration
+        from qccs.syntax import Nil, Unitary
+
+        ctx = make_context(("q",), dm(KET0))
+        for matrix in (np.eye(3), np.diag([1.0, 1.0, 0.0])):
+            gate = Gate("G", matrix.astype(complex))
+            with pytest.raises(NotUnitary, match="^operator is not unitary$"):
+                apply_unitary(ctx, gate, ["q"])
+            with pytest.raises(NotUnitary, match="^operator is not unitary$"):
+                build_lts(Configuration(Unitary(gate, ("q",), Nil()), ctx))
+
     def test_a_count_other_than_the_dimension_is_validated_at_that_count(self):
         ctx = make_context(("a", "b"), tensor(dm(KET0), dm(KET0)))
         with pytest.raises(InvalidObservable, match="^observable M01: dimension$"):

@@ -1040,6 +1040,27 @@ class TestBadConfiguration:
             cfg(QOutput(QC, "r", Unitary(GATE_H, ("q",), Nil())), ("s",), dm(KET0))
         assert str(err.value) == "context does not cover quantum variables ['q', 'r']"
 
+    def test_ill_formed_terms(self):
+        # qc!q.H[q].nil uses q after sending it; run_trace and build_lts
+        # refused it, and now no caller of transitions or blocked_actions can
+        # be handed it either
+        bad = QOutput(QC, "q", Unitary(GATE_H, ("q",), Nil()))
+        for call in (transitions, blocked_actions, build_lts, run_trace):
+            with pytest.raises(WellformednessError) as err:
+                call(cfg(bad, ("q",), dm(KET0)))
+            assert str(err.value) == "output-then-use at root: q used after output"
+        h = Unitary(GATE_H, ("q",), Nil())
+        with pytest.raises(WellformednessError) as err:
+            cfg(Parallel(h, Restrict(h, frozenset())), ("q",), dm(KET0))
+        assert str(err.value) == "parallel-overlap at root: components share {q}"
+
+    def test_closed_then_covered_then_well_formed(self):
+        bad = QOutput(QC, "q", Unitary(GATE_H, ("q",), COutput(C, Var("x"), Nil())))
+        with pytest.raises(BadConfiguration, match="free classical variables"):
+            cfg(bad, ("q",), dm(KET0))
+        with pytest.raises(BadConfiguration, match="does not cover"):
+            cfg(QOutput(QC, "q", Unitary(GATE_H, ("q",), Nil())), ("r",), dm(KET0))
+
 
 class TestChooser:
     """How a scheduler picks the action of each round, and the move of each

@@ -1,12 +1,13 @@
 """Term-level tests: free variables, substitution, validity, evaluation."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qccs.linalg import GATE_CNOT, GATE_H, GATE_X, OBS_M01, computational_observable
+from qccs.linalg import GATE_CNOT, GATE_H, GATE_X, OBS_M01, Gate, computational_observable
 from qccs.syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
     Parallel, QbitNew, QInput, QOutput, Relabel, RelabelFn, Restrict, Sum,
@@ -15,7 +16,7 @@ from qccs.syntax import (
     qv, rebuild, subst_classical, subst_quantum, subterms,
 )
 
-from helpers import fv_oracle, hash_oracle, is_classical, qv_oracle
+from helpers import fv_oracle, hash_oracle, is_classical, qv_oracle, wellformed_oracle
 
 C = Chan("c", False)
 D = Chan("d", False)
@@ -103,6 +104,46 @@ class TestWellformed:
         from qccs.demo import build_teleport_process
 
         assert check_wellformed(build_teleport_process()) == []
+
+    def test_a_misshapen_operator_has_no_arity(self):
+        # its own fault says what is wrong; the term's other findings stay
+        t = Unitary(G3, ("q",), QOutput(QC, "q", u("q")))
+        assert [(v.kind, v.path) for v in check_wellformed(t)] == [("output-then-use", (0,))]
+
+    def test_matches_the_walk_on_random_and_broken_terms(self):
+        # each random term is broken three times in turn, at random nodes, so
+        # later breaks sit above, below or beside earlier ones, and a broken
+        # subterm's stored findings are read by each new node above it
+        from qccs.laws import random_process
+
+        rng = np.random.default_rng(30)
+        rules, ill, deep = list(BREAKS), 0, Counter()
+        for _ in range(200):
+            t = random_process(rng, 4, ("q0", "q1", "q2"), allow_quantum_input=True)
+            assert check_wellformed(t) == wellformed_oracle(t) == []
+            for _ in range(3):
+                paths = list(_paths(t))
+                path = paths[rng.integers(len(paths))]
+                rule, q = rules[rng.integers(len(rules))], f"q{rng.integers(3)}"
+                t = _replace_at(t, path, lambda s: BREAKS[rule](s, q))
+                report = check_wellformed(t)
+                assert report == wellformed_oracle(t), t
+                ill += bool(report)
+                deep.update(v.kind for v in report if len(v.path) >= 2)
+        assert ill >= 50
+        assert all(deep[kind] >= 20 for kind in rules if kind != "misshapen"), deep
+
+    def test_a_teleport_build_checks_each_node_once(self, monkeypatch):
+        from qccs import syntax
+        from qccs.demo import build_teleport
+        from qccs.lts import build_lts
+
+        stored = vars(syntax._Term)["_violations"]
+        compute, seen = stored.compute, []  # the nodes themselves: no id is reused
+        monkeypatch.setattr(stored, "compute", lambda node: seen.append(node) or compute(node))
+        graph = build_lts(build_teleport(0.6, 0.8))
+        assert len(seen) > graph.node_count > 10
+        assert len({id(node) for node in seen}) == len(seen)
 
 
 class TestSubstitution:
@@ -321,6 +362,34 @@ def _nodes(t):
     yield t
     for s in subterms(t):
         yield from _nodes(s)
+
+
+G3 = Gate("G3", np.eye(3, dtype=complex))  # unitary, but not over qubits
+
+# a way to break each validity rule around a subterm s, on the qubit q, and
+# a misshapen gate, which breaks none
+BREAKS = {
+    "output-then-use": lambda s, q: QOutput(QC, q, Unitary(GATE_H, (q,), s)),
+    "parallel-overlap": lambda s, q: Parallel(Unitary(GATE_X, (q,), Nil()), u(q, s)),
+    "duplicate-qvar": lambda s, q: Unitary(GATE_CNOT, (q, q), s),
+    "arity": lambda s, q: Measure(OBS_M01, (q, "r"), "x", Unitary(GATE_CNOT, (q,), s)),
+    "misshapen": lambda s, q: Unitary(G3, (q,), s),
+}
+
+
+def _paths(t, path=()):
+    """The child-index path of each node of t, in pre-order."""
+    yield path
+    for k, s in enumerate(subterms(t)):
+        yield from _paths(s, path + (k,))
+
+
+def _replace_at(t, path, f):
+    """t with its subterm at `path` replaced by f(subterm)."""
+    if not path:
+        return f(t)
+    ks = iter(range(len(subterms(t))))
+    return rebuild(t, lambda s: _replace_at(s, path[1:], f) if next(ks) == path[0] else s)
 
 
 class TestStoredSummaries:
