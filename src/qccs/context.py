@@ -199,35 +199,33 @@ def apply_unitary(ctx: QContext, gate: Gate, rvars) -> QContext:
     if gate.fault:
         raise NotUnitary("operator is not unitary")
     positions = [ctx.index(v) for v in rvars]
-    return QContext(ctx.vars, apply_to_factor(gate.matrix, ctx.factor, positions))
+    return QContext(ctx.vars, apply_to_factor([gate.matrix], ctx.factor, positions)[0])
 
 
 def measure(ctx: QContext, obs: Observable, rvars) -> list:
     """Project with each outcome of obs on the named qubits.
 
     Returns (eigenvalue, probability, post-context) triples for the outcomes
-    with nonzero probability; probabilities are Tr(P rho P) = ||P K||_F^2
-    and the post-states have the renormalised factors P K / sqrt(p).  The
-    observable's own finding says whether it is valid; a misshapen one,
-    which the arity rule lets a well-formed term apply, or one given a
-    number of qubits that differs from its dimension, which no well-formed
-    term does, is validated here, at that number.
+    with nonzero probability.  K's rows are permuted once, and every
+    projector P acts on those same rows (apply_to_factor).  Probabilities are
+    Tr(P rho P) = ||P K||_F^2, taken on P K in K's own row order, and the
+    post-states have the renormalised factors P K / sqrt(p).  A faulty
+    observable raises its own fault, a misshapen one included; a valid one
+    given a number of qubits that differs from its dimension, which no
+    well-formed term does, raises `dimension`.
     """
     positions = [ctx.index(v) for v in rvars]
-    dim = 2 ** len(positions)
-    if obs.misshapen or dim != obs.dim:
-        problems = ", ".join(linalg.validate_observable(obs, dim))
-    else:
-        problems = obs.fault
-    if problems:
-        raise InvalidObservable(f"observable {obs.name}: {problems}")
+    if obs.fault:
+        raise InvalidObservable(f"observable {obs.name}: {obs.fault}")
+    if 2 ** len(positions) != obs.dim:
+        raise InvalidObservable(f"observable {obs.name}: dimension")
+    projected = apply_to_factor([p for _, p in obs.outcomes], ctx.factor, positions)
     results = []
-    for eigenvalue, projector in obs.outcomes:
-        projected = apply_to_factor(projector, ctx.factor, positions)
-        p = float(np.vdot(projected, projected).real)
+    for (eigenvalue, _), k in zip(obs.outcomes, projected):
+        p = float(np.vdot(k, k).real)
         if p <= PROB_CUTOFF:
             continue
-        results.append((float(eigenvalue), p, QContext(ctx.vars, projected / math.sqrt(p))))
+        results.append((float(eigenvalue), p, QContext(ctx.vars, k / math.sqrt(p))))
     return results
 
 
@@ -235,14 +233,20 @@ def context_equal(c1: QContext, c2: QContext) -> bool:
     """Equality up to reordering of the qubit tuple.
 
     The variable name sets must agree; c1's state is reordered to c2's
-    variable order before the entrywise comparison.  A pair whose diagonals
-    (in sorted-name order) differ by more than ATOL in some entry fails that
+    variable order before the entrywise comparison.  Two contexts with the
+    same variable order and factors equal entry by entry are equal at once:
+    they would build the same rho.  A factor holding a NaN never matches
+    that way, and falls through.  A pair whose diagonals (in sorted-name
+    order) differ by more than ATOL in some entry fails the entrywise
     comparison, so it is rejected before either rho is built.
     """
     if c1 is c2:
         return True
     if c1.names != c2.names:
         return False
+    k1, k2 = c1.factor, c2.factor
+    if c1.vars == c2.vars and k1.shape == k2.shape and (k1 == k2).all():
+        return True
     if np.abs(c1.diag - c2.diag).max() > ATOL:
         return False
     if c1.vars == c2.vars:

@@ -15,6 +15,11 @@ used before the rule engine collected blocked actions itself; the second
 asks the rule engine only for the steps of a restriction's body.
 wellformed_oracle is the walk that check_wellformed made before validity
 became a summary stored on each node: it reads no stored findings.
+apply_one_oracle and row_permuted_diagonal are the factor kernel's formulas
+from before it permuted a factor once per measurement and the diagonal as a
+vector; the kernel must match them bit for bit.  dense_context_equal is
+context equality from its definition: both rho built, reordered by name and
+compared entrywise, with no diagonal, cell or factor shortcut.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from scipy.optimize import linprog
 from qccs import syntax as S
 from qccs.context import context_equal
 from qccs.frontend import elaborate, parse
-from qccs.linalg import KET_MINUS, KET_PLUS, Observable, dm
+from qccs.linalg import ATOL, KET_MINUS, KET_PLUS, Observable, dm
 from qccs.lts import TAU, CIn, QIn, Tau, _derive, _Step, numbered_fresh
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -181,6 +186,44 @@ def apply_operator(op, rho, positions) -> np.ndarray:
     t = rho.reshape([2] * (2 * n)).transpose(axes).reshape(dk, dr * dk * dr)
     t = op.conj() @ (op @ t).reshape(dk * dr, dk, dr)
     return t.reshape([2] * (2 * n)).transpose(np.argsort(axes)).reshape(rho.shape)
+
+
+def _permuted_rows(k: np.ndarray, positions) -> tuple:
+    """k's rows as a tensor with the listed qubits' axes first, and the axis
+    order that gives it."""
+    n = int(np.log2(k.shape[0]))
+    positions = list(positions)
+    order = positions + [i for i in range(n) if i not in positions] + [n]
+    return k.reshape([2] * n + [k.shape[1]]).transpose(order), order
+
+
+def apply_one_oracle(op, k: np.ndarray, positions) -> np.ndarray:
+    """op K on the listed qubits of K's rows: K permuted for this one op and
+    put back by np.argsort of the axis order, as measure once did for each
+    projector."""
+    op = np.asarray(op, dtype=complex)
+    t, order = _permuted_rows(k, positions)
+    t = (op @ t.reshape(op.shape[0], -1)).reshape(t.shape)
+    return t.transpose(np.argsort(order)).reshape(k.shape)
+
+
+def row_permuted_diagonal(k: np.ndarray, order) -> np.ndarray:
+    """diag(K K^dag) indexed by the qubits in `order`: K's rows permuted
+    first, then their squared norms."""
+    k = _permuted_rows(k, order)[0].reshape(k.shape)
+    return (k.real**2 + k.imag**2).sum(axis=1)
+
+
+def dense_context_equal(c1, c2) -> bool:
+    """Equal names, and both rho = K K^dag, with the qubits in sorted-name
+    order, within ATOL entry by entry."""
+    if sorted(c1.vars) != sorted(c2.vars):
+        return False
+    rhos = []
+    for c in (c1, c2):
+        rho = c.factor @ c.factor.conj().T
+        rhos.append(partial_trace(rho, sorted(range(len(c.vars)), key=c.vars.__getitem__)))
+    return bool(np.max(np.abs(rhos[0] - rhos[1]), initial=0.0) <= ATOL)
 
 
 # -- free quantum variables, restated clause by clause --

@@ -16,7 +16,10 @@ from qccs.linalg import (
 )
 from qccs.lts import build_lts
 
-from helpers import OBS_MPM, apply_operator, lift_oracle, partial_trace, ptrace_oracle
+from helpers import (
+    OBS_MPM, apply_one_oracle, apply_operator, dense_context_equal, lift_oracle, partial_trace,
+    ptrace_oracle,
+)
 
 EPR = dm(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -234,6 +237,27 @@ class TestOperatorChecks:
                 apply_unitary(ctx, gate, ["q"])
             with pytest.raises(NotUnitary, match="^operator is not unitary$"):
                 build_lts(Configuration(Unitary(gate, ("q",), Nil()), ctx))
+
+    def test_a_misshapen_observable_raises_its_fault(self):
+        # a 3x3 measurement has no arity either: measure reports its own
+        # fault, not the dimension of the qubits it is applied to
+        from qccs.lts import Configuration
+        from qccs.syntax import Measure, Nil
+
+        ctx = make_context(("q",), dm(KET0))
+        obs = Observable("M", ((0.0, np.diag([1.0, 1.0, 0.0]).astype(complex)),
+                               (1.0, np.diag([0.0, 0.0, 1.0]).astype(complex))))
+        want = "^observable M: projectors must be square over qubits$"
+        with pytest.raises(InvalidObservable, match=want):
+            measure(ctx, obs, ["q"])
+        with pytest.raises(InvalidObservable, match=want):
+            build_lts(Configuration(Measure(obs, ("q",), "x", Nil()), ctx))
+
+    def test_a_faulty_observable_raises_its_fault_at_any_count(self):
+        bad = Observable("bad", ((0.0, dm(KET0)), (1.0, dm(KET0))))
+        ctx = make_context(("a", "b"), tensor(dm(KET0), dm(KET0)))
+        with pytest.raises(InvalidObservable, match="^observable bad: orthogonal, completeness$"):
+            measure(ctx, bad, ["a", "b"])
 
     def test_a_count_other_than_the_dimension_is_validated_at_that_count(self):
         ctx = make_context(("a", "b"), tensor(dm(KET0), dm(KET0)))
@@ -457,3 +481,88 @@ class TestFactoredAgainstDense:
         assert not context_equal(plus, minus)
         assert len(calls) == 1
         assert not linalg.approx_equal(plus.rho, minus.rho)
+
+    def test_context_equal_fast_path_against_the_dense_reference(self, monkeypatch):
+        # same names in the same order and factors equal entry by entry
+        # match without building rho; every verdict is the dense reference's
+        calls = self._count_full_comparisons(monkeypatch)
+        rng = np.random.default_rng(42)
+        seen = {}
+
+        def check(kind, c1, c2, want, full=None):
+            assert dense_context_equal(c1, c2) == want, kind
+            calls.clear()
+            assert context_equal(c1, c2) == want, kind
+            if full is not None:
+                assert bool(calls) == full, kind
+            seen[kind] = seen.get(kind, 0) + 1
+
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            names = ("a", "b", "c", "d")[:n]
+            base = make_context(names, random_mixed(rng, n, int(rng.integers(1, 4))))
+            k, r = base.factor, base.factor.shape[1]
+            check("identical", base, context.QContext(names, k.copy()), True, full=False)
+            # the same rho from another factor: K U for a unitary U
+            u, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+            other = context.QContext(names, k @ u)
+            check("other factor", base, other, True, full=True)
+            perm = [int(v) for v in rng.permutation(n)]
+
+            def permuted(factor):
+                return context.QContext(tuple(names[v] for v in perm), factor.reshape(
+                    [2] * n + [r]).transpose(perm + [n]).reshape(factor.shape))
+
+            check("permuted", base, permuted(k), True)
+            # K moved so that rho moves by `scale` ATOL in its largest entry
+            delta = rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape)
+            step = np.abs((k + delta * 1e-6) @ (k + delta * 1e-6).conj().T - base.rho).max()
+            for scale in (0.3, 3.0):
+                near = k + delta * (1e-6 * scale * ATOL / step)
+                check(f"perturbed x{scale}", context.QContext(names, near), base, scale < 1)
+                check(f"perturbed x{scale}, permuted", permuted(near), base, scale < 1)
+        assert min(seen.values()) == 40
+        # a NaN never matches, not even itself by value
+        broken = context.QContext(("q",), np.array([[np.nan], [0.0]], dtype=complex))
+        check("nan", broken, context.QContext(("q",), broken.factor.copy()), False)
+
+
+class TestMeasureKernel:
+    """measure permutes K's rows once for all its projectors: against P rho P
+    / p built densely, and bit for bit against one permutation per projector."""
+
+    OBSERVABLES = (OBS_M01, OBS_MPM, computational_observable(2))
+
+    def test_matches_dense_projection_and_one_permutation_per_projector(self):
+        rng = np.random.default_rng(41)
+        dropped = 0
+        for case in range(60):
+            n = int(rng.integers(1, 6))
+            names = tuple(str(v) for v in rng.permutation(list("abcde")[:n]))
+            obs = self.OBSERVABLES[int(rng.integers(3 if n > 1 else 2))]
+            rho = random_mixed(rng, n, int(rng.integers(1, 4)))
+            if case % 4 == 0:  # a basis state: some outcomes have probability 0
+                rho = dm(np.eye(2**n)[int(rng.integers(2**n))])
+            ctx = make_context(names, rho)
+            rvars = [str(v) for v in rng.choice(names, size=obs.dim.bit_length() - 1,
+                                                replace=False)]
+            positions = [names.index(v) for v in rvars]
+            got = measure(ctx, obs, rvars)
+            want, old = [], []
+            for ev, proj in obs.outcomes:
+                lifted = lift_oracle(proj, positions, n)
+                projected = lifted @ rho @ lifted
+                p = float(np.real(np.trace(projected)))
+                k = apply_one_oracle(proj, ctx.factor, positions)
+                q = float(np.vdot(k, k).real)
+                if q > context.PROB_CUTOFF:
+                    want.append((ev, p, projected / p))
+                    old.append((q, k / np.sqrt(q)))
+                else:
+                    dropped += 1
+            assert [ev for ev, _, _ in got] == [ev for ev, _, _ in want]
+            for (_, p, post), (_, q, dense), (p_old, k_old) in zip(got, want, old):
+                assert abs(p - q) < 1e-12 and post.vars == names
+                np.testing.assert_allclose(post.rho, dense, atol=1e-12)
+                assert p == p_old and np.array_equal(post.factor, k_old)
+        assert dropped >= 5

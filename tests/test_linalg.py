@@ -11,7 +11,7 @@ from qccs.linalg import (
     factor_density, tensor, trace, validate_observable,
 )
 
-from helpers import OBS_MPM, lift_oracle, ptrace_oracle
+from helpers import OBS_MPM, lift_oracle, ptrace_oracle, row_permuted_diagonal
 
 
 def random_density(rng, n):
@@ -27,7 +27,7 @@ def partial_trace(rho, keep):
 
 def apply_operator(op, rho, positions):
     """op rho op^dag, by applying op to the rows of rho's factor."""
-    k = linalg.apply_to_factor(op, factor_density(rho), positions)
+    [k] = linalg.apply_to_factor([op], factor_density(rho), positions)
     return k @ dagger(k)
 
 
@@ -189,6 +189,28 @@ class TestLiftOperator:
     def test_bad_index(self):
         with pytest.raises(BadIndex):
             apply_operator(X_MAT, np.eye(4) / 4, [2])
+
+
+class TestFactorDiagonal:
+    """diag(rho) indexed by a qubit order: K's squared row norms, permuted
+    as a vector."""
+
+    def test_matches_rho_and_the_row_permuting_formula(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n, rank = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            rho = sum(w * random_density(rng, n) for w in rng.dirichlet(np.ones(rank)))
+            k = factor_density(rho)
+            order = [int(v) for v in rng.permutation(n)]
+            want = np.real(np.diag(ptrace_oracle(rho, order)))
+            # factor_density's own layout, and the row-major one every other
+            # state operation returns
+            for layout in (k, np.ascontiguousarray(k)):
+                got = linalg.factor_diagonal(layout, order)
+                np.testing.assert_allclose(got, want, atol=1e-12)
+                assert np.array_equal(got, row_permuted_diagonal(layout, order))
+            np.testing.assert_allclose(linalg.factor_diagonal(k), np.real(np.diag(rho)),
+                                       atol=1e-12)
 
 
 class TestObservable:
