@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .linalg import ATOL, Gate, Observable, apply_to_factor
+from .linalg import ATOL, Gate, Observable, _stored, apply_to_factor
 
 # outcomes this unlikely are rounding error: dropped, not renormalised
 PROB_CUTOFF = 1e-12
@@ -84,18 +83,18 @@ class QContext:
         """State of the named qubits, in the given order."""
         return linalg.reduce_factor(self.factor, [self.index(v) for v in keep_vars])
 
-    @cached_property
+    @_stored
     def names(self) -> tuple:
         """The qubit names, sorted: what equal contexts share exactly."""
         return tuple(sorted(self.vars))
 
-    @cached_property
+    @_stored
     def diag(self) -> np.ndarray:
         """diag(rho) with the qubits in sorted-name order: the squared row
         norms of K with its rows in that order."""
         return linalg.factor_diagonal(self.factor, [self.vars.index(v) for v in self.names])
 
-    @cached_property
+    @_stored
     def cell(self) -> int:
         """floor(f / w), where f = sum_i (i+1) diag_i and w = 2 ATOL sum_i (i+1).
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +19,24 @@ import numpy as np
 # It validates states, gates and observables, merges equal configurations into
 # one node, and checks probability sums.  Class masses use lp.TOL instead.
 ATOL = 1e-9
+
+
+class _stored:
+    """A summary of an object: the decorated method computes it on first use
+    and stores it in the object's __dict__, where later lookups find it
+    first; read on the class, it is the descriptor.  functools.cached_property
+    does the same, but takes a lock on every first use before Python 3.12,
+    which made each new term, context and configuration slower."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 class LinalgError(Exception):
@@ -225,7 +242,7 @@ class Gate(_Operator):
     def arity(self) -> int:
         return qubit_count(self.dim)
 
-    @cached_property
+    @_stored
     def fault(self) -> str | None:
         if not _over_qubits(self.matrix):
             return self.MISSHAPEN
@@ -253,7 +270,7 @@ class Observable(_Operator):
     def dim(self) -> int:
         return self.outcomes[0][1].shape[0]
 
-    @cached_property
+    @_stored
     def fault(self) -> str | None:
         """validate_observable's problems at the observable's own dimension."""
         if not _over_qubits(self.outcomes[0][1]):

@@ -1,26 +1,32 @@
 """Configurations, actions, distributions, and the operational-rule engine.
 
 A configuration pairs a closed process term with a context instantiating its
-free quantum variables.  `transitions` derives the one-step behaviour; input
-prefixes are kept symbolic inside the derivation so that communication can
-instantiate them at the exact transmitted value, and are enumerated against a
-finite `InputPolicy` only when they surface as environment-facing actions.
+free quantum variables.  `transitions`, `blocked_actions`, `build_lts` and
+`run_trace` share the rule engine's two stages.  The term stage
+(_term_stage) derives a term's step templates once, in no context, and
+stores them on the term node: each holds its action, its continuation terms
+and the operation it applies to the state (see _Template).  The context
+stage (_moves) applies those operations to a configuration's context.
+Input prefixes stay symbolic in the term stage so that communication can
+instantiate them at the exact transmitted value, and are enumerated against
+a finite `InputPolicy` only when they surface as environment-facing actions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import context as ctxmod
 from . import linalg
 from .context import ContextIndex, QContext
+from .linalg import _stored
 from .syntax import (
-    Chan, CInput, COutput, If, Measure, Nil, Parallel, ProcessExpr, QbitNew, QInput, QOutput,
+    Chan, CInput, COutput, If, Measure, Parallel, ProcessExpr, QbitNew, QInput, QOutput,
     Relabel, Restrict, Sum, Unitary, WellformednessError, alpha_key, canonical, check_wellformed,
     eval_bool, eval_expr, fv_classical, qv, subst_classical, subst_quantum,
 )
@@ -207,7 +213,7 @@ class Configuration:
         if found := check_wellformed(self.process):
             raise WellformednessError(found)
 
-    @cached_property
+    @_stored
     def key(self) -> tuple:
         """What two equal configurations share exactly: the term up to the
         names of its bound variables (syntax.alpha_key) and the sorted qubit
@@ -341,166 +347,149 @@ def hint_fresh(ctx: QContext, hint: str | None = None) -> str:
 # -- the rule engine --
 
 
-@dataclass
-class _Step:
-    """A derived concrete transition: action plus (term, context, prob)
-    targets.  Its `chan` is its action's, None for tau."""
+class _Template:
+    """A step of a term in any context: its action (`chan` is the action's,
+    None for tau), its continuation terms and the operation `op` that the
+    context stage (_moves) applies.  None: none, `action` to `cont`.
+    "unitary", "measure": the gate or measurement of the node `prefix`, tau
+    to `cont`, or to at(eigenvalue) per outcome.  "new": a fresh qubit named
+    from `hint`, tau to at(name).  "pick": QIn(chan, r) to at(r) for each
+    qubit r of the context not in `avoid`.  "input": a symbolic input with
+    binder `hint`, which a communication partner or the input policy
+    instantiates at a value, or at the fresh name of a system the policy
+    adds.  at(x) builds a continuation once per x and per sign of a zero, as
+    subst_classical keys by sign: make(x), or make(inner.at(x)) for a step
+    that wraps the step `inner`."""
 
-    action: Action
-    targets: list
+    __slots__ = ("op", "action", "chan", "cont", "make", "inner", "made", "prefix", "hint", "avoid")
 
-    @property
-    def chan(self) -> Chan | None:
-        return self.action.chan
+    def __init__(self, op, action=TAU, chan=None, cont=None, make=None, prefix=None,
+                 hint=None, avoid=frozenset(), inner=None):
+        self.op, self.action, self.chan, self.cont, self.make = op, action, chan, cont, make
+        self.prefix, self.hint, self.avoid, self.inner = prefix, hint, avoid, inner
+        self.made = None if make is None else {}
 
+    def at(self, x):
+        key = (x, math.copysign(1.0, x)) if isinstance(x, float) else x
+        term = self.made.get(key)
+        if term is None:
+            term = self.made[key] = self.make(x if self.inner is None else self.inner.at(x))
+        return term
 
-@dataclass
-class _InStep:
-    """Symbolic input, kept open so a communication partner can instantiate
-    it.  `hint` is the prefix's binder.  A classical input takes a value,
-    from the partner's output or the policy's finite domain; the context
-    never changes.  A quantum input takes the fresh name (`hint` suggests
-    one) of a system not yet in the context, whose joint state comes from
-    the policy's extension recipes."""
-
-    chan: Chan
-    hint: str | None
-    cont: object  # value or fresh qvar name -> ProcessExpr
-
-
-def _rewrap(step, wrap, fn=None):
-    """`step` with each target term t replaced by wrap(t), and its channel
-    (tau has none) renamed by the relabelling `fn` when one is given."""
-    if isinstance(step, _Step):
-        action = step.action
-        if fn is not None and action.chan is not None:
-            action = replace(action, chan=fn.apply(action.chan))
-        return _Step(action, [(wrap(t), c2, p) for t, c2, p in step.targets])
-    chan = step.chan if fn is None else fn.apply(step.chan)
-    return _InStep(chan, step.hint, lambda x: wrap(step.cont(x)))
+    def wrapped(self, wrap, fn=None, avoid=frozenset()):
+        """This step with each continuation t as wrap(t), its channel renamed by
+        the relabelling `fn` if given, and the names `avoid` added to a pick's."""
+        action, chan = self.action, self.chan
+        if fn is not None and chan is not None:
+            chan = fn.apply(chan)
+            action = None if action is None else replace(action, chan=chan)
+        if self.make is None:
+            return _Template(self.op, action, chan, wrap(self.cont), prefix=self.prefix)
+        return _Template(self.op, action, chan, make=wrap, prefix=self.prefix, hint=self.hint,
+                         avoid=self.avoid | avoid if self.op == "pick" else self.avoid, inner=self)
 
 
-def _derive(term: ProcessExpr, ctx: QContext, fresh, blocked: list | None = None) -> list:
+def _term_stage(term) -> tuple:
+    """(steps, blocked): the step templates of a term, the same in every
+    context, and those that its restrictions filter out, restrictions in
+    pre-order, outer first.  Stored on the node as _Term._steps."""
     match term:
-        case Nil():
-            return []
-
         case CInput(chan=c, var=x, body=b):
-            return [_InStep(c, x, lambda v, b=b, x=x: subst_classical(b, x, v))]
-
+            return (_Template("input", None, c, make=lambda v: subst_classical(b, x, v),
+                              hint=x),), ()
         case COutput(chan=c, expr=e, body=b):
-            return [_Step(COut(c, eval_expr(e)), [(b, ctx, 1.0)])]
-
+            return (_Template(None, COut(c, eval_expr(e)), c, b),), ()
         case QbitNew(qvar=q, body=b):
-            r = fresh(ctx, q)
-            return [_Step(TAU, [(subst_quantum(b, q, r), ctxmod.new_qubit(ctx, r), 1.0)])]
-
+            return (_Template("new", make=lambda r: subst_quantum(b, q, r), hint=q),), ()
         case QInput(chan=c, qvar=q, body=b):
-            taken = qv(b) - {q}
-            steps: list = [
-                _Step(QIn(c, r), [(subst_quantum(b, q, r), ctx, 1.0)])
-                for r in ctx.vars
-                if r not in taken
-            ]
-            steps.append(_InStep(c, q, lambda r, b=b, q=q: subst_quantum(b, q, r)))
-            return steps
-
+            make = lambda r: subst_quantum(b, q, r)  # noqa: E731
+            return (_Template("pick", None, c, make=make, avoid=qv(b) - {q}),
+                    _Template("input", None, c, make=make, hint=q)), ()
         case QOutput(chan=c, qvar=q, body=b):
-            return [_Step(QOut(c, q), [(b, ctx, 1.0)])]
-
-        case Unitary(gate=g, qvars=qs, body=b):
-            return [_Step(TAU, [(b, ctxmod.apply_unitary(ctx, g, qs), 1.0)])]
-
-        case Measure(obs=m, qvars=qs, var=x, body=b):
-            outcomes = ctxmod.measure(ctx, m, qs)
-            return [_Step(TAU, [(subst_classical(b, x, ev), c2, p) for ev, p, c2 in outcomes])]
-
-        case Sum(left=l, right=r):
-            return _derive(l, ctx, fresh, blocked) + _derive(r, ctx, fresh, blocked)
-
-        case Parallel(left=l, right=r):
-            return _compose_parallel(_derive(l, ctx, fresh, blocked),
-                                     _derive(r, ctx, fresh, blocked), l, r)
-
+            return (_Template(None, QOut(c, q), c, b),), ()
+        case Unitary(body=b):
+            return (_Template("unitary", cont=b, prefix=term),), ()
+        case Measure(var=x, body=b):
+            return (_Template("measure", make=lambda v: subst_classical(b, x, v),
+                              prefix=term),), ()
+        case Sum(left=l, right=r) | Parallel(left=l, right=r):
+            steps = l._steps[0] + r._steps[0] if isinstance(term, Sum) else _parallel(l, r)
+            return steps, l._steps[1] + r._steps[1]
         case Relabel(body=b, fn=f):
-            return [_rewrap(s, lambda t: Relabel(t, f), f)
-                    for s in _derive(b, ctx, fresh, blocked)]
-
+            steps, blocked = b._steps
+            wrap = lambda t: Relabel(t, f)  # noqa: E731
+            return tuple(s.wrapped(wrap, f) for s in steps), blocked
         case Restrict(body=b, chans=chans):
-            # the steps it filters out go to `blocked`, ahead of inner ones
-            at = len(blocked or ())
-            steps = _derive(b, ctx, fresh, blocked)
-            if blocked is not None:
-                blocked[at:at] = [s for s in steps if s.chan in chans]
-            return [_rewrap(s, lambda t: Restrict(t, chans)) for s in steps if s.chan not in chans]
-
-        case If(cond=c, body=b):
-            return _derive(b, ctx, fresh, blocked) if eval_bool(c) else []
-
-    raise LtsError(f"bad process term {term!r}")
+            steps, blocked = b._steps
+            wrap = lambda t: Restrict(t, chans)  # noqa: E731
+            return (tuple(s.wrapped(wrap) for s in steps if s.chan not in chans),
+                    tuple(s for s in steps if s.chan in chans) + blocked)
+        case If(cond=c, body=b) if eval_bool(c):
+            return b._steps
+    return (), ()
 
 
-def _compose_parallel(left_steps, right_steps, left_term, right_term) -> list:
-    out: list = []
-    qv_left = qv(left_term)
-    qv_right = qv(right_term)
-
-    def interleave(steps, other_term, other_qv, combine):
-        for s in steps:
-            # a component may input a system only if its peer does not
-            # reference it; a symbolic input's name is fresh for the whole
-            # context, hence also for the peer
-            if isinstance(s, _Step) and isinstance(s.action, QIn) and s.action.qvar in other_qv:
-                continue
-            out.append(_rewrap(s, lambda t: combine(t, other_term)))
-
-    interleave(left_steps, right_term, qv_right, lambda t, o: Parallel(t, o))
-    interleave(right_steps, left_term, qv_left, lambda t, o: Parallel(o, t))
-
-    def communicate(out_steps, in_steps, build):
-        for so in out_steps:
-            if not (isinstance(so, _Step) and isinstance(so.action, (COut, QOut))):
-                continue
-            (t_out, c_out, _), = so.targets
+def _parallel(left, right) -> tuple:
+    """The steps of left || right: each side's steps beside the other, where
+    no pick may name a qubit of the peer (a symbolic input names a fresh
+    one), then each output of one side meeting an input of the other."""
+    ls, rs = left._steps[0], right._steps[0]
+    beside_right, beside_left = (lambda t: Parallel(t, right)), (lambda t: Parallel(left, t))
+    out = [s.wrapped(beside_right, avoid=qv(right)) for s in ls]
+    out += [s.wrapped(beside_left, avoid=qv(left)) for s in rs]
+    for outs, ins, build in ((ls, rs, lambda a, b: Parallel(a, b)),
+                             (rs, ls, lambda a, b: Parallel(b, a))):
+        for so in outs:
+            # a classical output instantiates a symbolic input at its value;
+            # a quantum output meets the pick of its qubit, which is in the
+            # context and, as the peers share no qubit, in no pick's `avoid`
             if isinstance(so.action, COut):
-                # a classical output instantiates a symbolic input at its value
-                received = [si.cont(so.action.value) for si in in_steps
-                            if isinstance(si, _InStep) and si.chan == so.chan]
+                op, x = "input", so.action.value
+            elif isinstance(so.action, QOut):
+                op, x = "pick", so.action.qvar
             else:
-                # a quantum output meets the QIn _Step of its qubit, which
-                # inputs a system in the context (see _InStep)
-                want = QIn(so.chan, so.action.qvar)
-                received = [si.targets[0][0] for si in in_steps
-                            if isinstance(si, _Step) and si.action == want]
-            out.extend(_Step(TAU, [(build(t_out, t), c_out, 1.0)]) for t in received)
-
-    communicate(left_steps, right_steps, lambda a, b: Parallel(a, b))
-    communicate(right_steps, left_steps, lambda a, b: Parallel(b, a))
-    return out
+                continue
+            out += [_Template(None, cont=build(so.cont, si.at(x))) for si in ins
+                    if si.op == op and si.chan == so.chan]
+    return tuple(out)
 
 
 def _moves(config: Configuration, policy: InputPolicy | None, fresh) -> list:
-    """Each derived move of a configuration as (action, [(Configuration, p),
-    ...]), unmerged, with input prefixes enumerated per the policy."""
+    """Each move of a configuration as (action, [(Configuration, p), ...]),
+    unmerged: the context stage, which applies each step template's operation
+    to the context (see _Template), drops outcomes at or below PROB_CUTOFF
+    (context.measure), names new qubits by `fresh` and enumerates inputs."""
     policy = policy or InputPolicy()
-    steps = _derive(config.process, config.context, fresh)
-    open_chans = [s.chan for s in steps if not isinstance(s, _Step)]
-    if open_chans and policy.closed_only:
-        raise OpenConfiguration(open_chans)
-
-    moves = []
-    for s in steps:
-        if isinstance(s, _Step):
-            moves.append((s.action, [(Configuration(t, c2), p) for t, c2, p in s.targets]))
+    ctx = config.context
+    moves, open_chans = [], []
+    for s in config.process._steps[0]:
+        op = s.op
+        if op is None:
+            moves.append((s.action, [(Configuration(s.cont, ctx), 1.0)]))
+        elif op == "unitary":
+            after = ctxmod.apply_unitary(ctx, s.prefix.gate, s.prefix.qvars)
+            moves.append((TAU, [(Configuration(s.cont, after), 1.0)]))
+        elif op == "measure":
+            outcomes = ctxmod.measure(ctx, s.prefix.obs, s.prefix.qvars)
+            moves.append((TAU, [(Configuration(s.at(ev), c2), p) for ev, p, c2 in outcomes]))
+        elif op == "new":
+            r = fresh(ctx, s.hint)
+            moves.append((TAU, [(Configuration(s.at(r), ctxmod.new_qubit(ctx, r)), 1.0)]))
+        elif op == "pick":
+            moves += [(QIn(s.chan, r), [(Configuration(s.at(r), ctx), 1.0)])
+                      for r in ctx.vars if r not in s.avoid]
+        elif policy.closed_only:
+            open_chans.append(s.chan)
         elif not s.chan.quantum:
-            for v in policy.domain(s.chan):
-                moves.append((CIn(s.chan, float(v)),
-                              [(Configuration(s.cont(float(v)), config.context), 1.0)]))
+            moves += [(CIn(s.chan, v), [(Configuration(s.at(v), ctx), 1.0)])
+                      for v in map(float, policy.domain(s.chan))]
         else:
-            r = fresh(config.context, s.hint)
-            for _, single in policy.quantum_recipes:
-                extended = ctxmod.extend_with_input(config.context, r, single)
-                moves.append((QIn(s.chan, r), [(Configuration(s.cont(r), extended), 1.0)]))
+            r = fresh(ctx, s.hint)
+            moves += [(QIn(s.chan, r), [(Configuration(s.at(r), extended), 1.0)])
+                      for extended in (ctxmod.extend_with_input(ctx, r, single)
+                                       for _, single in policy.quantum_recipes)]
+    if open_chans:
+        raise OpenConfiguration(open_chans)
     return moves
 
 
@@ -520,17 +509,18 @@ def transitions(
 
 def blocked_actions(config: Configuration) -> list:
     """Actions of the unrestricted inner behaviour that restriction filters
-    out at this configuration (diagnostic for stuck reports), restrictions
-    in pre-order, outer first, as _derive collects them; a false `if`
-    blocks nothing.
-    An input not yet instantiated shows as its prefix, with its binder as
-    payload: CIn(c, "x") for c?x, QIn(qc, "q") for qc?q."""
-    steps: list = []
-    # actions name no fresh qubit, so any namer serves
-    _derive(config.process, config.context, numbered_fresh, steps)
-    return list(dict.fromkeys(s.action if isinstance(s, _Step)
-                              else (QIn if s.chan.quantum else CIn)(s.chan, s.hint)
-                              for s in steps))
+    out at this configuration (diagnostic for stuck reports), in pre-order
+    of the restrictions, outer first, as the term stage stores them; no
+    operation is applied, and a false `if` blocks nothing.  An input not yet
+    instantiated shows with its binder: CIn(c, "x") for c?x, QIn(qc, "q") for qc?q."""
+    actions: list = []
+    for s in config.process._steps[1]:
+        if s.op == "pick":
+            actions += [QIn(s.chan, r) for r in config.context.vars if r not in s.avoid]
+        else:
+            actions.append(s.action if s.op is None
+                           else (QIn if s.chan.quantum else CIn)(s.chan, s.hint))
+    return list(dict.fromkeys(actions))
 
 
 # -- finite exploration --
@@ -559,7 +549,7 @@ class Lts:
     def stuck(self, i: int) -> bool:
         return not self.edges[i]
 
-    @cached_property
+    @_stored
     def terminal(self) -> tuple:
         """terminal[i]: None when node i can move, else the lowest stuck node
         of its terminal class.  Stuck nodes are filed in id order under their

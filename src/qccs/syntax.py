@@ -6,9 +6,10 @@ compare by name plus a matrix fingerprint (see linalg.Gate).
 
 Each process node carries summaries of itself: its free quantum and
 classical variables (`qv`, `fv_classical`), its validity findings
-(`check_wellformed`), its hash and its `alpha_key`.  Each is computed on
-first use from the children's summaries and stored on the node, so it is
-computed at most once per node; none takes part in == or repr, and the
+(`check_wellformed`), its hash, its `alpha_key` and its step templates (the
+rule engine's term stage, lts._term_stage).  Each is computed on first use
+from the children's summaries and stored on the node, so it is computed at
+most once per node; none takes part in == or repr or a pickle, and the
 hash is the one the dataclass would compute from the fields.  Substitution
 returns every subterm in which the variable is not free as the same
 object, so a derived term shares its untouched subterms, and their stored
@@ -28,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from itertools import count
 
-from .linalg import Gate, Observable
+from .linalg import Gate, Observable, _stored
 
 
 class SyntaxError_(Exception):
@@ -202,26 +203,11 @@ def _map_vars(e, f):
 # -- process terms --
 
 
-class _stored:
-    """A node summary: the decorated method computes it on first use and
-    stores it in the node's __dict__, where later lookups find it first.
-    functools.cached_property does the same, but takes a lock on every
-    first use before Python 3.12, which made building an LTS slower."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, node, owner=None):
-        value = node.__dict__[self.name] = self.compute(node)
-        return value
-
-
 class _Term:
     """Base of the 13 process constructors.  A node stores its free quantum
-    and classical variables, its validity findings, its hash and its alpha
-    key, each computed from its children's at most once, and the
-    substitutions made on it."""
+    and classical variables, its validity findings, its hash, its alpha key
+    and its step templates, each computed from its children's at most once,
+    and the substitutions made on it."""
 
     @_stored
     def _qv(self) -> frozenset:
@@ -267,6 +253,10 @@ class _Term:
         return {}
 
     @_stored
+    def _steps(self) -> tuple:
+        return _lts._term_stage(self)
+
+    @_stored
     def _hash(self) -> int:
         return self._field_hash()
 
@@ -283,7 +273,7 @@ class _Term:
 
     def __getstate__(self) -> dict:
         # a pickle carries the fields only: a stored hash holds only in the
-        # interpreter that computed it
+        # interpreter that computed it, and step templates hold functions
         return {k: v for k, v in self.__dict__.items() if k not in vars(_Term)}
 
 
@@ -596,3 +586,7 @@ def alpha_key(e: ProcessExpr) -> ProcessExpr:
     is its own key.  A term that shares a subterm with another shares that
     subterm's stored key too."""
     return _checked(e)._key
+
+
+# the rule engine, whose term stage _Term._steps stores, imports this module
+from . import lts as _lts  # noqa: E402

@@ -12,7 +12,11 @@ restart_scan is the exception: the refinement loop that bisim's worklist
 replaced, kept to compare split orders where they could matter.
 terminated_oracle and blocked_oracle are the two walkers that stuck reports
 used before the rule engine collected blocked actions itself; the second
-asks the rule engine only for the steps of a restriction's body.
+asks derive_oracle only for the steps of a restriction's body.
+derive_oracle, moves_oracle and blocked_actions_oracle are the one-pass rule
+engine from before the term stage was stored on each term node: the whole
+term is derived in its context on every call, and every continuation is
+built anew.
 wellformed_oracle is the walk that check_wellformed made before validity
 became a summary stored on each node: it reads no stored findings.
 apply_one_oracle and row_permuted_diagonal are the factor kernel's formulas
@@ -25,7 +29,7 @@ compared entrywise, with no diagonal, cell or factor shortcut.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -35,13 +39,32 @@ import numpy as np
 
 from scipy.optimize import linprog
 
+from qccs import context as ctxmod
 from qccs import syntax as S
 from qccs.context import context_equal
 from qccs.frontend import elaborate, parse
 from qccs.linalg import ATOL, KET_MINUS, KET_PLUS, Observable, dm
-from qccs.lts import TAU, CIn, QIn, Tau, _derive, _Step, numbered_fresh
+from qccs.lts import (
+    TAU, CIn, COut, Configuration, InputPolicy, OpenConfiguration, QIn, QOut, Tau,
+    numbered_fresh,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+PERFBENCH = CORPUS.parent / "perfbench"
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded source generator, loaded
+    as a module of its own: it imports the standard library alone."""
+    import importlib.util
+    import sys
+
+    if "perfbench_inputs" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                      PERFBENCH / "inputs.py")
+        module = sys.modules["perfbench_inputs"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_inputs"]
 
 
 def corpus_configs(name: str, *configs: str) -> list:
@@ -81,6 +104,162 @@ def terminated_oracle(term) -> bool:
     return False
 
 
+@dataclass
+class _Step:
+    """A derived concrete transition: action plus (term, context, prob)
+    targets.  Its `chan` is its action's, None for tau."""
+
+    action: object
+    targets: list
+
+    @property
+    def chan(self):
+        return self.action.chan
+
+
+@dataclass
+class _InStep:
+    """Symbolic input, kept open so a communication partner can instantiate
+    it; `hint` is the prefix's binder and `cont` maps a value or a fresh
+    qubit name to the continuation."""
+
+    chan: S.Chan
+    hint: str | None
+    cont: object
+
+
+def _rewrap(step, wrap, fn=None):
+    """`step` with each target term t replaced by wrap(t), and its channel
+    (tau has none) renamed by the relabelling `fn` when one is given."""
+    if isinstance(step, _Step):
+        action = step.action
+        if fn is not None and action.chan is not None:
+            action = replace(action, chan=fn.apply(action.chan))
+        return _Step(action, [(wrap(t), c2, p) for t, c2, p in step.targets])
+    chan = step.chan if fn is None else fn.apply(step.chan)
+    return _InStep(chan, step.hint, lambda x: wrap(step.cont(x)))
+
+
+def derive_oracle(term, ctx, fresh, blocked: list | None = None) -> list:
+    """The steps of a term in a context, derived in one pass down the whole
+    term, with every quantum operation applied on the way; a restriction
+    adds the steps it filters out to `blocked`, ahead of inner ones."""
+    match term:
+        case S.Nil():
+            return []
+        case S.CInput(chan=c, var=x, body=b):
+            return [_InStep(c, x, lambda v, b=b, x=x: S.subst_classical(b, x, v))]
+        case S.COutput(chan=c, expr=e, body=b):
+            return [_Step(COut(c, S.eval_expr(e)), [(b, ctx, 1.0)])]
+        case S.QbitNew(qvar=q, body=b):
+            r = fresh(ctx, q)
+            return [_Step(TAU, [(S.subst_quantum(b, q, r), ctxmod.new_qubit(ctx, r), 1.0)])]
+        case S.QInput(chan=c, qvar=q, body=b):
+            taken = S.qv(b) - {q}
+            steps: list = [_Step(QIn(c, r), [(S.subst_quantum(b, q, r), ctx, 1.0)])
+                           for r in ctx.vars if r not in taken]
+            steps.append(_InStep(c, q, lambda r, b=b, q=q: S.subst_quantum(b, q, r)))
+            return steps
+        case S.QOutput(chan=c, qvar=q, body=b):
+            return [_Step(QOut(c, q), [(b, ctx, 1.0)])]
+        case S.Unitary(gate=g, qvars=qs, body=b):
+            return [_Step(TAU, [(b, ctxmod.apply_unitary(ctx, g, qs), 1.0)])]
+        case S.Measure(obs=m, qvars=qs, var=x, body=b):
+            outcomes = ctxmod.measure(ctx, m, qs)
+            return [_Step(TAU, [(S.subst_classical(b, x, ev), c2, p) for ev, p, c2 in outcomes])]
+        case S.Sum(left=l, right=r):
+            return derive_oracle(l, ctx, fresh, blocked) + derive_oracle(r, ctx, fresh, blocked)
+        case S.Parallel(left=l, right=r):
+            return _compose_parallel(derive_oracle(l, ctx, fresh, blocked),
+                                     derive_oracle(r, ctx, fresh, blocked), l, r)
+        case S.Relabel(body=b, fn=f):
+            return [_rewrap(s, lambda t: S.Relabel(t, f), f)
+                    for s in derive_oracle(b, ctx, fresh, blocked)]
+        case S.Restrict(body=b, chans=chans):
+            at = len(blocked or ())
+            steps = derive_oracle(b, ctx, fresh, blocked)
+            if blocked is not None:
+                blocked[at:at] = [s for s in steps if s.chan in chans]
+            return [_rewrap(s, lambda t: S.Restrict(t, chans)) for s in steps
+                    if s.chan not in chans]
+        case S.If(cond=c, body=b):
+            return derive_oracle(b, ctx, fresh, blocked) if S.eval_bool(c) else []
+    raise TypeError(term)
+
+
+def _compose_parallel(left_steps, right_steps, left_term, right_term) -> list:
+    out: list = []
+
+    def interleave(steps, other_term, combine):
+        other_qv = S.qv(other_term)
+        for s in steps:
+            # a component may input a system only if its peer does not
+            # reference it
+            if isinstance(s, _Step) and isinstance(s.action, QIn) and s.action.qvar in other_qv:
+                continue
+            out.append(_rewrap(s, lambda t: combine(t, other_term)))
+
+    interleave(left_steps, right_term, lambda t, o: S.Parallel(t, o))
+    interleave(right_steps, left_term, lambda t, o: S.Parallel(o, t))
+
+    def communicate(out_steps, in_steps, build):
+        for so in out_steps:
+            if not (isinstance(so, _Step) and isinstance(so.action, (COut, QOut))):
+                continue
+            (t_out, c_out, _), = so.targets
+            if isinstance(so.action, COut):
+                received = [si.cont(so.action.value) for si in in_steps
+                            if isinstance(si, _InStep) and si.chan == so.chan]
+            else:
+                want = QIn(so.chan, so.action.qvar)
+                received = [si.targets[0][0] for si in in_steps
+                            if isinstance(si, _Step) and si.action == want]
+            out.extend(_Step(TAU, [(build(t_out, t), c_out, 1.0)]) for t in received)
+
+    communicate(left_steps, right_steps, lambda a, b: S.Parallel(a, b))
+    communicate(right_steps, left_steps, lambda a, b: S.Parallel(b, a))
+    return out
+
+
+def moves_oracle(config, policy=None, fresh=numbered_fresh) -> list:
+    """Each derived move of a configuration as (action, [(Configuration, p),
+    ...]), unmerged, with input prefixes enumerated per the policy."""
+    policy = policy or InputPolicy()
+    steps = derive_oracle(config.process, config.context, fresh)
+    open_chans = [s.chan for s in steps if not isinstance(s, _Step)]
+    if open_chans and policy.closed_only:
+        raise OpenConfiguration(open_chans)
+    moves = []
+    for s in steps:
+        if isinstance(s, _Step):
+            moves.append((s.action, [(Configuration(t, c2), p) for t, c2, p in s.targets]))
+        elif not s.chan.quantum:
+            for v in policy.domain(s.chan):
+                moves.append((CIn(s.chan, float(v)),
+                              [(Configuration(s.cont(float(v)), config.context), 1.0)]))
+        else:
+            r = fresh(config.context, s.hint)
+            for _, single in policy.quantum_recipes:
+                extended = ctxmod.extend_with_input(config.context, r, single)
+                moves.append((QIn(s.chan, r), [(Configuration(s.cont(r), extended), 1.0)]))
+    return moves
+
+
+def _shown(step):
+    """A blocked step's action; a symbolic input shows as its binder."""
+    if isinstance(step, _Step):
+        return step.action
+    return (QIn if step.chan.quantum else CIn)(step.chan, step.hint)
+
+
+def blocked_actions_oracle(config) -> list:
+    """The actions restriction filters out, as the one-pass engine collected
+    them: by restriction in pre-order, outer first, each once."""
+    steps: list = []
+    derive_oracle(config.process, config.context, numbered_fresh, steps)
+    return list(dict.fromkeys(map(_shown, steps)))
+
+
 def blocked_oracle(config) -> list:
     """The steps each restriction reached from the root filters out, by
     restriction in pre-order, outer first, each once; a symbolic input shows
@@ -90,10 +269,9 @@ def blocked_oracle(config) -> list:
 
     def strip(term):
         if isinstance(term, S.Restrict):
-            for s in _derive(term.body, config.context, numbered_fresh):
-                if s.chan in term.chans:
-                    blocked.append(s.action if isinstance(s, _Step)
-                                   else (QIn if s.chan.quantum else CIn)(s.chan, s.hint))
+            blocked.extend(_shown(s) for s in derive_oracle(term.body, config.context,
+                                                            numbered_fresh)
+                           if s.chan in term.chans)
         if isinstance(term, S.If) and not S.eval_bool(term.cond):
             return
         if isinstance(term, (S.Parallel, S.Sum, S.Relabel, S.Restrict, S.If)):

@@ -4,7 +4,7 @@ plus distribution algebra, exploration, and trace execution."""
 import numpy as np
 import pytest
 
-from qccs import laws, linalg
+from qccs import laws, linalg, lts
 from qccs.bisim import equality_check, strong_bisim, weak_bisim
 from qccs.context import SCAN_LIMIT, ContextIndex, QContext, context_equal, make_context
 from qccs.frontend import elaborate, parse, pretty_print
@@ -12,7 +12,7 @@ from qccs.linalg import GATE_H, GATE_X, KET0, KET1, KET_PLUS, OBS_M01, Observabl
 from qccs.lts import (
     TAU, BadConfiguration, BadWeights, BoundExceeded, CIn, Configuration, COut,
     Distribution, InputPolicy, LtsError, OpenConfiguration, QIn, QOut, StuckError,
-    blocked_actions, build_lts, _complex_pairs, _moves, action_sort_key, format_action,
+    blocked_actions, build_lts, _complex_pairs, _file, _moves, action_sort_key, format_action,
     hint_fresh, lts_to_dot, lts_to_json, numbered_fresh, run_trace, transitions,
 )
 from qccs.syntax import (
@@ -22,8 +22,8 @@ from qccs.syntax import (
 )
 
 from helpers import (
-    CORPUS, blocked_oracle, corpus_configs, lift_oracle, node_of, ptrace_oracle,
-    terminated_oracle,
+    CORPUS, blocked_actions_oracle, blocked_oracle, corpus_configs, lift_oracle, moves_oracle,
+    node_of, perfbench_inputs, ptrace_oracle, terminated_oracle,
 )
 
 C = Chan("c", False)
@@ -1027,6 +1027,196 @@ class TestStuckReports:
             InputPolicy(classical_domains=((D, (0.0,)), (C, ())))
         with pytest.raises(LtsError, match=message):
             InputPolicy(quantum_recipes=(), closed_only=False)
+
+
+class TestTermStage:
+    """The rule engine's two stages against the one-pass engine they replace
+    (helpers.derive_oracle): the step templates stored on each term node,
+    and the context stage that applies their operations."""
+
+    @staticmethod
+    def assert_same_moves(got, want):
+        # actions, order, target terms, weights and context factors, bit for bit
+        assert [repr(a) for a, _ in got] == [repr(a) for a, _ in want]
+        for (_, pairs), (_, ref) in zip(got, want):
+            assert len(pairs) == len(ref)
+            for (c, p), (d, q) in zip(pairs, ref):
+                assert c.process == d.process and p == q, (str(c), str(d), p, q)
+                assert c.context.vars == d.context.vars
+                assert c.context.factor.tobytes() == d.context.factor.tobytes()
+
+    @staticmethod
+    def outcome(derive, *args):
+        try:
+            return derive(*args), None
+        except LtsError as exc:
+            return None, (type(exc), str(exc))
+
+    def assert_agrees(self, config, policy, fresh) -> list:
+        got, raised = self.outcome(_moves, config, policy, fresh)
+        want, ref_raised = self.outcome(moves_oracle, config, policy, fresh)
+        assert raised == ref_raised, str(config)
+        assert blocked_actions(config) == blocked_actions_oracle(config), str(config)
+        if raised:
+            return []
+        self.assert_same_moves(got, want)
+        index = ContextIndex()
+        reference = _file(want, lambda c: index.file(c.key, c.context)[0], [])
+        self.assert_same_moves(transitions(config, policy, fresh), reference)
+        return got
+
+    def test_agrees_with_the_one_pass_engine_on_random_terms(self):
+        # 320 seeded depth-4 terms with restrictions, relabellings, sums,
+        # false `if`s and quantum inputs and outputs, in random contexts that
+        # may hold a qubit the term never names; every node of each bounded
+        # graph is compared, half under the suites' open policy and half
+        # closed, with both fresh-name policies
+        rng = np.random.default_rng(32)
+        seen: dict = {}
+        checked = 0
+        for k in range(320):
+            term = laws.random_process(rng, 4, ("q0", "q1"), allow_quantum_input=True)
+            if rng.random() < 0.5:
+                chans = rng.choice(laws.CCHANS + laws.QCHANS, size=2, replace=False)
+                term = Restrict(term, frozenset(chans))
+            if rng.random() < 0.2:
+                dead = laws.random_process(rng, 2, (), classical_only=True)
+                term = Parallel(term, If(FALSE, Restrict(dead, frozenset(laws.CCHANS))))
+            names = list(rng.permutation(["q0", "q1", "q2"][:int(rng.integers(2, 4))]))
+            ctx = make_context(names, laws.random_density(rng, len(names)))
+            policy = laws.SUITE_POLICY if k % 2 else InputPolicy()
+            fresh = hint_fresh if k % 4 < 2 else numbered_fresh
+            root = Configuration(term, ctx)
+            configs = [root]
+            try:
+                configs = build_lts(root, policy=policy, max_nodes=40).nodes
+            except LtsError:
+                pass
+            for config in configs:
+                checked += 1
+                for action, _ in self.assert_agrees(config, policy, fresh):
+                    seen[type(action).__name__] = seen.get(type(action).__name__, 0) + 1
+                seen["blocked"] = seen.get("blocked", 0) + bool(blocked_actions(config))
+        assert min(seen.values()) >= 50 and len(seen) == 6 and checked > 1000, (seen, checked)
+
+    def test_whole_graphs_match_the_one_pass_engine(self, monkeypatch):
+        # the seed-0 teleport-check pairs, GHZ-6 and fan-out-5: every node's
+        # term and context, every edge, in order
+        inputs = perfbench_inputs()
+        roots = []
+        for source in inputs.teleport_sources(0).values():
+            elab = elaborate(parse(source))
+            roots.append(([elab.configs["Left"], elab.configs["Right"]], elab.policy))
+        for model in inputs.scaling_models(0):
+            if model.name in ("ghz-6", "fanout-5"):
+                elab = elaborate(parse(model.source))
+                roots.append(([elab.configs["Main"]], elab.policy))
+        graphs = [build_lts(configs, policy) for configs, policy in roots]
+        monkeypatch.setattr(lts, "_moves", moves_oracle)
+        for graph, (configs, policy) in zip(graphs, roots):
+            reference = build_lts(configs, policy)
+            assert graph.initial == reference.initial
+            assert graph.edges == reference.edges
+            assert len(graph.nodes) == len(reference.nodes)
+            for a, b in zip(graph.nodes, reference.nodes):
+                assert a.process == b.process and a.context.vars == b.context.vars
+                assert a.context.factor.tobytes() == b.context.factor.tobytes()
+        assert sum(g.node_count for g in graphs) > 150
+
+    def test_a_value_and_its_negative_zero_continue_apart(self):
+        # -0.0 == 0.0, but c?x instantiated at each is its own term, as
+        # subst_classical keys by sign, beside a peer too
+        body = CInput(C, "x", COutput(D, Var("x"), Nil()))
+        policy = InputPolicy(classical_domains=((C, (-0.0, 0.0)),), closed_only=False)
+        for term, reach in ((body, lambda t: t), (Parallel(body, Nil()), lambda t: t.left)):
+            config = cfg(term)
+            moves = _moves(config, policy, numbered_fresh)
+            assert [repr(a.value) for a, _ in moves] == ["-0.0", "0.0"]
+            (negative, _), = moves[0][1]
+            (positive, _), = moves[1][1]
+            assert negative.process == positive.process
+            assert negative.process is not positive.process
+            assert [str(reach(c.process).expr.value) for c in (negative, positive)] == [
+                "-0.0", "0.0"]
+            again = _moves(config, policy, numbered_fresh)
+            assert [pairs[0][0].process for _, pairs in again] == [
+                negative.process, positive.process]
+            assert all(pairs[0][0].process is c.process
+                       for (_, pairs), c in zip(again, (negative, positive)))
+
+    def test_a_teleport_build_derives_each_term_node_once(self, monkeypatch):
+        import helpers
+        from qccs.demo import build_teleport
+
+        derived: dict = {}
+        stage = lts._term_stage
+        monkeypatch.setattr(lts, "_term_stage", lambda t: derived.setdefault(
+            id(t), []).append(t) or stage(t))  # the list keeps each id unique
+        expanded = []
+        moves = lts._moves
+        monkeypatch.setattr(lts, "_moves", lambda c, *a: expanded.append(c) or moves(c, *a))
+        graph = build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])
+        assert graph.node_count == 54 and len(expanded) == 54
+        assert derived and all(len(terms) == 1 for terms in derived.values())
+        # the one-pass engine derives a node's whole term in every context
+        calls = []
+        derive = helpers.derive_oracle
+        monkeypatch.setattr(helpers, "derive_oracle",
+                            lambda t, *a: calls.append(t) or derive(t, *a))
+        for config in expanded:
+            moves_oracle(config)
+        assert 10 * len(derived) < 7 * len(calls), (len(derived), len(calls))
+
+    def test_no_template_holds_a_context_or_an_array(self):
+        # the templates, their memoised continuations and the closures that
+        # build them reach terms, names, values and actions only: a context
+        # lives for the operation that made it
+        from qccs.demo import build_teleport
+        from qccs.syntax import _Term
+
+        graphs = [build_lts([build_teleport(0.6, 0.8), build_teleport(0.6, -0.8)])]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            term = laws.random_process(rng, 3, ("q0", "q1"), allow_quantum_input=True)
+            ctx = make_context(("q0", "q1"), laws.random_density(rng, 2))
+            graphs.append(build_lts(Configuration(term, ctx), laws.SUITE_POLICY))
+        seen, counts = set(), {"templates": 0, "made": 0, "closures": 0}
+
+        def walk(x):
+            if id(x) in seen:
+                return
+            seen.add(id(x))
+            assert not isinstance(x, (QContext, np.ndarray)), type(x)
+            if isinstance(x, _Term):
+                return
+            if isinstance(x, lts._Template):
+                counts["templates"] += 1
+                counts["made"] += len(x.made or ())
+                for slot in lts._Template.__slots__:
+                    walk(getattr(x, slot))
+            elif isinstance(x, (tuple, list, frozenset)):
+                for y in x:
+                    walk(y)
+            elif isinstance(x, dict):
+                for key, value in x.items():
+                    walk(key)
+                    walk(value)
+            elif callable(x) and hasattr(x, "__closure__"):
+                counts["closures"] += 1
+                for cell in x.__closure__ or ():
+                    walk(cell.cell_contents)
+                walk(x.__defaults__ or ())
+
+        def nodes(t):
+            yield t
+            for s in subterms(t):
+                yield from nodes(s)
+
+        for graph in graphs:
+            for config in graph.nodes:
+                for node in nodes(config.process):
+                    walk(vars(node).get("_steps", ()))
+        assert min(counts.values()) > 100, counts
 
 
 class TestBadConfiguration:

@@ -486,6 +486,23 @@ class TestStoredSummaries:
         assert all(not k.startswith("_") for n in _nodes(copy) for k in vars(n))
         assert hash(copy) == hash_oracle(t)
 
+    def test_pickle_leaves_the_step_templates_behind(self):
+        # an explored term stores step templates, which hold functions that
+        # no pickle can carry, and the substitutions made on it
+        import pickle
+
+        from qccs.demo import build_teleport
+        from qccs.lts import build_lts
+
+        config = build_teleport(0.6, 0.8)
+        build_lts(config)
+        t = config.process
+        assert any("_steps" in vars(n) for n in _nodes(t))
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t
+        assert all(not k.startswith("_") for n in _nodes(copy) for k in vars(n))
+        assert hash(copy) == hash_oracle(t)
+
 
 class TestRelabelFn:
     def test_kind_preservation_enforced(self):
