@@ -27,7 +27,7 @@ from .lts import (
     InputPolicy, LtsError, OpenConfiguration, StuckError,
     build_lts, format_action, json_dumps, lts_to_dot, lts_to_json, run_trace,
 )
-from .syntax import ValueOutOfRange, WellformednessError, check_wellformed
+from .syntax import ValueOutOfRange, WellformednessError
 
 
 def _default_tol() -> float:
@@ -106,21 +106,11 @@ def _policy(elab, open_inputs: bool) -> InputPolicy:
 
 def cmd_check(args) -> int:
     source = _load(args.file)
-    problems, faulty = [], set()
-    for name, proc in source.processes.items():
-        for v in check_wellformed(proc):
-            problems.append(f"process {name}: {v}")
-            faulty.add(id(proc))
     try:
         elaborate(source)
     except ElaborationError as exc:
-        # a configuration whose process is a faulty declared one (the parser
-        # inlines a reference as the same object) repeats its faults
-        problems += [message for message, config in exc.faults
-                     if config is None or id(source.configs[config].process) not in faulty]
-    if problems:
-        for p in problems:
-            print(f"{args.file}: {p}")
+        for message in exc.faults:
+            print(f"{args.file}: {message}")
         return 1
     counts = (f"{len(source.processes)} process(es), "
               f"{len(source.configs)} config(s), {len(source.checks)} check(s)")
@@ -402,6 +392,10 @@ def main(argv=None) -> int:
         return 2
     except (SystemExit2, LtsError, lp.NumericalFailure, ValueOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a term's stored summaries (its alpha key, its hash) recurse once per level
+        print("error: term nested too deeply", file=sys.stderr)
         return 2
 
 

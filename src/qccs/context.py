@@ -193,10 +193,10 @@ def extend_with_input(ctx: QContext, r: str, sigma) -> QContext:
 
 
 def apply_unitary(ctx: QContext, gate: Gate, rvars) -> QContext:
-    """The context after gate acts on the named qubits.  The gate's own
-    finding says whether it is a unitary over qubits."""
+    """The context after gate acts on the named qubits.  A faulty gate
+    raises its own fault, a misshapen one included."""
     if gate.fault:
-        raise NotUnitary("operator is not unitary")
+        raise NotUnitary(f"gate {gate.name}: {gate.fault}")
     positions = [ctx.index(v) for v in rvars]
     return QContext(ctx.vars, apply_to_factor([gate.matrix], ctx.factor, positions)[0])
 

@@ -28,7 +28,7 @@ from .lts import Configuration, InputPolicy, format_value
 from .syntax import (
     Arith, BoolOp, Chan, CInput, Cmp, Const, COutput, If, Measure, Nil, Not,
     Parallel, ProcessExpr, QbitNew, QInput, QOutput, Relabel, RelabelFn,
-    Restrict, Sum, Unitary, Var, check_wellformed, qv,
+    Restrict, Sum, Unitary, Var, WellformednessError, check_wellformed,
 )
 
 HEADER = "#qccs 1"
@@ -46,14 +46,13 @@ class ParseError(Exception):
 
 
 class ElaborationError(Exception):
-    """Declarations that do not elaborate.  `faults` holds a (message,
-    config) pair per fault, gates first, then measurements, configurations
-    and checks; `config` names the configuration at fault, or is None for a
-    gate, measurement or check.  The message is the first fault's."""
+    """Declarations that do not elaborate.  `faults` holds one message per
+    fault: gates first, then measurements, declared processes,
+    configurations and checks.  The message is the first fault."""
 
     def __init__(self, faults):
         self.faults = tuple(faults)
-        super().__init__(self.faults[0][0])
+        super().__init__(self.faults[0])
 
 
 # -- tokenizer --
@@ -771,38 +770,41 @@ def elaborate(source: SourceFile) -> Elaboration:
 
     Each gate and measurement must have no `fault`: a gate is a unitary over
     qubits, and a measurement's projectors are square over qubits and satisfy
-    the spectral-form invariants.  Each configuration's process must pass
-    `check_wellformed`, configuration states must be density matrices, and each
-    configuration's context must cover the process's free quantum variables.
-    Each declaration's first fault is recorded, and one ElaborationError lists
-    them all.
+    the spectral-form invariants.  Each declared process must pass
+    `check_wellformed`; each violation is a fault of its own.  Every other
+    configuration is built by make_context and Configuration, the one gate
+    for a state, a closed term, coverage and well-formedness, and its first
+    fault there is recorded.  A configuration whose process is a faulty
+    declared process repeats that process's faults and is skipped.  One
+    ElaborationError lists every fault.
     """
-    faults = [(f"gate {name}: {gate.fault}", None)
+    faults = [f"gate {name}: {gate.fault}"
               for name, gate in source.gates.items() if gate.fault]
-    faults += [(f"measurement {name}: {obs.fault}", None)
+    faults += [f"measurement {name}: {obs.fault}"
                for name, obs in source.observables.items() if obs.fault]
+    faulty = set()  # the parser inlines a reference as the same object
+    for name, proc in source.processes.items():
+        for v in check_wellformed(proc):
+            faults.append(f"process {name}: {v}")
+            faulty.add(id(proc))
 
     configs = {}
     for name, decl in source.configs.items():
-        found = check_wellformed(decl.process)
-        missing = qv(decl.process) - set(decl.vars)
-        if found:
-            faults.append((f"config {name}: invalid process: "
-                           + "; ".join(str(v) for v in found), name))
-        elif missing:
-            faults.append((f"config {name}: context does not declare {sorted(missing)}", name))
-        else:
-            try:
-                ctx = (make_context((), np.array([[1.0 + 0j]])) if decl.state is None
-                       else make_context(decl.vars, decl.state))
-                configs[name] = Configuration(decl.process, ctx)
-            except Exception as exc:
-                faults.append((f"config {name}: {exc}", name))
+        if id(decl.process) in faulty:
+            continue
+        try:
+            ctx = (make_context((), np.array([[1.0 + 0j]])) if decl.state is None
+                   else make_context(decl.vars, decl.state))
+            configs[name] = Configuration(decl.process, ctx)
+        except WellformednessError as exc:
+            faults.append(f"config {name}: invalid process: {exc}")
+        except Exception as exc:
+            faults.append(f"config {name}: {exc}")
 
     for mode, left, right in source.checks:
         for side in (left, right):
             if side not in source.configs:
-                faults.append((f"check references unknown config {side!r}", None))
+                faults.append(f"check references unknown config {side!r}")
     if faults:
         raise ElaborationError(faults)
 

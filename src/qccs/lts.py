@@ -357,9 +357,8 @@ class _Template:
     qubit r of the context not in `avoid`.  "input": a symbolic input with
     binder `hint`, which a communication partner or the input policy
     instantiates at a value, or at the fresh name of a system the policy
-    adds.  at(x) builds a continuation once per x and per sign of a zero, as
-    subst_classical keys by sign: make(x), or make(inner.at(x)) for a step
-    that wraps the step `inner`."""
+    adds.  at(x) builds a continuation once per x and per sign of a zero:
+    make(x), or make(inner.at(x)) for a step that wraps the step `inner`."""
 
     __slots__ = ("op", "action", "chan", "cont", "make", "inner", "made", "prefix", "hint", "avoid")
 

@@ -13,9 +13,8 @@ most once per node; none takes part in == or repr or a pickle, and the
 hash is the one the dataclass would compute from the fields.  Substitution
 returns every subterm in which the variable is not free as the same
 object, so a derived term shares its untouched subterms, and their stored
-summaries, with the term it came from.  A node also keeps the results of
-the substitutions made on it, so the same substitution on the same node
-returns the same term.
+summaries, with the term it came from.  Substitution stores nothing: the
+step template that calls it (lts._Template.at) keeps the term it builds.
 
 One table knows where each of the 13 process constructors keeps its
 subterms; `subterms` and `rebuild` read it, so each traversal here spells out
@@ -206,8 +205,7 @@ def _map_vars(e, f):
 class _Term:
     """Base of the 13 process constructors.  A node stores its free quantum
     and classical variables, its validity findings, its hash, its alpha key
-    and its step templates, each computed from its children's at most once,
-    and the substitutions made on it."""
+    and its step templates, each computed from its children's at most once."""
 
     @_stored
     def _qv(self) -> frozenset:
@@ -245,12 +243,6 @@ class _Term:
                 found += [Violation(v.kind, (k, *v.path), v.detail) for v in s._violations]
         own = _own_violation(self) if type(self) in _RULED else None
         return (own, *found) if own else tuple(found)
-
-    @_stored
-    def _substituted(self) -> dict:
-        # substitution results from this node: a body that recurs in many
-        # configurations is substituted once per variable and value
-        return {}
 
     @_stored
     def _steps(self) -> tuple:
@@ -492,12 +484,7 @@ def subst_classical(e: ProcessExpr, x: str, v: float) -> ProcessExpr:
                 return If(_map_vars(c, value), sub(b))
         return rebuild(t, sub)
 
-    e = _checked(e)
-    key = (x, v, math.copysign(1.0, v))  # the sign tells -0.0 from 0.0
-    out = e._substituted.get(key)
-    if out is None:
-        out = e._substituted[key] = sub(e)
-    return out
+    return sub(_checked(e))
 
 
 def _fresh_qvar(base: str, avoid) -> str:
@@ -532,12 +519,7 @@ def subst_quantum(e: ProcessExpr, q: str, r: str) -> ProcessExpr:
                 return Measure(m, tuple(r if p == q else p for p in qs), x, sub(b))
         return rebuild(t, sub)
 
-    e = _checked(e)
-    key = (q, r)  # a classical key has three parts
-    out = e._substituted.get(key)
-    if out is None:
-        out = e._substituted[key] = sub(e)
-    return out
+    return sub(_checked(e))
 
 
 def canonical(e: ProcessExpr) -> ProcessExpr:

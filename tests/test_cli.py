@@ -23,6 +23,15 @@ def run_cli(*argv, env=None):
     return code, out.getvalue()
 
 
+def child_env():
+    """The environment for a child interpreter, which does not inherit
+    pytest's pythonpath: src first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 TELEPORT = "corpus/teleport.qccs"
 CHOICE = "corpus/choice.qccs"
 RESTRICTION = "corpus/restriction.qccs"
@@ -102,8 +111,7 @@ class TestArithmeticFaults:
 class TestBadShapes:
     # a gate or measurement must act on qubits, and on as many as it is
     # given: `check` lists each fault once, a declared process's under its
-    # own name, and the other commands stop with an error that names the
-    # first configuration it spoils
+    # own name, and the other commands stop with the first of them
     CASES = {
         "gate-dimension": (
             "gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
@@ -135,13 +143,13 @@ class TestBadShapes:
             "process P = CNOT[q].nil\n"
             "config A = < P ; q = |0> >\n",
             "process P: arity at root: CNOT has dimension 4, applied to [q]",
-            "config A: invalid process: arity at root: CNOT has dimension 4, applied to [q]"),
+            "process P: arity at root: CNOT has dimension 4, applied to [q]"),
         "measurement-arity": (
             "measure M = { 0: |0><0|, 1: |1><1| }\n"
             "process P = M[q, r; x].nil\n"
             "config A = < P ; q, r = |00> >\n",
             "process P: arity at root: M has dimension 2, applied to [q, r]",
-            "config A: invalid process: arity at root: M has dimension 2, applied to [q, r]"),
+            "process P: arity at root: M has dimension 2, applied to [q, r]"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -181,11 +189,12 @@ class TestBadShapes:
         f.write_text("config A = < H[s].nil ; q = |0> >\n"
                      "config B = < H[r].nil ; q = |0> >\n")
         assert run_cli("check", str(f)) == (1, (
-            f"{f}: config A: context does not declare ['s']\n"
-            f"{f}: config B: context does not declare ['r']\n"))
+            f"{f}: config A: context does not cover quantum variables ['s']\n"
+            f"{f}: config B: context does not cover quantum variables ['r']\n"))
         capsys.readouterr()
         assert run_cli("lts", str(f)) == (2, "")
-        assert capsys.readouterr().err == "error: config A: context does not declare ['s']\n"
+        assert capsys.readouterr().err == (
+            "error: config A: context does not cover quantum variables ['s']\n")
 
     def test_a_later_fault_follows_a_faulty_declared_process(self, tmp_path):
         # A repeats P's fault and is dropped; B's own fault stays
@@ -195,24 +204,38 @@ class TestBadShapes:
                      "config B = < H[r].nil ; q = |0> >\n")
         assert run_cli("check", str(f)) == (1, (
             f"{f}: process P: arity at root: CNOT has dimension 4, applied to [q]\n"
-            f"{f}: config B: context does not declare ['r']\n"))
+            f"{f}: config B: context does not cover quantum variables ['r']\n"))
 
     def test_a_misshapen_gate_hides_no_other_fault(self, tmp_path, capsys):
         # G has no arity, so P's arity is not checked, but P also uses q
-        # after sending it, which check lists; A repeats P's fault and is
-        # dropped; the other commands still stop at G's own fault
+        # after sending it, which check lists after G's own fault; A repeats
+        # P's fault and is dropped; the other commands stop at G's fault
         f = tmp_path / "hidden.qccs"
         f.write_text("qchannel qc\n"
                      "gate G = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
                      "process P = G[q].qc!q.H[q].nil\n"
                      "config A = < P ; q = |0> >\n")
         assert run_cli("check", str(f)) == (1, (
-            f"{f}: process P: output-then-use at 0: q used after output\n"
-            f"{f}: gate G: matrix must be square over qubits\n"))
+            f"{f}: gate G: matrix must be square over qubits\n"
+            f"{f}: process P: output-then-use at 0: q used after output\n"))
         for argv in (["lts"], ["run"], ["bisim", "--left", "A", "--right", "A"]):
             capsys.readouterr()
             assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
             assert capsys.readouterr().err == "error: gate G: matrix must be square over qubits\n"
+
+    def test_an_unused_faulty_process_stops_every_command(self, tmp_path, capsys):
+        # no configuration uses P, yet elaboration stops on it, as on a
+        # faulty gate that no configuration applies
+        f = tmp_path / "unused.qccs"
+        f.write_text("qchannel qc\n"
+                     "process P = qc!q.H[q].nil\n"
+                     "config A = < nil >\n")
+        fault = "process P: output-then-use at root: q used after output"
+        assert run_cli("check", str(f)) == (1, f"{f}: {fault}\n")
+        for argv in (["lts"], ["run"], ["bisim", "--left", "A", "--right", "A"]):
+            capsys.readouterr()
+            assert run_cli(argv[0], str(f), *argv[1:]) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {fault}\n", argv
 
     def test_a_misshapen_gate_spoils_no_other_line(self, tmp_path):
         # G fails every arity check, so A's arity is not checked; the
@@ -226,6 +249,33 @@ class TestBadShapes:
             f"{f}: gate G: matrix must be square over qubits\n"
             f"{f}: gate U: matrix is not unitary\n"
             f"{f}: config B: state is not a density matrix (trace 1, Hermitian, PSD)\n"))
+
+
+class TestDeepTerm:
+    # a 300-way sum: the stored alpha key of its root recurses once per
+    # level, so exploring it exceeds Python's recursion limit; check and run
+    # pass the file
+    @pytest.fixture(scope="class")
+    def outcomes(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("deep") / "deep.qccs"
+        f.write_text("channel c\nconfig A = < " + " + ".join(["c!0.nil"] * 300) + " >\n")
+        argvs = {"check": [], "run": [], "lts": [], "bisim": ["--left", "A", "--right", "A"]}
+        return {command: subprocess.run(
+                    [sys.executable, "-m", "qccs.cli", command, str(f), *extra],
+                    capture_output=True, text=True, env=child_env())
+                for command, extra in argvs.items()}
+
+    @pytest.mark.parametrize("command", ["lts", "bisim"])
+    def test_exploring_ends_in_one_error_line(self, outcomes, command):
+        out = outcomes[command]
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["error: term nested too deeply"]
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_check_and_run_pass(self, outcomes, command):
+        assert outcomes[command].returncode == 0
+        assert outcomes[command].stderr == ""
 
 
 class TestLts:
@@ -544,10 +594,6 @@ class TestEnvironment:
         assert code == 0
 
     def test_entry_point_installed(self):
-        # the child does not inherit pytest's pythonpath, so point it at src
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         out = subprocess.run([sys.executable, "-m", "qccs.cli", "--help"],
-                             capture_output=True, text=True, env=env)
+                             capture_output=True, text=True, env=child_env())
         assert out.returncode == 0 and "bisim" in out.stdout

@@ -218,7 +218,7 @@ class TestOperatorChecks:
         bad = Observable("bad", ((0.0, dm(KET0)), (1.0, dm(KET0))))
         ctx = make_context(("q",), dm(KET0))
         for _ in range(3):
-            with pytest.raises(NotUnitary, match="^operator is not unitary$"):
+            with pytest.raises(NotUnitary, match="^gate P0: matrix is not unitary$"):
                 apply_unitary(ctx, gate, ["q"])
             with pytest.raises(InvalidObservable, match="^observable bad: .*completeness$"):
                 measure(ctx, bad, ["q"])
@@ -233,9 +233,9 @@ class TestOperatorChecks:
         ctx = make_context(("q",), dm(KET0))
         for matrix in (np.eye(3), np.diag([1.0, 1.0, 0.0])):
             gate = Gate("G", matrix.astype(complex))
-            with pytest.raises(NotUnitary, match="^operator is not unitary$"):
+            with pytest.raises(NotUnitary, match="^gate G: matrix must be square over qubits$"):
                 apply_unitary(ctx, gate, ["q"])
-            with pytest.raises(NotUnitary, match="^operator is not unitary$"):
+            with pytest.raises(NotUnitary, match="^gate G: matrix must be square over qubits$"):
                 build_lts(Configuration(Unitary(gate, ("q",), Nil()), ctx))
 
     def test_a_misshapen_observable_raises_its_fault(self):

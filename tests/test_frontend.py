@@ -287,7 +287,7 @@ class TestElaborate:
         sf = parse("config K = < H[q].nil ; >")
         with pytest.raises(ElaborationError) as err:
             elaborate(sf)
-        assert "does not declare" in str(err.value)
+        assert str(err.value) == "config K: context does not cover quantum variables ['q']"
 
     def test_non_unitary_gate_rejected(self):
         sf = parse("gate G = [[1, 0], [0, 0]]")
@@ -339,9 +339,32 @@ class TestElaborate:
         with pytest.raises(ElaborationError) as err:
             elaborate(sf)
         assert str(err.value) == "gate U: matrix is not unitary"
-        assert [config for _, config in err.value.faults] == [None, "A", "B", None]
-        assert err.value.faults[1][0] == "config A: context does not declare ['s']"
-        assert err.value.faults[3][0] == "check references unknown config 'Missing'"
+        assert err.value.faults == (
+            "gate U: matrix is not unitary",
+            "config A: context does not cover quantum variables ['s']",
+            "config B: state is not a density matrix (trace 1, Hermitian, PSD)",
+            "check references unknown config 'Missing'")
+
+    def test_faults_are_messages_in_declaration_kind_order(self):
+        # gates, measurements, declared processes, configurations, checks,
+        # whatever the order of the declarations in the file; C's process is
+        # the faulty P itself, so it repeats nothing
+        sf = parse("qchannel qc\n"
+                   "process P = qc!q.H[q].nil\n"
+                   "config A = < H[s].nil ; q = |0> >\n"
+                   "config C = < P ; q = |0> >\n"
+                   "measure M = { 0: |0><0|, 1: |0><0| }\n"
+                   "gate U = [[1, 0], [0, 0]]\n"
+                   "check strong A Missing")
+        with pytest.raises(ElaborationError) as err:
+            elaborate(sf)
+        faults = err.value.faults
+        assert all(type(message) is str for message in faults)
+        assert [message.split(":")[0] for message in faults] == [
+            "gate U", "measurement M", "process P", "config A",
+            "check references unknown config 'Missing'"]
+        assert faults[2] == "process P: output-then-use at root: q used after output"
+        assert str(err.value) == faults[0]
 
     def test_inline_expansion_is_acyclic(self):
         with pytest.raises(ParseError):  # forward references are unknown names

@@ -465,13 +465,10 @@ class TestStoredSummaries:
     def test_a_node_keeps_its_substitutions(self):
         t = CInput(C, "y", COutput(C, Arith("+", Var("x"), Var("y")), Nil()))
         zero = subst_classical(t, "x", 0.0)
-        assert subst_classical(t, "x", 0.0) is zero
         # -0.0 == 0.0, but the substituted constant keeps its sign
         negative = subst_classical(t, "x", -0.0)
         assert negative == zero and negative is not zero
         assert str(negative.body.expr.left.value) == "-0.0"
-        v = u("q")
-        assert subst_quantum(v, "q", "r") is subst_quantum(v, "q", "r")
 
     def test_pickle_leaves_the_summaries_behind(self):
         # a string's hash, and so a term's, differs between interpreters
@@ -488,7 +485,7 @@ class TestStoredSummaries:
 
     def test_pickle_leaves_the_step_templates_behind(self):
         # an explored term stores step templates, which hold functions that
-        # no pickle can carry, and the substitutions made on it
+        # no pickle can carry
         import pickle
 
         from qccs.demo import build_teleport
