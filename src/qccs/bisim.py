@@ -11,16 +11,15 @@ requirement is one more flow question, under TAU_HAT, in which only the
 stuck nodes of the owner's terminal class absorb.  Every checker compares
 stuck contexts only through these classes (lts.Lts.terminal), so the stuck
 states it treats as equal form an equivalence relation.  One _Matcher builds
-every matching question, for refinement and for explaining a verdict, and
-keys every flow question by one rule.  Refinement asks it for verdicts:
-first whether one move of the node meets the requirement, then whether the
-target puts mass the node cannot reach beyond the loose bound, and only
-when neither decides, the simplex.  Explaining a verdict always asks the
-simplex, so witnesses are its weights and flows.  Both read simplex answers
-from one memo under keys that hold exactly what the question's linear
-program reads, so a check solves each distinct program once.  _refine keeps
-a worklist of blocks to examine and re-examines a block only when a block
-that its questions read has split.
+every matching question, for refinement and for explaining a verdict, as
+its linear program.  Refinement asks it for verdicts: first whether one
+move of the node meets the requirement, then whether the target puts mass
+the node cannot reach beyond the loose bound, and only when neither
+decides, the simplex.  Explaining a verdict always asks the simplex, so
+witnesses are its weights and flows.  Both read simplex answers from one
+memo keyed by the program itself, so a check solves each distinct program
+once.  _refine keeps a worklist of blocks to examine and re-examines a
+block only when a block that its questions read has split.
 
 Weak and `eq` refinement run on a view of the graph with inert tau chains
 collapsed (_collapse_inert).  An inert node has one move, a tau move with
@@ -28,10 +27,10 @@ all of its mass on one other node, and is weakly bisimilar to that node
 (Groote & Vaandrager's inert tau steps, in Segala's probabilistic setting),
 so the view replaces it by the last node of its inert chain and each node
 takes its representative's block.  On a seed-0 teleport-check graph this
-leaves 16 of 54 nodes to refine and cut lp.feasible calls per round from 81
-to 33.  The view shares the matcher's memo, and the explanation runs on the
-whole graph, so witnesses and counterexamples name the graph's own nodes
-and flows.
+leaves 16 of 54 nodes to refine and cuts lp.feasible calls per round from
+80 to 32.  The view shares the matcher's memo, and the explanation runs on
+the whole graph, so witnesses and counterexamples name the graph's own
+nodes and flows.
 
 One generator, _requirements, lists what a node asks of its block.
 Refinement splits on it, and _explain asks each requirement of one node of
@@ -47,7 +46,6 @@ needs, are explained when the check runs.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -188,16 +186,6 @@ class _Flows:
         self.entries = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                         np.array(vals))
 
-    def shape(self) -> bytes:
-        """A digest of what the program reads besides its absorption: two
-        sources with equal shapes, absorption groups and targets have the same
-        program."""
-        rows, cols, vals = self.entries
-        head = _packed([self.two_phase, len(self.nodes), self.source_row, self.width,
-                        len(rows)], ())
-        return hashlib.blake2b(head + rows.tobytes() + cols.tobytes() + vals.tobytes(),
-                               digest_size=16).digest()
-
     def program(self, ranks: list, targets: list) -> lp.LinearProgram:
         """The program in which the node nodes[r] absorbs into group ranks[r],
         or not at all when ranks[r] is -1, and group g must absorb
@@ -228,9 +216,18 @@ class _Flows:
 
 # -- matching questions --
 
-def _packed(ints, floats) -> bytes:
-    """The ints and the bit patterns of the floats, as one memo key."""
-    return struct.pack(f"{len(ints)}q{len(floats)}d", *ints, *floats)
+def _hull_program(points: np.ndarray, target) -> lp.LinearProgram:
+    """The program whose solutions are the weights expressing `target` as a
+    convex combination of the rows of `points`: one row for the weights'
+    sum, then one per coordinate."""
+    return lp.LinearProgram(np.vstack([np.ones(len(points)), points.T]),
+                            np.concatenate([[1.0], target]))
+
+
+def _key(program: lp.LinearProgram) -> bytes:
+    """The memo key of `program`: its shape, then the bits of a and of b, so
+    one key is one program and so one answer."""
+    return struct.pack("2q", *program.a.shape) + program.a.tobytes() + program.b.tobytes()
 
 
 class _Matcher:
@@ -245,27 +242,19 @@ class _Matcher:
     node that meets the requirement accepts it, and target mass beyond the
     loose bound on blocks the node cannot reach refutes it, both without a
     program.  Only a question that neither decides goes to the memoised
-    simplex.  On a seed-0 teleport-check round this cut lp.feasible calls
-    from 272 to 81.
+    simplex.  On a seed-0 teleport-check round this cuts lp.feasible calls
+    from 130 to 32 (from 272 to 80 without the inert collapse).
 
-    answer() solves each distinct program once and keeps what the solve
-    returned; holds() and _explain both read it.  A key holds exactly what
-    the question's linear program reads, with floats compared bit for bit,
-    so a hit is the same program and so the same answer.  A strong key holds
-    only the blocks in play, and a weak key names its source's flows by their
-    shape (see _Flows.shape), by one rule for every flow question, so a split
-    elsewhere, or a source whose flows look alike, finds the answer already
-    known.  So a weak answer is kept as the bare flow array, and the
-    question's naming step names its columns after the asking node's own
-    flows.  Keys are packed into bytes: keys built of small tuples raised
-    the peak memory of repeated 54-node teleportation checks by 2.5 MB, as
-    the interpreter keeps freed small tuples for reuse.  Keeping each
-    answer, not only its verdict, left their peak RSS at 40.3-40.4 MB and
-    raised the law suite's from 43.2 to 43.4 MB (perfbench medians of 10
-    runs, 2-core x86 VM).  A failure of any question within
-    _NEAR_TIE_FACTOR of the tolerance is a near tie: its answer is None, and
-    its key goes into `near_ties` when it is solved, so once per question
-    per check, however often refinement and witnesses ask.
+    answer() keys its memo by the program itself (see _key), so each
+    distinct program is solved once per check, whichever source, owner or
+    view built it, and holds() and _explain both read what the solve
+    returned; a key that also named the asking node would solve 61
+    programs on that round, not 32.  A program reads only the blocks in
+    play, a strong one without the all-zero columns and a weak one by their
+    ranks, so a split elsewhere leaves it unchanged.  A failure of any
+    question within _NEAR_TIE_FACTOR of the tolerance is a near tie: its
+    answer is None, and its key goes into `near_ties` when it is solved, so
+    once per program per check, however often refinement and witnesses ask.
     The reachable set and flows of each source and the termination groups of
     each terminal class are kept for the matcher's lifetime.
     """
@@ -286,13 +275,11 @@ class _Matcher:
             nodes = self.reach[node] = _reachable(self.lts, node)
         return nodes
 
-    def _flows(self, node: int, label):
-        """The _Flows of `node` under `label`, and its shape."""
-        got = self.flows.get((node, label))
-        if got is None:
-            flows = _Flows(self.lts, node, label, self._reach(node))
-            got = self.flows[(node, label)] = flows, flows.shape()
-        return got
+    def _flows(self, node: int, label) -> _Flows:
+        flows = self.flows.get((node, label))
+        if flows is None:
+            flows = self.flows[(node, label)] = _Flows(self.lts, node, label, self._reach(node))
+        return flows
 
     def decide(self, node: int, owner: int | None, requirement: tuple, partition: Partition,
                strict: bool = False):
@@ -346,15 +333,12 @@ class _Matcher:
 
     def question(self, node: int, owner: int | None, requirement: tuple, partition: Partition,
                  strict: bool = False):
-        """(memo key, solve(tol, loose) with loose as for lp.feasible,
-        constraint count of the linear program, name(answer)) of one
-        question: can `node` meet `requirement`?  name gives the hull
-        weights of a strong answer as they are, and a flow as {variable
-        name: value}.  Only a termination requirement reads `owner`, and
-        only its terminal class.
-        A weak question, termination included, is keyed by its flow shape,
-        each reachable node's absorption group ranked among the groups in
-        play (-1 where it may not absorb), and those groups' targets."""
+        """(program, name(answer)) of one question: can `node` meet
+        `requirement`?  program is the lp.LinearProgram that answers it, or
+        None when a strong question's node has no move with the action.  name
+        gives the hull weights of a strong answer as a list, and a flow as
+        {variable name: value}.  Only a termination requirement reads
+        `owner`, and only its terminal class."""
         action, vec = requirement
         if action is None:
             # can `node` internally evolve, with probability one, into stuck
@@ -369,43 +353,38 @@ class _Matcher:
         elif self.mode == "strong":
             points = [class_vector(tg, partition) for tg in self.lts.successors(node, action)]
             if not points:
-                # no move with the action: no program, whatever vec is
-                return b"", lambda t, loose: None, 0, lambda x: x
+                return None, None
             # only the blocks that vec or a point touches: the rows of the
             # others are all zero with a zero right-hand side, which phase 1
-            # never pivots on, so splits elsewhere leave the key alone
+            # never pivots on, so a split elsewhere leaves the program alone
             table = np.array((vec, *points))
             table = table[:, table.any(axis=0)]
-            return (_packed((table.shape[1],), ()) + table.tobytes(),
-                    lambda t, loose: lp.convex_hull_member(table[1:], table[0], t, loose),
-                    1 + table.shape[1], lambda x: x)
+            return _hull_program(table[1:], table[0]), lambda x: x.tolist()
         else:
             label, group_of, targets = _weak_label(action, strict), partition.block_of, vec
-        flows, shape = self._flows(node, label)
-        # the absorption groups in play, renumbered by rank so that splits
-        # elsewhere leave the key alone; the program reads these ranks and
-        # targets, and no other part of the partition
+        flows = self._flows(node, label)
+        # the absorption groups in play, renumbered by rank: the program
+        # reads these ranks and targets, and no other part of the partition
         present = {group_of[v] for v in flows.nodes}
         present.discard(None)
         groups = sorted(present | {g for g, t in enumerate(targets) if abs(t) > 0})
         rank = {g: r for r, g in enumerate(groups)}
         rank[None] = -1
-        ranks = [rank[group_of[v]] for v in flows.nodes]
-        wanted = [targets[g] for g in groups]
-        return (shape + _packed(ranks, wanted),
-                lambda t, loose: lp.feasible(flows.program(ranks, wanted), t, loose),
-                flows.height + len(groups),
+        return (flows.program([rank[group_of[v]] for v in flows.nodes],
+                              [targets[g] for g in groups]),
                 lambda x: dict(zip(flows.names(group_of), x.tolist())))
 
-    def answer(self, question):
-        """What the solve of `question` returned, solved on its key's first
-        ask: hull weights, a flow array, or None for a failure or a near
-        tie."""
-        key, solve = question[:2]
+    def answer(self, program):
+        """What lp.feasible returned for `program`, solved on its key's first
+        ask: a weight or flow array, or None for no program, a failure or a
+        near tie."""
+        if program is None:
+            return None
+        key = _key(program)
         if key in self.known:
             return self.known[key]
         try:
-            result = solve(self.tol, _NEAR_TIE_FACTOR * self.tol)
+            result = lp.feasible(program, self.tol, _NEAR_TIE_FACTOR * self.tol)
         except lp.NearTie:
             result = None
             self.near_ties.append(key)
@@ -416,7 +395,7 @@ class _Matcher:
         """Refinement's verdict: by decide(), else by the memoised simplex."""
         verdict = self.decide(node, owner, requirement, partition)
         if verdict is None:
-            return self.answer(self.question(node, owner, requirement, partition)) is not None
+            return self.answer(self.question(node, owner, requirement, partition)[0]) is not None
         return verdict
 
 
@@ -583,7 +562,7 @@ def _split_of(matcher: _Matcher, members: list, partition: Partition):
         for requirement in _requirements(matcher, owner, partition):
             action, vec = requirement
             same = ((None, matcher.lts.terminal[owner]) if action is None
-                    else (action, _packed((), vec)))
+                    else (action, struct.pack(f"{len(vec)}d", *vec)))
             if same in tried:
                 continue
             tried.add(same)
@@ -626,10 +605,10 @@ def _refine(matcher: _Matcher, partition: Partition) -> Partition:
     (weak).  No other block's questions change, so no other block can split.
     The queued block whose lowest member is highest goes next: build_lts
     numbers nodes in exploration order, so the blocks further down the
-    graph settle first, and the weak questions above them, whose keys hold
-    the block of every reachable node, then find their verdicts known.  The
-    blocks of the result are numbered by lowest member, so no output
-    depends on the order of the splits."""
+    graph settle first, and the weak questions above them, whose programs
+    read the block of every reachable node, then find their verdicts
+    known.  The blocks of the result are numbered by lowest member, so no
+    output depends on the order of the splits."""
     members = partition.blocks()
     queue = set(range(len(members)))
     preds = None
@@ -693,16 +672,17 @@ def _explain(matcher: _Matcher, left: int, right: int, partition: Partition,
     lts, witness = matcher.lts, []
     for owner, partner, side in ((left, right, "left"), (right, left, "right")):
         for requirement in _requirements(matcher, owner, partition):
-            question = matcher.question(partner, owner, requirement, partition, strict)
-            answer = matcher.answer(question)
+            program, name = matcher.question(partner, owner, requirement, partition, strict)
+            answer = matcher.answer(program)
             if answer is None:
-                return [], _failed_requirement(owner, partner, requirement, question[2])
+                rows = 0 if program is None else len(program.b)
+                return [], _failed_requirement(owner, partner, requirement, rows)
             action, vec = requirement
             if action is None:
                 continue
             entry = {"from": side, "node": owner, "action": format_action(action),
                      "class_vector": list(vec)}
-            w = question[3](answer)
+            w = name(answer)
             if matcher.mode == "strong":
                 entry["weights"] = [round(x, 12) + 0.0 for x in w]
                 entry["partners"] = [[[n, p] for n, p in tg]
@@ -731,7 +711,7 @@ def _check(lts, left: int, right: int, mode: str, tol: float) -> BisimResult:
         view, rep = _collapse_inert(lts)
         refiner = matcher
         if view is not lts:
-            # a key names its program, whichever graph asks it, so the view's
+            # a key is its program, whichever graph asks it, so the view's
             # matcher reads and fills the graph's memo and near ties
             refiner = _Matcher(view, "weak", tol)
             refiner.known, refiner.near_ties = matcher.known, matcher.near_ties

@@ -6,6 +6,9 @@ success, 1 on a negative verdict, 2 on errors, a negative seed, count or
 bound among them, or `laws --qubits` below 1.  QCCS_TOL replaces the
 default verdict tolerance (lp.TOL) of `bisim` and `laws`; `bisim --tol`
 takes precedence over it.  `demo --tol` bounds the teleported-state error.
+`bisim --mode` (strong when omitted) applies to `--left/--right` only; a
+file's check directives name their own modes, so `--mode` without them
+exits 2.
 """
 
 from __future__ import annotations
@@ -215,7 +218,9 @@ def cmd_bisim(args) -> int:
         for side in (args.left, args.right):
             if side not in elab.configs:
                 raise SystemExit2(f"no configuration named {side!r}")
-        queries.append((args.mode, args.left, args.right))
+        queries.append((args.mode or "strong", args.left, args.right))
+    elif args.mode:
+        raise SystemExit2("--mode must be given with --left and --right")
     elif elab.checks:
         queries = list(elab.checks)
     else:
@@ -348,7 +353,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--left")
     p.add_argument("--right")
-    p.add_argument("--mode", choices=["strong", "weak", "eq"], default="strong")
+    p.add_argument("--mode", choices=["strong", "weak", "eq"])
     p.add_argument("--tol", type=float)
     p.add_argument("--open", action="store_true")
     p.add_argument("--json", action="store_true")

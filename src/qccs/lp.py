@@ -146,17 +146,3 @@ def feasible(prog: LinearProgram, tol: float = TOL, loose: float | None = None):
         raise NearTie(f"phase-1 residual {residual:.3g} is above {tol:g}, within {loose:g}")
     return x
 
-
-def convex_hull_member(points, target, tol: float = TOL, loose: float | None = None):
-    """Weights expressing target as a convex combination of points, or None;
-    `loose` as for feasible."""
-    target = np.asarray(target, dtype=float)
-    if not len(points):
-        return None
-    points = np.asarray(points, dtype=float)
-    if points.shape[1:] != target.shape:
-        raise LpError("points and target must share a dimension")
-    prog = LinearProgram(np.vstack([np.ones(len(points)), points.T]),
-                         np.concatenate([[1.0], target]))
-    x = feasible(prog, tol, loose)
-    return None if x is None else x.tolist()

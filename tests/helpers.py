@@ -685,9 +685,9 @@ def matcher_witness(matcher, node, action, vec, partition, strict=False):
     `node` that meets (action, vec) over `partition`, read as
     bisim._explain reads them: the question's answer, named by the
     question; None when there is none."""
-    question = matcher.question(node, None, (action, tuple(vec)), partition, strict)
-    answer = matcher.answer(question)
-    return None if answer is None else question[3](answer)
+    program, name = matcher.question(node, None, (action, tuple(vec)), partition, strict)
+    answer = matcher.answer(program)
+    return None if answer is None else name(answer)
 
 
 # -- the restart scan that refinement used before its worklist --

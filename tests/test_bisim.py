@@ -919,7 +919,7 @@ class TestMemoizedRefinement:
         keys = []
         for partition in (before, after):
             requirement = ("a", class_vector(graph.node_edges(0)[0][1], partition))
-            keys.append(matcher.question(1, 0, requirement, partition)[0])
+            keys.append(bisim._key(matcher.question(1, 0, requirement, partition)[0]))
             assert matcher.holds(1, 0, requirement, partition)
         assert after.block_count == before.block_count + 1
         assert keys[0] == keys[1]
@@ -945,9 +945,10 @@ class TestMemoizedRefinement:
         requirement = (TAU, (0.0, 1.0))
         # asked of the simplex, as _explain asks: holds() meets each of these
         # by one tau move and solves nothing
-        questions = [matcher.question(node, None, requirement, partition) for node in (0, 1, 4)]
-        assert all(matcher.answer(question) is not None for question in questions)
-        keys = [question[0] for question in questions]
+        programs = [matcher.question(node, None, requirement, partition)[0]
+                    for node in (0, 1, 4)]
+        assert all(matcher.answer(program) is not None for program in programs)
+        keys = [bisim._key(program) for program in programs]
         assert keys[0] == keys[1] != keys[2]
         assert len(solves) == 2
         assert not np.array_equal(solves[0].a, solves[1].a)
@@ -978,7 +979,7 @@ class TestDecidedWithoutASolve:
                     continue
                 reference = bisim._Matcher(matcher.lts, matcher.mode, matcher.tol)
                 answer = reference.answer(reference.question(node, owner, requirement,
-                                                             partition, strict_too))
+                                                             partition, strict_too)[0])
                 assert mine == (answer is not None), (matcher.mode, kind, node, requirement)
                 assert not reference.near_ties, (matcher.mode, kind, node, requirement)
                 counts[matcher.mode, kind, mine] = counts.get((matcher.mode, kind, mine), 0) + 1

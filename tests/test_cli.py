@@ -412,6 +412,16 @@ class TestBisim:
         assert "P0 vs Q0: equivalent" in out
         assert "PR0 vs QR0: distinguished" in out
 
+    def test_mode_without_a_pair_is_refused(self, capsys):
+        # the directives name their own modes, so a --mode that no pair
+        # takes would be ignored without a word
+        code, out = run_cli("bisim", RESTRICTION, "--mode", "weak")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --mode must be given with --left and --right\n"
+        # a pair without --mode is checked strong
+        code, out = run_cli("bisim", RESTRICTION, "--left", "PR0", "--right", "QR0", "--json")
+        assert code == 1 and json.loads(out)["mode"] == "strong"
+
     def test_weak_and_eq_modes(self, tmp_path):
         f = tmp_path / "weakeq.qccs"
         f.write_text(

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from qccs.bisim import _hull_program
 from qccs.lp import (
     MAX_PIVOTS, PIVOT_EPS, TOL, LinearProgram, NearTie, NumericalFailure, _phase1, _pivot,
-    convex_hull_member, feasible,
+    feasible,
 )
 
 from helpers import exact_hull_member
@@ -108,26 +109,32 @@ class TestFeasible:
         assert agree >= 30
 
 
+def hull_weights(points, target):
+    """The weights that feasible finds for the hull program of `points`
+    and `target`, as bisim asks it, or None."""
+    return feasible(_hull_program(np.asarray(points, dtype=float), target))
+
+
 class TestConvexHull:
     def test_target_is_a_point(self):
-        w = convex_hull_member([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+        w = hull_weights([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         assert w is not None and abs(w[0] - 1.0) < 1e-7
 
     def test_midpoint(self):
-        w = convex_hull_member([[0.0], [1.0]], [0.5])
+        w = hull_weights([[0.0], [1.0]], [0.5])
         assert w is not None and abs(w[0] - 0.5) < 1e-7 and abs(w[1] - 0.5) < 1e-7
 
     def test_outside_segment(self):
-        assert convex_hull_member([[0.0], [1.0]], [1.5]) is None
+        assert hull_weights([[0.0], [1.0]], [1.5]) is None
 
     def test_no_points(self):
-        assert convex_hull_member([], [0.5]) is None
+        assert hull_weights(np.zeros((0, 1)), [0.5]) is None
 
     def test_weights_form_distribution(self):
         rng = np.random.default_rng(1)
         pts = [list(rng.random(3)) for _ in range(4)]
         target = np.average(pts, axis=0, weights=[0.1, 0.2, 0.3, 0.4])
-        w = convex_hull_member(pts, list(target))
+        w = hull_weights(pts, list(target))
         assert w is not None
         assert abs(sum(w) - 1.0) < 1e-6
         np.testing.assert_allclose(np.array(w) @ np.array(pts), target, atol=1e-6)
@@ -142,7 +149,7 @@ class TestConvexHull:
                    for _ in range(k)]
             target = [Fraction(int(rng.integers(0, 5)), 4) for _ in range(dim)]
             expect = exact_hull_member(pts, target)
-            got = convex_hull_member([[float(x) for x in p] for p in pts],
+            got = hull_weights([[float(x) for x in p] for p in pts],
                                      [float(x) for x in target]) is not None
             assert got == expect, (pts, target)
 
@@ -274,8 +281,8 @@ class TestHullSupport:
                 target /= target.sum()
             keep = np.vstack([target, points]).any(axis=0)
             dropped += int(blocks - keep.sum())
-            full = convex_hull_member(points, target)
-            kept = convex_hull_member(points[:, keep], target[keep])
+            full = hull_weights(points, target)
+            kept = hull_weights(points[:, keep], target[keep])
             assert (full is None) == (kept is None)
             if full is not None:
                 assert np.array(full).tobytes() == np.array(kept).tobytes()
